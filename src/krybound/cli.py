@@ -274,10 +274,11 @@ def cmd_bound(cfg):
     n_op = op.shape[0]
     cap = EIG_CAP[cfg.precision]
     if n_op > cap:
+        ways = "a smaller n" if cfg.precision == "f64" else \
+            f"a smaller n, or --precision f64 (cap {EIG_CAP['f64']})"
         raise ValueError(
             f"operator size {n_op} exceeds the {cfg.precision} eigensolver "
-            f"cap ({cap}); lower n and rerun, or raise --precision budget "
-            f"by splitting the study")
+            f"cap ({cap}); rerun with {ways}")
     trace = _run_solver(cfg, a, b)
     records = traceio.records_from_solver(trace.rows)
     e = decompose_rhs(op, w0)

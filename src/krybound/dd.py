@@ -78,14 +78,14 @@ def _mul2(xh, xl, yh, yl):
 def _div2(xh, xl, yh, yl):
     # long division with two refinement steps
     q1 = xh / yh
-    p, e = _mul2(yh, yl, q1, np.zeros_like(q1))
+    p, e = _mul2(yh, yl, q1, 0.0)
     rh, rl = _add2(xh, xl, -p, -e)
     q2 = rh / yh
-    p, e = _mul2(yh, yl, q2, np.zeros_like(q2))
+    p, e = _mul2(yh, yl, q2, 0.0)
     rh, rl = _add2(rh, rl, -p, -e)
     q3 = rh / yh
     sh, sl = _quick_two_sum(q1, q2)
-    return _add2(sh, sl, q3, np.zeros_like(q3))
+    return _add2(sh, sl, q3, 0.0)
 
 
 def _sqrt2(h, l):
@@ -103,8 +103,11 @@ def _sqrt2(h, l):
 
 def _tree_sum(h, l, axis):
     # binary-tree reduction; zero padding is exact, order is fixed
-    h = np.moveaxis(h, axis, -1)
-    l = np.moveaxis(l, axis, -1)
+    if h.ndim == 2 and axis in (0, -2):
+        h, l = h.T, l.T
+    elif axis not in (-1, h.ndim - 1):
+        h = np.moveaxis(h, axis, -1)
+        l = np.moveaxis(l, axis, -1)
     n = h.shape[-1]
     if n == 0:
         return np.zeros(h.shape[:-1]), np.zeros(h.shape[:-1])
@@ -117,6 +120,17 @@ def _tree_sum(h, l, axis):
         half = h.shape[-1] // 2
         h, l = _add2(h[..., :half], l[..., :half], h[..., half:], l[..., half:])
     return h[..., 0], l[..., 0]
+
+
+def _apply(kernel, xh, xl, yh, yl):
+    # 0-d operands run the kernel on Python floats, which skips numpy's
+    # per-call overhead; every IEEE operation and its order stay the
+    # same, and so does the result, wrapped as the np.float64 that
+    # indexing returns
+    if xh.ndim == 0 and yh.ndim == 0:
+        h, l = kernel(float(xh), float(xl), float(yh), float(yl))
+        return DD._raw(np.float64(h), np.float64(l))
+    return DD._raw(*kernel(xh, xl, yh, yl))
 
 
 # ---------------------------------------------------------------- real DD
@@ -188,7 +202,7 @@ class DD:
             return ascdd(self) + o
         if o is NotImplemented:
             return NotImplemented
-        return DD._raw(*_add2(self.hi, self.lo, o.hi, o.lo))
+        return _apply(_add2, self.hi, self.lo, o.hi, o.lo)
 
     __radd__ = __add__
 
@@ -198,7 +212,7 @@ class DD:
             return ascdd(self) - o
         if o is NotImplemented:
             return NotImplemented
-        return DD._raw(*_add2(self.hi, self.lo, -o.hi, -o.lo))
+        return _apply(_add2, self.hi, self.lo, -o.hi, -o.lo)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -209,7 +223,7 @@ class DD:
             return ascdd(self) * o
         if o is NotImplemented:
             return NotImplemented
-        return DD._raw(*_mul2(self.hi, self.lo, o.hi, o.lo))
+        return _apply(_mul2, self.hi, self.lo, o.hi, o.lo)
 
     __rmul__ = __mul__
 
@@ -221,7 +235,7 @@ class DD:
             return NotImplemented
         if np.any(o.hi == 0.0):
             raise ZeroDivisionError("double-double division by zero")
-        return DD._raw(*_div2(self.hi, self.lo, o.hi, o.lo))
+        return _apply(_div2, self.hi, self.lo, o.hi, o.lo)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -309,7 +323,7 @@ def _coerce(x):
     if isinstance(x, (DD, CDD)):
         return x
     if isinstance(x, (int, float, np.floating, np.integer)):
-        return DD(float(x))
+        return DD._raw(np.float64(x), np.float64(0.0))
     if isinstance(x, (complex, np.complexfloating)):
         return CDD(DD(x.real), DD(x.imag))
     if isinstance(x, np.ndarray):
@@ -549,6 +563,17 @@ def ones(shape):
 
 def eye(n):
     return DD._raw(np.eye(n), np.zeros((n, n)))
+
+
+def stack(xs):
+    """Join same-shape arrays or scalars of one kind on a new first axis."""
+    x0 = xs[0]
+    if isinstance(x0, CDD):
+        return CDD(stack([x.re for x in xs]), stack([x.im for x in xs]))
+    if isinstance(x0, DD):
+        return DD._raw(np.stack([x.hi for x in xs]),
+                       np.stack([x.lo for x in xs]))
+    return np.stack(xs)
 
 
 # ---------------------------------------------------------------- decimal io

@@ -96,6 +96,7 @@ def gmres(op, rhs, x0=None, opts=None):
         return r, TraceRow(0, rn, rn, nr, estimate)
 
     w0 = rhs - op.apply(x0)
+    _require_real("gmres", w0)
     return _engine(op.apply, w0, x0, n, opts, recompute)
 
 
@@ -111,6 +112,7 @@ def ba_gmres(a, precond, b, x0=None, opts=None):
     m, n = a.shape
     if b.shape != (m,):
         raise DimensionMismatchError(f"rhs shape {b.shape} vs m={m}")
+    _require_real("ba_gmres", a, b)
     if x0 is None:
         x0 = dd.zeros_like(b, (n,))
 
@@ -129,6 +131,14 @@ def ba_gmres(a, precond, b, x0=None, opts=None):
 
 def _f(x):
     return float(dd.approx(x))
+
+
+def _require_real(name, *arrays):
+    # _rotation's Givens rotations are real-only
+    if any(dd.is_complexkind(x) for x in arrays):
+        raise DimensionMismatchError(
+            f"{name} takes a real operator and right-hand side; "
+            f"got complex input")
 
 
 def _engine(apply_op, w0, x0, n, opts, recompute):

@@ -149,12 +149,6 @@ def _swap_cols(a, i, j):
     a[:, j] = tmp
 
 
-def _swap_rows(a, i, j):
-    tmp = a[i, :].copy()
-    a[i, :] = a[j, :]
-    a[j, :] = tmp
-
-
 def apply_q_adjoint(qr, b):
     """Q^H b (reflectors applied forward)."""
     y = b.copy()
@@ -345,48 +339,102 @@ def _stack_real(scalars, like):
 # ----------------------------------------------------------------- LU
 
 def lu_factor(a):
-    """Partial-pivoted LU; raises on an exactly zero pivot column."""
-    n, n2 = a.shape
-    if n != n2:
-        raise DimensionMismatchError("lu_factor needs a square matrix")
+    """Partial-pivoted LU of a square matrix (n, n) or of a stack (s, n, n).
+
+    Returns ``(lu, piv)``: unit-lower L and U packed in ``lu`` (the
+    input's shape), and ``piv`` ((n,) or (s, n)) such that row k of the
+    factored matrix is row ``piv[k]`` of the input.  A 2-D input raises
+    SingularMatrixError on an exactly zero pivot column.  In a stack, a
+    member with one keeps that exact zero on the diagonal of U and every
+    member is factored bit for bit as if alone (LAPACK getrf also goes
+    on); lu_solve cannot use that member.
+    """
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            "lu_factor needs a square matrix or a stack of them")
     lu = a.copy()
-    piv = np.arange(n)
-    for k in range(n):
-        col = dd.approx(lu[k:, k])
-        mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
-            else np.abs(col)
-        p = k + int(np.argmax(mags))
-        if mags[p - k] == 0.0:
-            raise SingularMatrixError(f"zero pivot at elimination step {k}")
-        if p != k:
-            _swap_rows(lu, k, p)
-            piv[[k, p]] = piv[[p, k]]
-        if k + 1 < n:
-            lu[k + 1:, k] = lu[k + 1:, k] / lu[k, k]
-            lu[k + 1:, k + 1:] = lu[k + 1:, k + 1:] - \
-                _outer(lu[k + 1:, k], lu[k, k + 1:])
+    n = lu.shape[-1]
+    piv = np.tile(np.arange(n), lu.shape[:-2] + (1,))
+    if lu.ndim == 3 and len(lu) == 1:
+        _eliminate(lu[0], piv[0], keep_singular=True)
+    else:
+        _eliminate(lu, piv, keep_singular=lu.ndim == 3)
     return lu, piv
 
 
+def _eliminate(lu, piv, keep_singular):
+    # in place on one matrix or a stack: "..." spans the stack axis, if
+    # any; one matrix divides by 0-d pivots, whose DD arithmetic runs on
+    # Python floats, so a stack of one comes here as its matrix
+    n = lu.shape[-1]
+    members = [(m,) for m in range(len(lu))] if lu.ndim == 3 else [()]
+    for k in range(n):
+        col = dd.approx(lu[..., k:, k])
+        mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
+            else np.abs(col)
+        p = k + np.argmax(mags, axis=-1)
+        zero = mags.max(axis=-1) == 0.0
+        if zero.any() and not keep_singular:
+            raise SingularMatrixError(f"zero pivot at elimination step {k}")
+        for m in members:
+            pm = p[m]
+            if pm != k:
+                tmp = lu[m + (k,)].copy()
+                lu[m + (k,)] = lu[m + (pm,)]
+                lu[m + (pm,)] = tmp
+                piv[m + (k,)], piv[m + (pm,)] = piv[m + (pm,)], piv[m + (k,)]
+        if k + 1 < n:
+            pivot = lu[..., k, k]
+            if zero.any():
+                # the column below is exactly zero too: dividing it by 1
+                # leaves it so, and U keeps its zero
+                pivot = pivot.copy()
+                pivot[zero] = 1.0
+            low = (lu[..., k + 1:, k].T / pivot).T
+            lu[..., k + 1:, k] = low
+            lu[..., k + 1:, k + 1:] = lu[..., k + 1:, k + 1:] - \
+                low[..., :, None] * lu[..., k, k + 1:][..., None, :]
+
+
 def lu_solve(lu, piv, b):
-    """Solve with a prior lu_factor result; b is a vector or a matrix."""
+    """Solve with a prior lu_factor result.
+
+    One factorization (n, n) takes a vector (n,) or a matrix (n, m); a
+    stack (s, n, n) takes one vector per member, (s, n).
+    """
+    if lu.ndim == 3 and b.shape != lu.shape[:2]:
+        raise DimensionMismatchError(
+            f"lu_solve: a stack {lu.shape} takes one vector per member, "
+            f"not {b.shape}")
+    if lu.ndim == 3 and len(lu) == 1:
+        return _substitute(lu[0], piv[0], b[0])[None]
+    if b.ndim == 1 or lu.ndim == 3:
+        return _substitute(lu, piv, b)
     n = lu.shape[0]
-    vec = b.ndim == 1
-    x = b[piv].copy() if vec else b[piv, :].copy()
-    for k in range(1, n):       # unit lower solve
-        if vec:
-            x[k] = x[k] - (lu[k, :k] * x[:k]).sum()
-        else:
-            x[k, :] = x[k, :] - lu[k, :k] @ x[:k, :]
+    x = b[piv, :].copy()
+    for k in range(1, n):           # unit lower solve
+        x[k, :] = x[k, :] - lu[k, :k] @ x[:k, :]
     for k in reversed(range(n)):
-        if vec:
-            if k + 1 < n:
-                x[k] = x[k] - (lu[k, k + 1:] * x[k + 1:]).sum()
-            x[k] = x[k] / lu[k, k]
-        else:
-            if k + 1 < n:
-                x[k, :] = x[k, :] - lu[k, k + 1:] @ x[k + 1:, :]
-            x[k, :] = x[k, :] / lu[k, k]
+        if k + 1 < n:
+            x[k, :] = x[k, :] - lu[k, k + 1:] @ x[k + 1:, :]
+        x[k, :] = x[k, :] / lu[k, k]
+    return x
+
+
+def _substitute(lu, piv, b):
+    # one vector, or one per member of a stack: "..." spans the stack
+    # axis, if any; one vector's 0-d entries run DD arithmetic on Python
+    # floats, so a stack of one comes here as its matrix
+    n = lu.shape[-1]
+    x = b[np.arange(len(piv))[:, None], piv] if piv.ndim == 2 \
+        else b[piv].copy()
+    for k in range(1, n):           # unit lower solve
+        x[..., k] = x[..., k] - (lu[..., k, :k] * x[..., :k]).sum(axis=-1)
+    for k in reversed(range(n)):
+        if k + 1 < n:
+            x[..., k] = x[..., k] - \
+                (lu[..., k, k + 1:] * x[..., k + 1:]).sum(axis=-1)
+        x[..., k] = x[..., k] / lu[..., k, k]
     return x
 
 
@@ -411,6 +459,13 @@ def eig_nonsymmetric(a, size_cap=1200):
     then inverse iteration (real or complex as the value demands) with
     deflation against already-accepted near-equal eigenvalues.  Runs in
     the input's precision, which is the point of hand-rolling it.
+
+    Attempt 0 of inverse iteration (the shifted LU, the seeded start
+    vector, the first solve) runs as stacked lu_factor/lu_solve calls,
+    real and complex shifts apart, in chunks of ``_STACK_ELEMS``
+    elements; vectors copied from a conjugate partner skip it.  The rest
+    runs one eigenvalue at a time, and every result is bit-identical to
+    running attempt 0 one shift at a time too.
     """
     n, n2 = a.shape
     if n != n2:
@@ -626,31 +681,53 @@ def _eig_vectors(a, vals):
     norm_a = float(np.linalg.norm(dd.approx(a)))
     tol = 1e3 * eps * norm_a
     sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
+    images = [complex(_f(re), _f(im)) for re, im in vals]
+    partners = _conjugate_partners(images, eps, norm_a)
+    # attempt 0 of inverse iteration runs stacked, real and complex shifts
+    # apart, one chunk at a time as the loop below reaches it
+    queues = {real: [i for i, lam in enumerate(images)
+                     if partners[i] is None and (lam.imag == 0.0) == real]
+              for real in (True, False)}
+    chunk = max(1, _STACK_ELEMS // (n * n))
+    starts = {}
     vectors = dd.zeros_like(a, (n, n), field="complex")
     accepted: list = []   # (eigenvalue image, column)
     for idx, (re, im) in enumerate(vals):
-        lam_img = complex(_f(re), _f(im))
-        if lam_img.imag != 0.0:
-            partner = _find_conjugate(accepted, lam_img, eps, norm_a)
-            if partner is not None:
-                vectors[:, idx] = dd.conj(vectors[:, partner])
-                accepted.append((lam_img, idx))
-                continue
-        v = _inverse_iteration(a, re, im, idx, vectors, accepted,
-                               tol, sep, norm_a)
-        vectors[:, idx] = v
-        accepted.append((lam_img, idx))
+        if partners[idx] is not None:
+            vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
+        else:
+            if idx not in starts:
+                queue = queues[images[idx].imag == 0.0]
+                j = queue.index(idx)
+                starts.update(_first_solves(
+                    a, [(i, *vals[i]) for i in queue[j:j + chunk]], 0,
+                    norm_a))
+            vectors[:, idx] = _inverse_iteration(
+                a, re, im, idx, vectors, accepted, tol, sep, norm_a,
+                starts.pop(idx))
+        accepted.append((images[idx], idx))
     return vectors
 
 
-def _find_conjugate(accepted, lam, eps, scale):
-    best = None
-    for lam_j, col in accepted:
-        if lam_j.imag == 0.0:
-            continue
-        if abs(np.conj(lam_j) - lam) <= 1e4 * eps * max(scale, abs(lam)):
-            best = col
-    return best
+# elements (shifts x n x n) of one stacked shifted LU: 9 shifts at n=81,
+# where per-call numpy overhead dominates, and one from n=182 on, where
+# stacking measured slower than factoring one at a time
+_STACK_ELEMS = 1 << 16
+
+
+def _conjugate_partners(images, eps, scale):
+    """For each eigenvalue, the last earlier non-real one it is the
+    conjugate of (its vector is then copied), else None."""
+    partners = []
+    for idx, lam in enumerate(images):
+        best = None
+        if lam.imag != 0.0:
+            for col, lam_j in enumerate(images[:idx]):
+                if lam_j.imag != 0.0 and abs(np.conj(lam_j) - lam) <= \
+                        1e4 * eps * max(scale, abs(lam)):
+                    best = col
+        partners.append(best)
+    return partners
 
 
 def _like_real(a, x):
@@ -669,7 +746,72 @@ def _make_scalar_complex(a, re, im):
     return complex(_f(re), _f(im))
 
 
-def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a):
+def _first_solves(a, shifts, attempt, norm_a):
+    """Start of inverse iteration for several shifts of one kind at once.
+
+    ``shifts`` holds (index, re, im) of eigenvalues that are all real or
+    all complex.  The shifted matrices of this attempt are factored in
+    one stacked lu_factor and solved once from their seeded start vectors
+    in one stacked lu_solve.  Maps each index to (lu, piv, first solve),
+    or to None where that solve would divide by zero.
+    """
+    n = a.shape[0]
+    pert = attempt * 16.0 * dd.eps_of(a) * max(norm_a, 1.0)
+    real_case = _f(shifts[0][2]) == 0.0
+    if real_case:
+        base = a
+        values = [re + pert for _, re, _ in shifts]
+    else:
+        base = dd.complex_like(a)
+        values = [_make_scalar_complex(a, re, im) + pert
+                  for _, re, im in shifts]
+    d = np.arange(n)
+    shifted = dd.stack([base] * len(shifts))
+    shifted[:, d, d] = shifted[:, d, d] - dd.stack(values)[:, None]
+    lu, piv = lu_factor(shifted)
+    ok = _solvable(lu)
+    out = dict.fromkeys(idx for idx, _, _ in shifts)
+    good = [idx for (idx, _, _), g in zip(shifts, ok) if g]
+    if len(good) < len(shifts):
+        lu, piv = lu[ok], piv[ok]
+    if good:
+        v = dd.stack([_start_vector(a, idx, attempt, real_case)
+                      for idx in good])
+        x = lu_solve(lu, piv, v)
+        out.update((idx, (lu[j], piv[j], x[j])) for j, idx in enumerate(good))
+    return out
+
+
+def _solvable(lu):
+    """Members of a stack of LU factors that lu_solve can use.
+
+    Its division raises on an exactly zero pivot and, for CDD, on a pivot
+    whose squared modulus underflows to zero.
+    """
+    d = np.arange(lu.shape[-1])
+    pivots = lu[:, d, d]
+    if isinstance(pivots, CDD):
+        pivots = pivots.abs2()
+    if isinstance(pivots, DD):
+        pivots = pivots.hi
+    return ~np.any(pivots == 0.0, axis=-1)
+
+
+def _start_vector(a, idx, attempt, real_case):
+    n = a.shape[0]
+    rng = seeded_rng(0xE16E0000 + idx * 2654435761 + attempt)
+    v0 = rng.standard_normal(n)
+    if real_case:
+        v = _like_real(a, v0)
+    else:
+        v = _like_complex(a, v0 + 1j * rng.standard_normal(n))
+    return v * (1.0 / dd.norm2(v))
+
+
+def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a,
+                       start):
+    """Eigenvector for re + i im; ``start`` is attempt 0's _first_solves
+    result, later attempts perturb the shift and start afresh."""
     n = a.shape[0]
     eps = dd.eps_of(a)
     real_case = _f(im) == 0.0
@@ -677,32 +819,17 @@ def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a):
     best_res = math.inf
     best_v = None
     for attempt in range(3):
-        pert = attempt * 16.0 * eps * max(norm_a, 1.0)
-        if real_case:
-            bb = a.copy()
-            for i in range(n):
-                bb[i, i] = bb[i, i] - (re + pert)
-        else:
-            bb = dd.complex_like(a)
-            shift = _make_scalar_complex(a, re, im)
-            for i in range(n):
-                bb[i, i] = bb[i, i] - (shift + pert)
-        try:
-            lu, piv = lu_factor(bb)
-        except SingularMatrixError:
+        if attempt:
+            start = _first_solves(a, [(idx, re, im)], attempt, norm_a)[idx]
+        if start is None:
             continue
-        rng = seeded_rng(0xE16E0000 + idx * 2654435761 + attempt)
-        v0 = rng.standard_normal(n)
-        if real_case:
-            v = _like_real(a, v0)
-        else:
-            v = _like_complex(a, v0 + 1j * rng.standard_normal(n))
-        v = v * (1.0 / dd.norm2(v))
-        for _ in range(5):
-            try:
-                vn = lu_solve(lu, piv, v)
-            except ZeroDivisionError:
-                break
+        lu, piv, vn = start
+        for step in range(5):
+            if step:
+                try:
+                    vn = lu_solve(lu, piv, v)
+                except ZeroDivisionError:
+                    break
             if not dd.isfinite_all(vn):
                 break
             nv = dd.norm2(vn)

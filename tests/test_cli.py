@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from krybound import dd
+from krybound import cli, dd
 from krybound.cli import main
 from krybound.generators import load_matrix_market, write_matrix_market
 from krybound.traceio import read_csv, read_json, write_csv
@@ -163,6 +163,22 @@ def test_bound_extended_cap_names_the_limit(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "256" in err and "cap" in err
+
+
+def test_bound_cap_message_names_the_ways_out(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "b.csv")
+    assert run(["bound", "--gen", "exp-decay:300", "--solver", "gmres",
+                "--precision", "extended", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "extended eigensolver cap (256)" in err
+    assert "a smaller n, or --precision f64 (cap 1200)" in err
+    assert "budget" not in err
+    monkeypatch.setitem(cli.EIG_CAP, "f64", 5)
+    assert run(["bound", "--gen", "exp-decay:7", "--solver", "gmres",
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "f64 eigensolver cap (5); rerun with a smaller n" in err
+    assert "--precision" not in err
 
 
 # ------------------------------------------------------------- reproduce

@@ -42,6 +42,57 @@ def test_ops_match_decimal_oracle(op):
             assert _rel_err_vs_decimal(got[i], want) < Decimal("1e-31")
 
 
+def _scalar_operands(rng, n):
+    # magnitudes from 1e-140 to 1e140, both signs, and signed zeros
+    hi = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-140, 140, n)
+    x = DD(hi, hi * rng.uniform(-1.0, 1.0, n) * 2.0 ** -53)
+    zeros = DD._raw(np.array([0.0, -0.0, 0.0, -0.0]),
+                    np.array([0.0, 0.0, -0.0, -0.0]))
+    return DD._raw(np.concatenate([x.hi, zeros.hi]),
+                   np.concatenate([x.lo, zeros.lo]))
+
+
+def _bits(x):
+    return np.asarray(x.hi).tobytes() + np.asarray(x.lo).tobytes()
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_scalar_ops_match_array_ops_bitwise(op):
+    fn = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+          "mul": lambda a, b: a * b, "div": lambda a, b: a / b}[op]
+    rng = np.random.Generator(np.random.Philox(key=11))
+    x = _scalar_operands(rng, 60)
+    y = _scalar_operands(rng, 60)
+    for i in range(len(x)):
+        for j in range(len(y)):
+            if op == "div" and y.hi[j] == 0.0:
+                with pytest.raises(ZeroDivisionError):
+                    fn(x[i], y[j])
+                continue
+            got = fn(x[i], y[j])
+            assert got.ndim == 0 and isinstance(got.hi, np.float64)
+            assert _bits(got) == _bits(fn(x[i:i + 1], y[j:j + 1]))
+        # a Python float operand on either side
+        for other in (2.5, -0.0):
+            if op != "div" or other != 0.0:
+                assert _bits(fn(x[i], other)) == \
+                    _bits(fn(x[i:i + 1], other))
+            if op != "div" or x.hi[i] != 0.0:
+                assert _bits(fn(other, x[i])) == \
+                    _bits(fn(other, x[i:i + 1]))
+
+
+def test_sum_along_each_axis_matches_1d_sums_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=12))
+    x = _rand_dd(rng, 7 * 5 * 3).reshape(7, 5, 3)
+    m = x[:, :, 0]
+    for j in range(5):
+        assert _bits(m.sum(axis=0)[j]) == _bits(m[:, j].sum())
+    for i in range(7):
+        assert _bits(m.sum(axis=-1)[i]) == _bits(m[i].sum())
+    assert _bits(x.sum(axis=1)[2, 1]) == _bits(x[2, :, 1].sum())
+
+
 def test_mul_then_div_round_trips():
     rng = np.random.Generator(np.random.Philox(key=11))
     x = _rand_dd(rng, 100)

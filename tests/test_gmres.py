@@ -1,11 +1,14 @@
 """Solver tests: plain GMRES invariants, then the BA outer loop checked
 against an explicit preconditioner-matrix oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from krybound import dd
-from krybound.errors import InvalidMatrixError, NumericalFailureError
+from krybound.errors import (DimensionMismatchError, InvalidMatrixError,
+                             NumericalFailureError)
 from krybound.gmres import (ConvergenceTrace, GmresOptions, OperatorHandle,
                             ba_gmres, gmres, matrix_operator)
 from krybound.linalg import lstsq, seeded_rng
@@ -128,6 +131,22 @@ def test_nan_guard_raises_named_iteration():
     op = OperatorHandle(apply=bad_apply, dims=(4, 4))
     with pytest.raises(NumericalFailureError):
         gmres(op, np.ones(4))
+
+
+def test_complex_input_rejected_by_name():
+    a = _rand((5, 5), seed=30) + 1j * _rand((5, 5), seed=31)
+    b = _rand(5, seed=32)
+    calls = [lambda: gmres(matrix_operator(a), b),
+             lambda: gmres(matrix_operator(a.real), b + 0j),
+             lambda: gmres(matrix_operator(dd.ascdd(a)), dd.asdd(b)),
+             lambda: ba_gmres(a, lambda u: u, b),
+             lambda: ba_gmres(dd.asdd(a.real), lambda u: u, dd.ascdd(b))]
+    for call in calls:
+        # a ComplexWarning on the way would mean the input got that far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match="complex input"):
+                call()
 
 
 def test_options_validation():

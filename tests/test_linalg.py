@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from krybound import dd
+from krybound import dd, linalg
+from krybound.dd import CDD, DD
 from krybound.errors import DimensionMismatchError, SingularMatrixError
+from krybound.generators import exp_decay_matrix
 from krybound.linalg import (condition_number_2, eig_nonsymmetric, form_q,
                              householder_qr, jacobi_svd, lstsq, lu_factor,
                              lu_solve, matvec, max_subspace_angle,
@@ -236,6 +238,78 @@ def test_lu_factor_rejects_singular():
     a = np.zeros((3, 3))
     with pytest.raises(SingularMatrixError):
         lu_factor(a)
+
+
+def _bits(x):
+    """Raw bytes of every component array: equal only if bit-identical."""
+    if isinstance(x, CDD):
+        return _bits(x.re) + _bits(x.im)
+    if isinstance(x, DD):
+        return _bits(x.hi) + _bits(x.lo)
+    x = np.asarray(x)
+    return (x.shape, x.tobytes())
+
+
+@pytest.mark.parametrize("kind,n", [("f64", 140), ("c128", 140),
+                                    ("dd", 12), ("cdd", 12)])
+def test_stacked_lu_matches_one_at_a_time_bitwise(kind, n):
+    # n=140 takes numpy's summation past its 8- and 128-element blocks
+    complex_ = kind in ("c128", "cdd")
+    mats = [_rand(n, n, seed=40 + j, complex_=complex_) for j in range(4)]
+    mats[2][:, 3] = 0.0   # stays exactly zero: a zero pivot at step 3
+    rhs = _rand(3, n, seed=50, complex_=complex_)
+    lu, piv = lu_factor(_as_kind(np.array(mats), kind))
+    with pytest.raises(SingularMatrixError, match="step 3"):
+        lu_factor(_as_kind(mats[2], kind))
+    assert _img(lu[2, 3, 3]) == 0.0
+    keep = [0, 1, 3]
+    x = lu_solve(lu[keep], piv[keep], _as_kind(rhs, kind))
+    with pytest.raises(DimensionMismatchError):
+        lu_solve(lu[keep], piv[keep], _as_kind(rhs[:2], kind))
+    for row, j in enumerate(keep):
+        lu1, piv1 = lu_factor(_as_kind(mats[j], kind))
+        assert _bits(lu[j]) == _bits(lu1)
+        assert np.array_equal(piv[j], piv1)
+        assert _bits(x[row]) == _bits(lu_solve(lu1, piv1,
+                                               _as_kind(rhs[row], kind)))
+
+
+def _counting_lu(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return lu_factor(a)
+    monkeypatch.setattr(linalg, "lu_factor", counted)
+    return calls
+
+
+def _block_with_exact_eigenvalue():
+    # the triangular block's 1.0 and 2.0 deflate exactly, so their
+    # shifted matrices are singular
+    a = np.zeros((7, 7))
+    a[:2, :2] = [[1.0, 0.5], [0.0, 2.0]]
+    a[2:, 2:] = _rand(5, 5, seed=60)
+    return a
+
+
+@pytest.mark.parametrize("make", [lambda: exp_decay_matrix(20).a,
+                                  _block_with_exact_eigenvalue],
+                         ids=["exp_decay_20", "exact_eigenvalue"])
+def test_eig_stacked_vectors_match_one_at_a_time(make, monkeypatch):
+    a = dd.asdd(make())
+    calls = _counting_lu(monkeypatch)
+    stacked = eig_nonsymmetric(a)
+    sizes = [shape[0] for shape in calls]
+    # a budget of one element puts every shift in a stack of its own
+    monkeypatch.setattr(linalg, "_STACK_ELEMS", 1)
+    calls.clear()
+    single = eig_nonsymmetric(a)
+    assert _bits(stacked.values) == _bits(single.values)
+    assert _bits(stacked.vectors) == _bits(single.vectors)
+    # at most one stack per kind of shift; only retries come one at a time
+    assert 1 <= sum(s > 1 for s in sizes) <= 2
+    assert sum(sizes) == len(calls)
 
 
 # ----------------------------------------------------------------- eig

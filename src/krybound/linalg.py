@@ -355,17 +355,12 @@ def lu_factor(a):
     lu = a.copy()
     n = lu.shape[-1]
     piv = np.tile(np.arange(n), lu.shape[:-2] + (1,))
-    if lu.ndim == 3 and len(lu) == 1:
-        _eliminate(lu[0], piv[0], keep_singular=True)
-    else:
-        _eliminate(lu, piv, keep_singular=lu.ndim == 3)
+    _eliminate(lu, piv, keep_singular=lu.ndim == 3)
     return lu, piv
 
 
 def _eliminate(lu, piv, keep_singular):
-    # in place on one matrix or a stack: "..." spans the stack axis, if
-    # any; one matrix divides by 0-d pivots, whose DD arithmetic runs on
-    # Python floats, so a stack of one comes here as its matrix
+    # in place on one matrix or a stack: "..." spans the stack axis, if any
     n = lu.shape[-1]
     members = [(m,) for m in range(len(lu))] if lu.ndim == 3 else [()]
     for k in range(n):
@@ -709,9 +704,12 @@ def _eig_vectors(a, vals):
     return vectors
 
 
-# elements (shifts x n x n) of one stacked shifted LU: 9 shifts at n=81,
-# where per-call numpy overhead dominates, and one from n=182 on, where
-# stacking measured slower than factoring one at a time
+# elements (shifts x n x n) of one stacked shifted LU: 9 shifts at n=81
+# (eig-bound's peak RSS +0.06 MiB), one from n=182 on.  Per complex
+# shift, attempt 0 in stacks of 4 took 0.62x (n=128), 0.78x (n=160) and
+# 0.82-0.92x (n=201) the time of stacks of one on a 2-vCPU x86-64 host,
+# numpy 2.4; a larger budget would trade that for peak memory, which no
+# benchmark workload at n>=182 checks
 _STACK_ELEMS = 1 << 16
 
 

@@ -320,15 +320,11 @@ def _read_array(lines, start, size, sym, size_line):
         m, n = (int(x) for x in size)
     except ValueError:
         raise ParseError("size entries must be integers", line=size_line)
-    vals = []
-    for no in range(start, len(lines) + 1):
-        text = lines[no - 1].strip()
-        if not text or text.startswith("%"):
-            continue
-        try:
-            vals.append(float(text))
-        except ValueError:
-            raise ParseError(f"cannot parse value '{text}'", line=no)
+    try:
+        # one value per line: float() takes the surrounding whitespace
+        vals = [float(text) for text in lines[start - 1:]]
+    except ValueError:
+        vals = _scan_values(lines, start)
     a = np.zeros((m, n))
     if sym == "general":
         if len(vals) != m * n:
@@ -355,6 +351,21 @@ def _read_array(lines, start, size, sym, size_line):
     return a
 
 
+def _scan_values(lines, start):
+    # line-by-line fallback: skips comments and blank lines, names the
+    # first line that does not parse
+    vals = []
+    for no in range(start, len(lines) + 1):
+        text = lines[no - 1].strip()
+        if not text or text.startswith("%"):
+            continue
+        try:
+            vals.append(float(text))
+        except ValueError:
+            raise ParseError(f"cannot parse value '{text}'", line=no)
+    return vals
+
+
 def write_matrix_market(path, a):
     """Array-format general real writer; round-trip partner of the reader."""
     a = np.asarray(a, dtype=float)
@@ -364,6 +375,5 @@ def write_matrix_market(path, a):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{m} {n}\n")
-        for j in range(n):
-            for i in range(m):
-                fh.write(f"{a[i, j]:.17e}\n")
+        for j in range(n):   # one write per column keeps memory flat
+            fh.write("".join(f"{x:.17e}\n" for x in a[:, j].tolist()))

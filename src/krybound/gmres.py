@@ -171,6 +171,9 @@ def _engine(apply_op, w0, x0, n, opts, recompute):
         if not dd.isfinite_all(w):
             raise NumericalFailureError(
                 f"non-finite Arnoldi vector at iteration {j + 1}")
+        # ||A v_j|| before orthogonalization: the scale breakdown is
+        # judged against, so that scaling A does not change the outcome
+        wnorm = float(np.linalg.norm(dd.approx(w)))
         for i in range(j + 1):
             hij = dd.vdot(basis[i], w)
             w = w - basis[i] * hij
@@ -182,7 +185,7 @@ def _engine(apply_op, w0, x0, n, opts, recompute):
                 h[i, j] = h[i, j] + cij
         hnext = dd.norm2(w)
         h[j + 1, j] = hnext
-        breakdown = _f(hnext) <= n * eps * _f(beta)
+        breakdown = _f(hnext) <= n * eps * wnorm
         if not breakdown:
             basis.append(w * (1.0 / hnext))
         for i in range(j):

@@ -295,6 +295,43 @@ def test_mm_write_read_round_trip(tmp_path):
     assert np.array_equal(load_matrix_market(path).a, a)
 
 
+def test_mm_write_bytes_match_per_entry_format(tmp_path):
+    a = np.array([[1.5, -0.0, 1e-310], [-3.25e300, 2.0 / 3.0, np.pi]])
+    path = tmp_path / "w.mtx"
+    write_matrix_market(str(path), a)
+    want = "%%MatrixMarket matrix array real general\n2 3\n" + "".join(
+        f"{a[i, j]:.17e}\n" for j in range(3) for i in range(2))
+    assert path.read_text() == want
+
+
+def test_mm_array_comments_blank_lines_and_spaces(tmp_path):
+    path = _write(tmp_path, "a.mtx", """%%MatrixMarket matrix array real general
+2 2
+  1.0
+% a comment between values
+
+2.0\t
+3.0
+4.0
+
+""")
+    assert np.array_equal(load_matrix_market(path).a,
+                          np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+
+def test_mm_array_bad_value_names_its_line(tmp_path):
+    path = _write(tmp_path, "a.mtx", """%%MatrixMarket matrix array real general
+2 1
+% comment
+1.0
+
+two
+""")
+    with pytest.raises(ParseError, match="cannot parse value 'two'") as err:
+        load_matrix_market(path)
+    assert "line 6:" in str(err.value)
+
+
 @pytest.mark.parametrize("text,line,fragment", [
     ("", 1, "empty"),
     ("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 1.0\n",

@@ -9,6 +9,7 @@ import pytest
 from krybound import dd
 from krybound.errors import (DimensionMismatchError, InvalidMatrixError,
                              NumericalFailureError)
+from krybound.generators import exp_decay_matrix
 from krybound.gmres import (ConvergenceTrace, GmresOptions, OperatorHandle,
                             ba_gmres, gmres, matrix_operator)
 from krybound.linalg import lstsq, seeded_rng
@@ -121,6 +122,22 @@ def test_max_iterations_reason():
     assert trace.reason == "max_iterations"
     assert trace.iterations == 3
     assert len(trace.rows) == 4
+
+
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_breakdown_test_is_scale_invariant(kind):
+    # six distinct eigenvalues need six steps at any scale of A; judged
+    # against ||r0|| instead of ||A v_j||, A * 1e-20 "broke down" at k=1
+    a0 = np.diag(np.arange(1.0, 7.0)) + 0.1 * _rand((6, 6), seed=12)
+    b = _rand(6, seed=13)
+    outcomes = []
+    for scale in (1.0, 1e-20, 1e20):
+        a = a0 * scale
+        op, rhs = (matrix_operator(dd.asdd(a)), dd.asdd(b)) if kind == "dd" \
+            else (matrix_operator(a), b)
+        trace = gmres(op, rhs)
+        outcomes.append((trace.iterations, trace.reason))
+    assert outcomes == [(6, "converged")] * 3
 
 
 def test_nan_guard_raises_named_iteration():
@@ -276,6 +293,93 @@ def test_sweep_extended_precision_consistency():
     add = dd.asdd(a0)
     wdd = nrsor_apply(add, nrsor_config(add, 1.1, 2), dd.asdd(u0))
     assert np.allclose(dd.approx(wdd), w64, atol=1e-12)
+
+
+def _reference_sweep(a, omega, steps, u):
+    # the plain NR-SOR map: one column at a time, over every row
+    n = a.shape[1]
+    w = dd.zeros_like(u, (n,))
+    r = u.copy()
+    for _ in range(steps):
+        for i in range(n):
+            col = a[:, i]
+            delta = (dd.vdot(col, r) * omega) / dd.vdot(col, col)
+            w[i] = w[i] + delta
+            r = r - col * delta
+    return w
+
+
+def _sparse_cases():
+    rng = seeded_rng(50)
+    rand = np.where(rng.random((30, 60)) < 0.1,
+                    rng.standard_normal((30, 60)), 0.0)
+    rand[rng.integers(0, 30, 60), np.arange(60)] = rng.standard_normal(60)
+    mixed = rand[:, :24].copy()
+    mixed[:, 17] = rng.standard_normal(30)      # one dense column among runs
+    i, j = np.indices((40, 25))
+    band = np.where(np.abs(i - j) <= 2, rng.standard_normal((40, 25)), 0.0)
+    disjoint = np.zeros((30, 10))
+    for c in range(10):
+        disjoint[3 * c:3 * c + 3, c] = rng.standard_normal(3)
+    return {"random": rand, "mixed": mixed, "band": band,
+            "disjoint": disjoint}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("omega", [0.7, 1.0, 1.4])
+def test_sweep_dense_bitwise_matches_column_by_column(omega, steps):
+    inst = exp_decay_matrix(20)
+    cases = [(_rand((12, 7), seed=40), _rand(12, seed=41)), (inst.a, inst.b)]
+    for a0, u0 in cases:
+        a, u = dd.asdd(a0), dd.asdd(u0)
+        got = nrsor_apply(a, nrsor_config(a, omega, steps), u)
+        want = _reference_sweep(a, omega, steps, u)
+        assert np.array_equal(got.hi, want.hi)
+        assert np.array_equal(got.lo, want.lo)
+        got64 = nrsor_apply(a0, nrsor_config(a0, omega, steps), u0)
+        assert np.array_equal(got64, _reference_sweep(a0, omega, steps, u0))
+
+
+@pytest.mark.parametrize("name", ["random", "mixed", "band", "disjoint"])
+def test_sweep_sparse_matches_column_by_column(name):
+    a0 = _sparse_cases()[name]
+    u0 = _rand(a0.shape[0], seed=42)
+    a, u = dd.asdd(a0), dd.asdd(u0)
+    for omega in (0.7, 1.0, 1.4):
+        for steps in (1, 3):
+            got = nrsor_apply(a, nrsor_config(a, omega, steps), u)
+            want = _reference_sweep(a, omega, steps, u)
+            assert _f(dd.norm2(got - want)) <= 1e-30 * _f(dd.norm2(want))
+            got64 = nrsor_apply(a0, nrsor_config(a0, omega, steps), u0)
+            want64 = _reference_sweep(a0, omega, steps, u0)
+            assert np.linalg.norm(got64 - want64) <= \
+                1e-12 * np.linalg.norm(want64)
+
+
+def test_runs_are_maximal_disjoint_and_hold_the_nonzeros():
+    cases = dict(_sparse_cases(), dense=exp_decay_matrix(9).a)
+    for name, a in cases.items():
+        m, n = a.shape
+        supports = [set(np.flatnonzero(a[:, i])) for i in range(n)]
+        runs = nrsor_config(a).runs
+        spans = [np.arange(n)[cols] for _, _, cols in runs]
+        flat = np.concatenate([np.atleast_1d(s) for s in spans])
+        assert np.array_equal(flat, np.arange(n)), name   # consecutive, all
+        rebuilt = np.zeros((m + 1, n))
+        for k, (rows, vals, cols) in enumerate(runs):
+            used = set()
+            for i in np.atleast_1d(spans[k]):
+                assert not used & supports[i], f"{name}: run {k} overlaps"
+                used |= supports[i]
+            if k + 1 < len(runs):
+                nxt = int(np.atleast_1d(spans[k + 1])[0])
+                assert used & supports[nxt], f"{name}: run {k} not maximal"
+            rebuilt[rows, spans[k]] = vals
+        assert np.array_equal(rebuilt[:m], a), name
+        assert not rebuilt[m].any(), name
+    assert len(nrsor_config(cases["disjoint"]).runs) == 1
+    # a dense matrix keeps whole columns, indexed by integers
+    assert all(isinstance(c, int) for _, _, c in nrsor_config(cases["dense"]).runs)
 
 
 def test_zero_column_rejected_with_indices():

@@ -29,7 +29,6 @@ __all__ = [
     "BoundSeries", "BoundPoint", "bound_curve", "normal_case_bound",
     "ClusterAssignment", "cluster_assign", "cluster_poly_bound",
     "first_order_estimate", "first_order_residual_estimate",
-    "perturbation_split",
 ]
 
 
@@ -71,11 +70,11 @@ class EigenData:
         return self._kappa
 
 
-def decompose_rhs(op_matrix, r0, zero_tol=1e-12, merge_tol=0.0, c_tol=None):
+def decompose_rhs(op_matrix, r0, merge_tol=0.0, c_tol=None):
     """Expand r0 over eigenvectors of op_matrix with nonzero eigenvalues.
 
-    Eigenpairs whose |lambda| falls below zero_tol relative to the
-    largest are discarded; coefficients come from a least-squares solve
+    Eigenpairs whose |lambda| falls below 1e-12 relative to the largest
+    are discarded; coefficients come from a least-squares solve
     against the remaining frame, so the expansion is exactly the
     projection onto its span.  Eigenvalues within merge_tol of each
     other (exact equality when zero) are folded into one pair whose
@@ -89,11 +88,11 @@ def decompose_rhs(op_matrix, r0, zero_tol=1e-12, merge_tol=0.0, c_tol=None):
     top = mods.max(initial=0.0)
     if top == 0.0:
         raise RangeError("operator has no nonzero eigenvalues")
-    keep = [i for i in range(n) if mods[i] > zero_tol * top]
+    keep = [i for i in range(n) if mods[i] > 1e-12 * top]
     if not keep:
         raise RangeError("no eigenvalues survive the zero threshold")
-    v = _take_columns(eo.vectors, keep)
-    lam = _take_entries(eo.values, keep)
+    v = eo.vectors[:, keep]
+    lam = eo.values[keep]
     rhs = dd.complex_like(r0) if not dd.is_complexkind(r0) else r0
     sol = lstsq(v, rhs)
     c = sol.x
@@ -112,24 +111,8 @@ def decompose_rhs(op_matrix, r0, zero_tol=1e-12, merge_tol=0.0, c_tol=None):
     retained = [i for i in range(len(cm)) if cm[i] > c_tol * cnorm]
     if not retained:
         raise RangeError("all expansion weights fall below the threshold")
-    lam = _take_entries(lam, retained)
-    v = _take_columns(v, retained)
-    c = _take_entries(c, retained)
-    return EigenData(len(retained), lam, v, c, sol.residual_norm)
-
-
-def _take_columns(m, idx):
-    out = dd.zeros_like(m, (m.shape[0], len(idx)))
-    for j, i in enumerate(idx):
-        out[:, j] = m[:, i]
-    return out
-
-
-def _take_entries(vv, idx):
-    out = dd.zeros_like(vv, (len(idx),))
-    for j, i in enumerate(idx):
-        out[j] = vv[i]
-    return out
+    return EigenData(len(retained), lam[retained], v[:, retained],
+                     c[retained], sol.residual_norm)
 
 
 def _merge_duplicates(lam, v, c, merge_tol):
@@ -304,34 +287,7 @@ def cluster_assign(lambdas, radius=None, s=None, centers=None):
     order = sorted(range(d), key=lambda i: (abs(img[i]),
                                             math.atan2(img[i].imag,
                                                        img[i].real), i))
-    if radius is not None:
-        groups = _linkage_groups(img, order, 2.0 * float(radius))
-        center_of = np.empty(d, dtype=int)
-        cen = dd.czeros((len(groups),))
-        for g, members in enumerate(groups):
-            acc = lam[members[0]]
-            for i in members[1:]:
-                acc = acc + lam[i]
-            cen[g] = acc * (1.0 / len(members))
-            for i in members:
-                center_of[i] = g
-    elif s is not None:
-        s = int(s)
-        distinct = len(set(img.tolist()))
-        if s < 1 or s > distinct:
-            raise ValueError(
-                f"requested {s} centers but only {distinct} distinct "
-                f"eigenvalues are available")
-        seeds = _greedy_seeds(img, order, s)
-        center_of = _nearest(img, img[seeds])
-        cen = dd.czeros((s,))
-        for g in range(s):
-            members = [i for i in range(d) if center_of[i] == g]
-            acc = lam[members[0]]
-            for i in members[1:]:
-                acc = acc + lam[i]
-            cen[g] = acc * (1.0 / len(members))
-    else:
+    if centers is not None:
         cimg = np.asarray(centers, dtype=complex)
         if len(set(cimg.tolist())) != len(cimg):
             raise ValueError("explicit centers must be pairwise distinct")
@@ -339,6 +295,27 @@ def cluster_assign(lambdas, radius=None, s=None, centers=None):
             raise InapplicableError("a cluster center at zero is invalid")
         cen = dd.ascdd(cimg)
         center_of = _nearest(img, cimg)
+    else:
+        if radius is not None:
+            groups = _linkage_groups(img, order, 2.0 * float(radius))
+        else:
+            s = int(s)
+            distinct = len(set(img.tolist()))
+            if s < 1 or s > distinct:
+                raise ValueError(
+                    f"requested {s} centers but only {distinct} distinct "
+                    f"eigenvalues are available")
+            nearest = _nearest(img, img[_greedy_seeds(img, order, s)])
+            groups = [[i for i in range(d) if nearest[i] == g]
+                      for g in range(s)]
+        center_of = np.empty(d, dtype=int)
+        cen = dd.czeros((len(groups),))
+        for g, members in enumerate(groups):
+            acc = lam[members[0]]
+            for i in members[1:]:
+                acc = acc + lam[i]
+            cen[g] = acc * (1.0 / len(members))
+            center_of[members] = g
     cen_img = dd.approx(cen)
     if np.any(np.abs(cen_img) == 0.0):
         raise InapplicableError("a cluster center collapsed to zero")
@@ -525,27 +502,3 @@ def _poly_derivative_at_root(g, roots):
     if not seen_self:
         raise InapplicableError("center is not among the polynomial roots")
     return acc
-
-
-def perturbation_split(ca, k):
-    """Center-power matrix and its first-order offset correction.
-
-    Row i of the first matrix holds powers of eigenvalue i's center;
-    row i of the second holds the derivative row scaled by offset i.
-    Diagnostic for checking that true powers differ from the split by
-    a second-order remainder.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    d = ca.offsets.shape[0]
-    lam_s = dd.czeros((d, k))
-    p = dd.czeros((d, k))
-    for i in range(d):
-        g = ca.centers[int(ca.center_of[i])]
-        eps_i = ca.offsets[i]
-        gp = CDD(dd.ones(()), dd.zeros(()))    # gamma^(j-1)
-        for j in range(1, k + 1):
-            lam_s[i, j - 1] = gp * g
-            p[i, j - 1] = gp * eps_i * float(j)
-            gp = gp * g
-    return lam_s, p

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dd, traceio
+from . import dd, linalg, traceio
 from .bounds import (bound_curve, cluster_assign, cluster_poly_bound,
                      decompose_rhs, first_order_residual_estimate)
 from .errors import InapplicableError, KryboundError
-from .generators import (PrescribedCurve, exp_decay_matrix,
+from .generators import (GREENBAUM_CURVE, exp_decay_matrix,
                          greenbaum_construct, load_matrix_market,
                          stair_matrix, write_matrix_market)
 from .gmres import GmresOptions, gmres, matrix_operator
@@ -37,9 +37,7 @@ __all__ = ["ExperimentConfig", "main"]
 
 # past these sizes the dense eigensolve behind `bound` stops being a
 # desk-scale operation (extended precision costs ~25x binary64)
-EIG_CAP = {"f64": 1200, "extended": 256}
-
-GREENBAUM_CURVE = PrescribedCurve((1.0, 0.99, 0.98), (1.0, 1.01, 1.001))
+EIG_CAP = {"f64": linalg.EIG_CAP, "extended": 256}
 
 
 @dataclass

@@ -23,7 +23,7 @@ __all__ = [
     "asdd", "ascdd", "zeros", "czeros", "ones", "eye",
     "from_str", "to_str", "format_float",
     "norm2", "vdot", "approx", "conj", "zeros_like", "eye_like",
-    "kind_of", "is_extended", "is_complexkind", "eps_of", "complex_like",
+    "is_extended", "is_complexkind", "eps_of", "complex_like",
 ]
 
 EPS = 2.0 ** -104          # double-double unit roundoff
@@ -620,15 +620,6 @@ def format_float(x, digits=17):
 
 # ---------------------------------------------------------------- dispatch
 
-def kind_of(x):
-    if isinstance(x, CDD):
-        return "cdd"
-    if isinstance(x, DD):
-        return "dd"
-    x = np.asarray(x)
-    return "c128" if np.iscomplexobj(x) else "f64"
-
-
 def is_extended(x):
     return isinstance(x, (DD, CDD))
 
@@ -692,13 +683,6 @@ def sqrt(x):
     if np.any(x < 0):
         raise ValueError("sqrt of negative value")
     return np.sqrt(x)
-
-
-def absval(x):
-    """Elementwise modulus; real DD for extended kinds."""
-    if isinstance(x, (DD, CDD)):
-        return abs(x)
-    return np.abs(np.asarray(x))
 
 
 def norm2(v):

@@ -21,7 +21,7 @@ from .errors import ConstructionError, ParseError, SingularMatrixError
 from .linalg import lu_factor, lu_solve, random_orthogonal, seeded_rng
 
 __all__ = [
-    "ProblemInstance", "PrescribedCurve", "stair_matrix",
+    "ProblemInstance", "PrescribedCurve", "GREENBAUM_CURVE", "stair_matrix",
     "exp_decay_matrix", "greenbaum_construct", "load_matrix_market",
     "write_matrix_market",
 ]
@@ -43,6 +43,10 @@ class PrescribedCurve:
     """
     residual_norms: list
     eigenvalues: list
+
+
+# the 3x3 curve of the prescribed-residual experiments
+GREENBAUM_CURVE = PrescribedCurve((1.0, 0.99, 0.98), (1.0, 1.01, 1.001))
 
 
 # ----------------------------------------------------------------- stair
@@ -240,40 +244,45 @@ def load_matrix_market(path, rhs_path=None):
 
 def _read_mm(path):
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    head = lines[0].strip().split()
-    if len(head) != 5 or head[0] != "%%MatrixMarket" or \
-            head[1].lower() != "matrix":
-        raise ParseError("expected '%%MatrixMarket matrix ...' header",
-                         line=1)
-    layout, fld, sym = (w.lower() for w in head[2:5])
-    if layout not in ("coordinate", "array"):
-        raise ParseError(f"unsupported layout '{layout}'", line=1)
-    if fld != "real":
-        raise ParseError(f"unsupported field '{fld}' (real only)", line=1)
-    if sym not in ("general", "symmetric", "skew-symmetric"):
-        raise ParseError(f"unsupported symmetry '{sym}'", line=1)
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", line=1)
+        head = first.strip().split()
+        if len(head) != 5 or head[0] != "%%MatrixMarket" or \
+                head[1].lower() != "matrix":
+            raise ParseError("expected '%%MatrixMarket matrix ...' header",
+                             line=1)
+        layout, fld, sym = (w.lower() for w in head[2:5])
+        if layout not in ("coordinate", "array"):
+            raise ParseError(f"unsupported layout '{layout}'", line=1)
+        if fld != "real":
+            raise ParseError(f"unsupported field '{fld}' (real only)", line=1)
+        if sym not in ("general", "symmetric", "skew-symmetric"):
+            raise ParseError(f"unsupported symmetry '{sym}'", line=1)
 
-    no = 1
-    size = None
-    for no in range(2, len(lines) + 1):
-        text = lines[no - 1].strip()
-        if not text or text.startswith("%"):
-            continue
-        size = text.split()
-        break
-    if size is None:
-        raise ParseError("missing size line", line=len(lines))
+        no = 1
+        size = None
+        for text in fh:
+            no += 1
+            text = text.strip()
+            if text and not text.startswith("%"):
+                size = text.split()
+                break
+        if size is None:
+            raise ParseError("missing size line", line=no)
 
-    data_start = no + 1
-    if layout == "coordinate":
-        return _read_coordinate(lines, data_start, size, sym, no)
-    return _read_array(lines, data_start, size, sym, no)
+        if layout == "coordinate":
+            return _read_coordinate(fh, size, sym, no)
+        return _read_array(fh, size, sym, no)
 
 
-def _read_coordinate(lines, start, size, sym, size_line):
+def _chunks(fh):
+    # the rest of the file in lists of lines of about 1 MiB, so a large
+    # file is never held whole
+    return iter(lambda: fh.readlines(1 << 20), [])
+
+
+def _read_coordinate(fh, size, sym, size_line):
     if len(size) != 3:
         raise ParseError("coordinate size line needs 'rows cols entries'",
                          line=size_line)
@@ -283,54 +292,61 @@ def _read_coordinate(lines, start, size, sym, size_line):
         raise ParseError("size entries must be integers", line=size_line)
     a = np.zeros((m, n))
     seen = 0
-    for no in range(start, len(lines) + 1):
-        text = lines[no - 1].strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'i j value', got {len(parts)} fields",
-                             line=no)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
-        except ValueError:
-            raise ParseError(f"cannot parse entry '{text}'", line=no)
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ParseError(f"index ({i}, {j}) outside {m} x {n}", line=no)
-        a[i - 1, j - 1] += v
-        if sym == "symmetric" and i != j:
-            a[j - 1, i - 1] += v
-        elif sym == "skew-symmetric":
-            if i == j:
-                raise ParseError("skew-symmetric diagonal entry", line=no)
-            a[j - 1, i - 1] -= v
-        seen += 1
+    no = size_line
+    for lines in _chunks(fh):
+        for no, text in enumerate(lines, no + 1):
+            text = text.strip()
+            if not text or text.startswith("%"):
+                continue
+            parts = text.split()
+            if len(parts) != 3:
+                raise ParseError(
+                    f"expected 'i j value', got {len(parts)} fields", line=no)
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                v = float(parts[2])
+            except ValueError:
+                raise ParseError(f"cannot parse entry '{text}'", line=no)
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ParseError(f"index ({i}, {j}) outside {m} x {n}",
+                                 line=no)
+            a[i - 1, j - 1] += v
+            if sym == "symmetric" and i != j:
+                a[j - 1, i - 1] += v
+            elif sym == "skew-symmetric":
+                if i == j:
+                    raise ParseError("skew-symmetric diagonal entry", line=no)
+                a[j - 1, i - 1] -= v
+            seen += 1
     if seen != nnz:
         raise ParseError(
-            f"header promised {nnz} entries but file has {seen}",
-            line=len(lines))
+            f"header promised {nnz} entries but file has {seen}", line=no)
     return a
 
 
-def _read_array(lines, start, size, sym, size_line):
+def _read_array(fh, size, sym, size_line):
     if len(size) != 2:
         raise ParseError("array size line needs 'rows cols'", line=size_line)
     try:
         m, n = (int(x) for x in size)
     except ValueError:
         raise ParseError("size entries must be integers", line=size_line)
-    try:
-        # one value per line: float() takes the surrounding whitespace
-        vals = [float(text) for text in lines[start - 1:]]
-    except ValueError:
-        vals = _scan_values(lines, start)
+    parts = []
+    no = size_line
+    for lines in _chunks(fh):
+        try:
+            # one value per line: float() takes the surrounding whitespace
+            parts.append(np.array([float(text) for text in lines]))
+        except ValueError:
+            parts.append(np.array(_scan_values(lines, no + 1)))
+        no += len(lines)
+    vals = np.concatenate(parts) if parts else np.zeros(0)
     a = np.zeros((m, n))
     if sym == "general":
         if len(vals) != m * n:
             raise ParseError(
-                f"expected {m * n} values, got {len(vals)}", line=len(lines))
-        a = np.asarray(vals).reshape((n, m)).T    # column-major storage
+                f"expected {m * n} values, got {len(vals)}", line=no)
+        a = vals.reshape((n, m)).T    # column-major storage
     else:
         if m != n:
             raise ParseError("symmetric array matrix must be square",
@@ -340,7 +356,7 @@ def _read_array(lines, start, size, sym, size_line):
         if len(vals) != want:
             raise ParseError(
                 f"expected {want} triangle values, got {len(vals)}",
-                line=len(lines))
+                line=no)
         it = iter(vals)
         for j in range(n):
             for i in range(j + 1 if strict else j, m):
@@ -351,12 +367,12 @@ def _read_array(lines, start, size, sym, size_line):
     return a
 
 
-def _scan_values(lines, start):
+def _scan_values(lines, first):
     # line-by-line fallback: skips comments and blank lines, names the
     # first line that does not parse
     vals = []
-    for no in range(start, len(lines) + 1):
-        text = lines[no - 1].strip()
+    for no, text in enumerate(lines, first):
+        text = text.strip()
         if not text or text.startswith("%"):
             continue
         try:

@@ -20,7 +20,7 @@ from . import dd
 from .bounds import (bound_curve, cluster_assign, decompose_rhs,
                      first_order_residual_estimate, vandermonde_min,
                      weighted_norm)
-from .generators import (PrescribedCurve, exp_decay_matrix,
+from .generators import (GREENBAUM_CURVE, exp_decay_matrix,
                          greenbaum_construct, load_matrix_market,
                          stair_matrix)
 from .gmres import GmresOptions, gmres, matrix_operator
@@ -30,8 +30,6 @@ from .nrsor import (nrsor_apply, nrsor_ba_gmres, nrsor_config,
 
 __all__ = ["Report", "run_target", "reference_printed_system",
            "superlinear_second_diffs", "kendall_tau"]
-
-GREENBAUM_CURVE = PrescribedCurve((1.0, 0.99, 0.98), (1.0, 1.01, 1.001))
 
 # rows: l -> (actual k=1, actual k=2, bound k=1, bound k=2)
 TABLE3_REFERENCE = {

@@ -15,8 +15,8 @@ from krybound import dd
 from krybound.bounds import (BoundSeries, ClusterAssignment, EigenData,
                              bound_curve, cluster_assign, cluster_poly_bound,
                              decompose_rhs, first_order_estimate,
-                             normal_case_bound, perturbation_split,
-                             vandermonde_min, weighted_norm)
+                             normal_case_bound, vandermonde_min,
+                             weighted_norm)
 from krybound.dd import CDD
 from krybound.errors import InapplicableError, RangeError
 from krybound.gmres import GmresOptions, gmres, matrix_operator
@@ -115,7 +115,7 @@ def test_decompose_extended_keeps_tiny_weights():
     # explicit threshold above the solver noise floor prunes the rest
     e = decompose_rhs(a, r0, c_tol=1e-25)
     assert e.d == 2
-    mags = sorted(float(x) for x in dd.approx(dd.absval(e.weights)))
+    mags = sorted(float(x) for x in dd.approx(abs(e.weights)))
     assert abs(mags[0] - 1e-20) < 1e-27
     assert abs(mags[1] - 1.0) < 1e-28
 
@@ -427,39 +427,6 @@ def test_first_order_skips_exact_center_members():
     assert est == pytest.approx(want, rel=1e-10)
 
 
-# ---------------------------------------------------- perturbation split
-
-def test_perturbation_split_zero_offsets_zero_correction():
-    lam = np.array([2.0, 2.0, 3.0], dtype=complex)
-    ca = cluster_assign(lam, centers=[2.0, 3.0])
-    lam_s, p = perturbation_split(ca, 3)
-    assert np.abs(dd.approx(p)).max() == 0.0
-    want = np.array([[2.0, 4.0, 8.0], [2.0, 4.0, 8.0], [3.0, 9.0, 27.0]])
-    assert np.allclose(dd.approx(lam_s), want, atol=1e-28)
-
-
-def test_perturbation_split_rows_are_derivative_scaled():
-    lam = np.array([1.5 + 1e-4, 1.5 - 2e-4], dtype=complex)
-    ca = cluster_assign(lam, centers=[1.5])
-    _, p = perturbation_split(ca, 4)
-    pm = dd.approx(p)
-    g = 1.5
-    row = np.array([1.0, 2 * g, 3 * g ** 2, 4 * g ** 3])
-    assert np.allclose(pm[0], 1e-4 * row, rtol=1e-12)
-    assert np.allclose(pm[1], -2e-4 * row, rtol=1e-12)
-
-
-def test_perturbation_split_taylor_remainder_second_order():
-    eps = np.array([1e-4, -2e-4, 3e-4])
-    lam = (1.0 + eps).astype(complex)
-    ca = cluster_assign(lam, centers=[1.0])
-    k = 4
-    lam_s, p = perturbation_split(ca, k)
-    true = np.column_stack([lam ** (j + 1) for j in range(k)])
-    err = np.abs(true - (dd.approx(lam_s) + dd.approx(p))).max()
-    assert err <= 2.0 * k * k * float(np.abs(eps).max()) ** 2
-
-
 # ---------------------------------------------------------- determinism
 
 def test_bound_chain_is_bit_deterministic():
@@ -474,9 +441,9 @@ def test_bound_chain_is_bit_deterministic():
         e = decompose_rhs(a, b)
         series = bound_curve(e, 4)
         ca = cluster_assign(e.lambdas, s=3)
-        vals = [dd.to_str(dd.absval(pt.bound), 34) for pt in series.points]
-        vals.append(dd.to_str(dd.absval(cluster_poly_bound(e, ca, 3)), 34))
-        vals.append(dd.to_str(dd.absval(first_order_estimate(e, ca, 3)), 34))
+        vals = [dd.to_str(abs(pt.bound), 34) for pt in series.points]
+        vals.append(dd.to_str(abs(cluster_poly_bound(e, ca, 3)), 34))
+        vals.append(dd.to_str(abs(first_order_estimate(e, ca, 3)), 34))
         return vals
 
     assert run() == run()

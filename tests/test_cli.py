@@ -156,6 +156,20 @@ def test_bound_other_modes_produce_columns(tmp_path, mode, extra):
     assert any(getattr(r, name) is not None for r in doc.records)
 
 
+def test_bound_extended_stair_dominates_preconditioned_residual(tmp_path):
+    # the l=3 operator has distinct eigenvalues that share a binary64 image
+    out = tmp_path / "b.csv"
+    assert run(["bound", "--gen", "stair", "-l", "3", "--precision",
+                "extended", "--out", str(out)]) == 0
+    doc = read_csv(str(out))
+    assert doc.metadata["retained_eigenpairs"] == "10"
+    rows = [r for r in doc.records if r.k > 0]
+    assert len(rows) == 9
+    for r in rows:
+        assert dd.approx(r.bound_theorem1) >= \
+            dd.approx(r.preconditioned_residual_norm)
+
+
 def test_bound_extended_cap_names_the_limit(tmp_path, capsys):
     code = run(["bound", "--gen", "exp-decay:300", "--solver", "gmres",
                 "--precision", "extended",

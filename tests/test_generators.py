@@ -332,6 +332,21 @@ two
     assert "line 6:" in str(err.value)
 
 
+def test_mm_array_line_numbers_across_chunks(tmp_path):
+    # 80,000 values take about 1.9 MB, more than one chunk of the reader
+    n = 80000
+    lines = [f"{float(i):.17e}\n" for i in range(n)]
+    head = f"%%MatrixMarket matrix array real general\n{n} 1\n"
+    path = _write(tmp_path, "big.mtx", head + "".join(lines))
+    assert np.array_equal(load_matrix_market(path).a[:, 0], np.arange(n))
+    lines[60000:60000] = ["% a comment past the first chunk\n"]
+    lines[75000] = "x\n"
+    path = _write(tmp_path, "bad.mtx", head + "".join(lines))
+    with pytest.raises(ParseError, match="cannot parse value 'x'") as err:
+        load_matrix_market(path)
+    assert "line 75003:" in str(err.value)
+
+
 @pytest.mark.parametrize("text,line,fragment", [
     ("", 1, "empty"),
     ("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 1.0\n",

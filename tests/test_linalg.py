@@ -6,8 +6,6 @@ against invariants (reconstruction, orthogonality, residuals) at
 double-double scale, plus closed forms where one exists.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,9 +15,8 @@ from krybound.errors import DimensionMismatchError, SingularMatrixError
 from krybound.generators import exp_decay_matrix
 from krybound.linalg import (condition_number_2, eig_nonsymmetric, form_q,
                              householder_qr, jacobi_svd, lstsq, lu_factor,
-                             lu_solve, matvec, max_subspace_angle,
-                             random_orthogonal, seeded_rng, solve_linear,
-                             spectral_norm, transpose_matvec)
+                             lu_solve, random_orthogonal, seeded_rng,
+                             spectral_norm)
 
 RNG = seeded_rng(20260816)
 
@@ -43,27 +40,6 @@ def _as_kind(a, kind):
 
 def _img(x):
     return dd.approx(x)
-
-
-# -------------------------------------------------------------- matvec
-
-def test_matvec_matches_triple_loop():
-    a = _rand(5, 4, seed=1)
-    x = _rand(4, seed=2)
-    want = np.array([sum(a[i, j] * x[j] for j in range(4)) for i in range(5)])
-    got = matvec(a, x)
-    assert np.allclose(got, want, rtol=0, atol=1e-14)
-    got_dd = matvec(dd.asdd(a), dd.asdd(x))
-    assert np.allclose(_img(got_dd), want, rtol=0, atol=1e-14)
-    wt = np.array([sum(a[i, j] * x[i] for i in range(4)) for j in range(4)])
-    assert np.allclose(transpose_matvec(a[:4], x[:4]), wt, atol=1e-14)
-
-
-def test_matvec_rejects_bad_shapes():
-    with pytest.raises(DimensionMismatchError):
-        matvec(_rand(3, 4), _rand(3))
-    with pytest.raises(DimensionMismatchError):
-        transpose_matvec(_rand(3, 4), _rand(4))
 
 
 # ------------------------------------------------------------------ QR
@@ -211,13 +187,13 @@ def test_jacobi_svd_tall_thin_transpose_path():
 # ------------------------------------------------------------------ LU
 
 @pytest.mark.parametrize("kind", ["f64", "dd"])
-def test_solve_linear_matches_constructed_solution(kind):
+def test_lu_solve_matches_constructed_solution(kind):
     a0 = _rand(6, 6, seed=14)
     x0 = _rand(6, seed=15)
     a = _as_kind(a0, kind)
     x_true = _as_kind(x0, kind)
     b = a @ x_true
-    x = solve_linear(a, b)
+    x = lu_solve(*lu_factor(a), b)
     eps = dd.eps_of(a)
     cond = np.linalg.cond(a0)
     assert np.linalg.norm(_img(x) - _img(x_true)) <= 100 * eps * cond
@@ -424,6 +400,27 @@ def test_eig_extended_precision_residual():
         assert float(dd.approx(res)) <= 1e3 * dd.EPS * scale
 
 
+def test_eig_extended_distinct_values_sharing_one_image():
+    # W diag(l1, l2, 0.5, 0.25) W^-1 with l1 != l2 in double-double but
+    # equal in binary64: neither vector may be projected out of the other
+    lams = [dd.from_str(s) for s in ("1.0000000000000004096",
+                                     "1.0000000000000004528", "0.5", "0.25")]
+    assert dd.approx(lams[0]) == dd.approx(lams[1])
+    w = dd.asdd(_rand(4, 4, seed=70) + 2.0 * np.eye(4))
+    d = dd.zeros((4, 4))
+    for i, lam in enumerate(lams):
+        d[i, i] = lam
+    a = lu_solve(*lu_factor(w.T), (w @ d).T).T
+    out = eig_nonsymmetric(a)
+    got = sorted(out.values.re[j] for j in range(4))
+    for g, want in zip(got, sorted(lams)):
+        assert abs(float(dd.approx(g - want))) <= 1e-28
+    for j in range(4):
+        v = out.vectors[:, j]
+        res = dd.norm2(a @ v - v * out.values[j])
+        assert float(dd.approx(res)) <= 1e3 * dd.EPS * 4.0
+
+
 def test_eig_canonical_ordering():
     a = np.diag([1.0, -3.0, 2.0])
     out = eig_nonsymmetric(a)
@@ -479,11 +476,3 @@ def random_orthogonal_dd(n, seed):
         if float(dd.approx(qr.r[j, j])) < 0.0:
             q[:, j] = -q[:, j]
     return q
-
-
-def test_max_subspace_angle():
-    q = random_orthogonal(6, seed=30)
-    u = q[:, :2]
-    assert max_subspace_angle(u, u @ _rand(2, 2, seed=31)) <= 1e-7
-    w = q[:, 2:4]
-    assert abs(max_subspace_angle(u, w) - math.pi / 2) <= 1e-7

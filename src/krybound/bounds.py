@@ -26,9 +26,8 @@ from .linalg import (condition_number_2, eig_nonsymmetric, lstsq,
 
 __all__ = [
     "EigenData", "decompose_rhs", "weighted_norm", "vandermonde_min",
-    "BoundSeries", "BoundPoint", "bound_curve", "normal_case_bound",
-    "ClusterAssignment", "cluster_assign", "cluster_poly_bound",
-    "first_order_estimate", "first_order_residual_estimate",
+    "BoundSeries", "BoundPoint", "bound_curve", "ClusterAssignment",
+    "cluster_assign", "cluster_poly_bound", "first_order_estimate",
 ]
 
 
@@ -59,6 +58,7 @@ class EigenData:
     weights: object           # complex c_i with r0 ~ sum c_i v_i
     residual: object          # ||r0 - V c||, the unexplained part
     _kappa: object = field(default=None, repr=False)
+    _frame: object = field(default=None, repr=False)
 
     @property
     def vector_condition(self):
@@ -69,17 +69,25 @@ class EigenData:
             self._kappa = condition_number_2(self.vectors)
         return self._kappa
 
+    @property
+    def frame_norm(self):
+        # the prefactor of every bound; one power iteration serves all k
+        if self._frame is None:
+            self._frame = weighted_norm(self)
+        return self._frame
 
-def decompose_rhs(op_matrix, r0, merge_tol=0.0, c_tol=None):
+
+def decompose_rhs(op_matrix, r0):
     """Expand r0 over eigenvectors of op_matrix with nonzero eigenvalues.
 
     Eigenpairs whose |lambda| falls below 1e-12 relative to the largest
     are discarded; coefficients come from a least-squares solve
     against the remaining frame, so the expansion is exactly the
-    projection onto its span.  Eigenvalues within merge_tol of each
-    other (exact equality when zero) are folded into one pair whose
-    vector is the weighted combination.  A right-hand side outside the
-    span is a contract violation and raises.
+    projection onto its span.  Exactly equal eigenvalues are folded
+    into one pair whose vector is the weighted combination, and weights
+    below 1e-30 (extended) or 1e-12 (binary64) of the weight norm are
+    dropped.  A right-hand side outside the span is a contract
+    violation and raises.
     """
     eo = eig_nonsymmetric(op_matrix)
     n = op_matrix.shape[0]
@@ -102,10 +110,9 @@ def decompose_rhs(op_matrix, r0, merge_tol=0.0, c_tol=None):
         raise RangeError(
             f"right-hand side has a component of norm {unexplained:.3e} "
             f"outside the nonzero-eigenvalue span (rhs norm {scale:.3e})")
-    lam, v, c = _merge_duplicates(lam, v, c, merge_tol)
-    if c_tol is None:
-        # binary64 eigenvector noise shows up as weights near 1e-14
-        c_tol = 1e-30 if dd.is_extended(v) else 1e-12
+    lam, v, c = _merge_duplicates(lam, v, c)
+    # binary64 eigenvector noise shows up as weights near 1e-14
+    c_tol = 1e-30 if dd.is_extended(v) else 1e-12
     cnorm = _f(dd.norm2(c))
     cm = np.abs(dd.approx(c))
     retained = [i for i in range(len(cm)) if cm[i] > c_tol * cnorm]
@@ -115,9 +122,8 @@ def decompose_rhs(op_matrix, r0, merge_tol=0.0, c_tol=None):
                      c[retained], sol.residual_norm)
 
 
-def _merge_duplicates(lam, v, c, merge_tol):
+def _merge_duplicates(lam, v, c):
     d = v.shape[1]
-    img = dd.approx(lam)
     groups: list = []
     assigned = [-1] * d
     for i in range(d):
@@ -128,11 +134,7 @@ def _merge_duplicates(lam, v, c, merge_tol):
         for j in range(i + 1, d):
             if assigned[j] >= 0:
                 continue
-            if merge_tol == 0.0:
-                same = _exactly_equal(lam, i, j)
-            else:
-                same = abs(img[i] - img[j]) <= merge_tol
-            if same:
+            if _exactly_equal(lam, i, j):
                 members.append(j)
                 assigned[j] = len(groups)
         groups.append(members)
@@ -233,7 +235,7 @@ def bound_curve(e, k_max):
     least-squares wobble once the power basis hits its conditioning
     cliff (the attained residual is an upper bound either way).
     """
-    pref = weighted_norm(e)
+    pref = e.frame_norm
     points = []
     best = None
     for k in range(1, k_max + 1):
@@ -243,19 +245,6 @@ def bound_curve(e, k_max):
         best = vmin
         points.append(BoundPoint(k, vmin, pref * vmin))
     return BoundSeries(pref, points)
-
-
-def normal_case_bound(e, k):
-    """Relative-residual bound for an orthonormal eigenvector frame."""
-    g = dd.conj(e.vectors).T @ e.vectors
-    gi = dd.approx(g) - np.eye(e.d)
-    worst = np.abs(gi).max()
-    if worst > 1e-8:
-        raise InapplicableError(
-            f"eigenvector frame is not orthonormal (off-diagonal {worst:.3e})")
-    cm = np.abs(dd.approx(e.weights))
-    vmin, _ = vandermonde_min(e.lambdas, k)
-    return vmin * (float(cm.max()) / _f(dd.norm2(e.weights)))
 
 
 # ------------------------------------------------------------- clusters
@@ -431,17 +420,18 @@ def cluster_poly_bound(e, ca, k):
             acc = acc * (1.0 - li / r)
         vals[i] = acc
     fnorm = dd.norm2(vals)
-    return weighted_norm(e) * fnorm
+    return e.frame_norm * fnorm
 
 
 def first_order_estimate(e, ca, k):
-    """First-order size of the cluster bound in the offsets.
+    """First-order size of the cluster bound in the offsets, in
+    residual-norm units: the weighted-frame norm times one of two forms.
 
     Single center at one: the closed form eps_k sqrt(d-k+1) prod
-    |1-lambda_i|/|lambda_i| over the k-1 largest offsets.  Several
-    centers (k >= s): max remaining offset times the weighted-frame
-    norm times the norm of f' at each remaining eigenvalue's center,
-    skipping eigenvalues that sit exactly on their center.
+    |1-lambda_i|/|lambda_i| over the k-1 largest offsets.  Otherwise
+    (k >= s): max remaining offset times the norm of f' at each
+    remaining eigenvalue's center, skipping eigenvalues that sit
+    exactly on their center.
     """
     s = ca.centers.shape[0]
     lam = _to_cdd_vector(e.lambdas)
@@ -457,7 +447,7 @@ def first_order_estimate(e, ca, k):
         for t in range(k - 1):
             li = lam[order[t]]
             prod = prod * (abs(1.0 - li) / abs(li))
-        return prod * (eps_k * math.sqrt(d - k + 1))
+        return e.frame_norm * (prod * (eps_k * math.sqrt(d - k + 1)))
     if k < s:
         raise InapplicableError(
             f"multi-center estimate needs k >= {s} centers, got k={k}")
@@ -472,21 +462,7 @@ def first_order_estimate(e, ca, k):
     for t, i in enumerate(keep):
         g = ca.centers[int(ca.center_of[i])]
         fp[t] = _poly_derivative_at_root(g, roots)
-    return weighted_norm(e) * (dd.norm2(fp) * eps_eff)
-
-
-def first_order_residual_estimate(e, ca, k):
-    """first_order_estimate scaled to residual-norm units.
-
-    The single-center-at-one closed form excludes the weighted-frame
-    norm while the multi-center form includes it; this wrapper makes
-    both comparable with residual norms and with the other bounds.
-    """
-    est = first_order_estimate(e, ca, k)
-    s = ca.centers.shape[0]
-    if s == 1 and abs(_cplx(ca.centers[0]) - 1.0) <= 1e-8:
-        return weighted_norm(e) * est
-    return est
+    return e.frame_norm * (dd.norm2(fp) * eps_eff)
 
 
 def _poly_derivative_at_root(g, roots):

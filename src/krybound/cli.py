@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dd, linalg, traceio
 from .bounds import (bound_curve, cluster_assign, cluster_poly_bound,
-                     decompose_rhs, first_order_residual_estimate)
+                     decompose_rhs, first_order_estimate)
 from .errors import InapplicableError, KryboundError
 from .generators import (GREENBAUM_CURVE, exp_decay_matrix,
                          greenbaum_construct, load_matrix_market,
@@ -288,12 +288,14 @@ def cmd_bound(cfg):
         note = f"prefactor {_fmt(series.prefactor)}"
     else:
         ca = _cluster_for(cfg, e)
-        fn = cluster_poly_bound if cfg.bound_mode == "cluster" \
-            else first_order_residual_estimate
-        column = "bound_cluster" if cfg.bound_mode == "cluster" \
-            else "estimate_first_order"
+        if cfg.bound_mode == "cluster":
+            fn, column, k0 = cluster_poly_bound, "bound_cluster", 1
+        else:
+            # the multi-center expansion needs a root at every center
+            fn, column, k0 = first_order_estimate, "estimate_first_order", \
+                ca.centers.shape[0]
         by_k = {}
-        for k in range(1, k_max + 1):
+        for k in range(k0, k_max + 1):
             try:
                 by_k[k] = fn(e, ca, k)
             except InapplicableError:

@@ -22,8 +22,8 @@ from .linalg import lu_factor, lu_solve, random_orthogonal, seeded_rng
 
 __all__ = [
     "ProblemInstance", "PrescribedCurve", "GREENBAUM_CURVE", "stair_matrix",
-    "exp_decay_matrix", "greenbaum_construct", "load_matrix_market",
-    "write_matrix_market",
+    "exp_decay_matrix", "greenbaum_construct", "companion_similarity",
+    "load_matrix_market", "write_matrix_market",
 ]
 
 
@@ -140,36 +140,41 @@ def greenbaum_construct(pc):
     _check_conjugate_closed(eigs)
 
     coeffs = _char_poly_coefficients(eigs)       # c[0] + c[1] z + ... + z^n
-    comp = np.zeros((n, n))
-    for i in range(1, n):
-        comp[i, i - 1] = 1.0
-    for i in range(n):
-        comp[i, n - 1] = -coeffs[i]
-
     g = np.empty(n)
     prev = norms[0]
     for k in range(n):
         nxt = norms[k + 1] if k + 1 < n else 0.0
         g[k] = math.sqrt(max(prev * prev - nxt * nxt, 0.0))
         prev = nxt
-
-    bmat = np.zeros((n, n))
-    bmat[:, 0] = g
-    for j in range(1, n):
-        bmat[j - 1, j] = 1.0
     try:
-        lu, piv = lu_factor(bmat.T)
+        a = companion_similarity(g, coeffs)
     except SingularMatrixError as exc:
         raise ConstructionError(
             "basis matrix is singular; perturb the curve so consecutive "
             "norms differ") from exc
-    a = lu_solve(lu, piv, (bmat @ comp).T).T
     return ProblemInstance(a, g.copy(), {
         "name": "prescribed-curve",
         "residual_norms": norms,
         "eigenvalues": eigs,
         "char_poly": coeffs.tolist(),
     })
+
+
+def companion_similarity(g, coeffs):
+    """B C B^-1 for B = [g, e_1, ..., e_{n-1}] and C the companion matrix
+    of the monic polynomial with coefficients coeffs (constant first)."""
+    n = len(g)
+    comp = np.zeros((n, n))
+    for i in range(1, n):
+        comp[i, i - 1] = 1.0
+    for i in range(n):
+        comp[i, n - 1] = -coeffs[i]
+    bmat = np.zeros((n, n))
+    bmat[:, 0] = g
+    for j in range(1, n):
+        bmat[j - 1, j] = 1.0
+    lu, piv = lu_factor(bmat.T)
+    return lu_solve(lu, piv, (bmat @ comp).T).T
 
 
 def _check_conjugate_closed(eigs):

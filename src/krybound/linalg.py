@@ -744,14 +744,13 @@ def _start_vector(a, idx, attempt, real_case):
 
 def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a,
                        start):
-    """Eigenvector for re + i im; ``start`` is attempt 0's _first_solves
-    result, later attempts perturb the shift and start afresh."""
+    """Eigenvector for re + i im whose residual meets ``tol``, else
+    NumericalFailureError.  ``start`` is attempt 0's _first_solves
+    result; later attempts perturb the shift and start afresh."""
     n = a.shape[0]
-    eps = dd.eps_of(a)
     real_case = _f(im) == 0.0
     lam_img = complex(_f(re), _f(im))
     best_res = math.inf
-    best_v = None
     for attempt in range(3):
         if attempt:
             start = _first_solves(a, [(idx, re, im)], attempt, norm_a)[idx]
@@ -781,13 +780,9 @@ def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a,
                 continue
             v = vn * (1.0 / nv2)
             res = _eig_residual(a, v, re, im)
-            if res < best_res:
-                best_res = res
-                best_v = v.copy()
             if res <= tol:
                 return _phase_fix(dd.complex_like(v))
-    if best_v is not None and best_res <= 1e3 * max(tol, eps * norm_a):
-        return _phase_fix(dd.complex_like(best_v))
+            best_res = min(best_res, res)
     raise NumericalFailureError(
         f"inverse iteration failed for eigenvalue {lam_img}: "
         f"best residual {best_res:.3e}, tolerance {tol:.3e}")

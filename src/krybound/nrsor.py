@@ -190,6 +190,6 @@ def _matrix_power(h, l):
     return dd.eye_like(h, n) if result is None else result
 
 
-def nrsor_ba_gmres(a, cfg, b, x0=None, opts=None):
+def nrsor_ba_gmres(a, cfg, b, opts=None):
     """BA-GMRES with the NR-SOR sweep as the preconditioner map."""
-    return ba_gmres(a, lambda u: nrsor_apply(a, cfg, u), b, x0, opts)
+    return ba_gmres(a, lambda u: nrsor_apply(a, cfg, u), b, opts)

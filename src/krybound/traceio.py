@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import dd
 from .errors import ParseError
 

@@ -11,13 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from krybound import dd
-from krybound.bounds import (BoundSeries, ClusterAssignment, EigenData,
-                             bound_curve, cluster_assign, cluster_poly_bound,
+from krybound import bounds, dd
+from krybound.bounds import (BoundSeries, EigenData, bound_curve,
+                             cluster_assign, cluster_poly_bound,
                              decompose_rhs, first_order_estimate,
-                             normal_case_bound, vandermonde_min,
-                             weighted_norm)
-from krybound.dd import CDD
+                             vandermonde_min, weighted_norm)
 from krybound.errors import InapplicableError, RangeError
 from krybound.gmres import GmresOptions, gmres, matrix_operator
 from krybound.linalg import random_orthogonal
@@ -93,13 +91,14 @@ def test_decompose_exact_duplicate_eigenvalues_merge():
     assert np.linalg.norm(recon - r0.astype(complex)) < 1e-10
 
 
-def test_decompose_tolerance_merge_averages_close_pair():
+def test_decompose_keeps_close_distinct_eigenvalues_apart():
+    # merging is by exact equality only: a 1e-12 gap keeps two pairs
     a = np.diag([1.0, 1.0 + 1e-12, 3.0])
     r0 = np.array([1.0, 1.0, 1.0])
-    e = decompose_rhs(a, r0, merge_tol=1e-10)
-    assert e.d == 2
+    e = decompose_rhs(a, r0)
+    assert e.d == 3
     vals = sorted(dd.approx(e.lambdas).real)
-    assert abs(vals[0] - (1.0 + 5e-13)) < 1e-13
+    assert vals[:2] == [1.0, 1.0 + 1e-12]
     recon = dd.approx(e.vectors) @ dd.approx(e.weights)
     assert np.linalg.norm(recon - r0.astype(complex)) < 1e-10
 
@@ -111,13 +110,12 @@ def test_decompose_extended_keeps_tiny_weights():
     r0 = dd.zeros((3,))
     r0[0] = 1.0
     r0[1] = 1e-20
-    # binary64 would truncate the 1e-20 weight; extended keeps it, and an
-    # explicit threshold above the solver noise floor prunes the rest
-    e = decompose_rhs(a, r0, c_tol=1e-25)
-    assert e.d == 2
+    # binary64 would truncate the 1e-20 weight at 1e-12; extended keeps
+    # it (the zero weight comes out as eigenvector noise near 1e-29)
+    e = decompose_rhs(a, r0)
     mags = sorted(float(x) for x in dd.approx(abs(e.weights)))
-    assert abs(mags[0] - 1e-20) < 1e-27
-    assert abs(mags[1] - 1.0) < 1e-28
+    assert sum(abs(m - 1e-20) < 1e-27 for m in mags) == 1
+    assert abs(mags[-1] - 1.0) < 1e-28
 
 
 # -------------------------------------------------------- weighted norm
@@ -220,22 +218,6 @@ def test_bound_curve_dominates_measured_residuals():
         assert row.residual_norm <= bound * (1.0 + 1e-8) + 1e-25 * scale
 
 
-def test_normal_case_bound_equal_weights():
-    q = random_orthogonal(3, seed=13)
-    lam = np.array([1.0, 2.0, 3.0])
-    e = _eigendata_from(q, lam, np.array([1.0, 1.0, 1.0]))
-    got = _fl(normal_case_bound(e, 2))
-    vmin, _ = vandermonde_min(lam, 2)
-    assert abs(got - _fl(vmin) / math.sqrt(3.0)) < 1e-12
-
-
-def test_normal_case_bound_refuses_skewed_frame():
-    v = np.array([[1.0, 0.9], [0.0, math.sqrt(1 - 0.81)]], dtype=complex)
-    e = _eigendata_from(v, [1.0, 2.0], [1.0, 1.0])
-    with pytest.raises(InapplicableError):
-        normal_case_bound(e, 1)
-
-
 # -------------------------------------------------------------- clusters
 
 def test_cluster_assign_two_clouds_by_count():
@@ -327,6 +309,24 @@ def test_cluster_poly_bound_scales_linearly_in_offsets():
         assert abs(r - t) < 0.1 * t
 
 
+def test_frame_norm_is_computed_once_per_eigendata(monkeypatch):
+    calls = []
+    real = bounds.weighted_norm
+    monkeypatch.setattr(bounds, "weighted_norm",
+                        lambda e: calls.append(e) or real(e))
+    lam = np.array([1.0 + 1e-6, 1.0 - 1e-6, 4.0 + 1e-6], dtype=complex)
+    e = _eigendata_from(random_orthogonal(3, seed=37), lam,
+                        np.array([0.5, 1.0, 2.0]))
+    ca = cluster_assign(lam, centers=[1.0, 4.0])
+    series = bound_curve(e, 3)
+    for k in (1, 2, 3):
+        cluster_poly_bound(e, ca, k)
+    for k in (2, 3):
+        first_order_estimate(e, ca, k)
+    assert calls == [e]
+    assert series.prefactor is e.frame_norm
+
+
 # ------------------------------------------------- first-order estimate
 
 def test_first_order_single_center_closed_form():
@@ -337,7 +337,8 @@ def test_first_order_single_center_closed_form():
     got = _fl(first_order_estimate(e, ca, 2))
     # offsets lam - 1 are exact in binary64 for values this close to one
     eps = np.sort((lam - 1.0).real)[::-1]
-    want = eps[1] * math.sqrt(4.0) * eps[0] / (1.0 + eps[0])
+    want = _fl(weighted_norm(e)) * eps[1] * math.sqrt(4.0) * eps[0] / \
+        (1.0 + eps[0])
     assert abs(got - want) < 1e-12 * want
 
 

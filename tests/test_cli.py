@@ -2,7 +2,6 @@
 and the reproduce targets' pass/fail contract."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -154,6 +153,21 @@ def test_bound_other_modes_produce_columns(tmp_path, mode, extra):
     name = ("bound_cluster" if mode == "cluster"
             else "estimate_first_order")
     assert any(getattr(r, name) is not None for r in doc.records)
+
+
+@pytest.mark.parametrize("extra", [["--centers", "2"],
+                                   ["--cluster-eps", "1e-3"]])
+def test_bound_multi_center_first_order_column_starts_at_s(tmp_path, capsys,
+                                                           extra):
+    out = tmp_path / "b.csv"
+    assert run(["bound", "--gen", "stair", "-l", "8", "--bound-mode",
+                "first-order", "--out", str(out)] + extra) == 0
+    s = int(capsys.readouterr().out.split("centers ")[1].split(",")[0])
+    assert s > 1
+    rows = read_csv(str(out)).records
+    assert len(rows) > s
+    for r in rows:
+        assert (r.estimate_first_order is not None) == (r.k >= s)
 
 
 def test_bound_extended_stair_dominates_preconditioned_residual(tmp_path):

@@ -9,14 +9,21 @@ double-double scale, plus closed forms where one exists.
 import numpy as np
 import pytest
 
+try:
+    from mpmath import mp
+except ImportError:             # the high-precision oracle is optional
+    mp = None
+
 from krybound import dd, linalg
 from krybound.dd import CDD, DD
-from krybound.errors import DimensionMismatchError, SingularMatrixError
-from krybound.generators import exp_decay_matrix
+from krybound.errors import (DimensionMismatchError, NumericalFailureError,
+                             SingularMatrixError)
+from krybound.generators import exp_decay_matrix, stair_matrix
 from krybound.linalg import (condition_number_2, eig_nonsymmetric, form_q,
                              householder_qr, jacobi_svd, lstsq, lu_factor,
                              lu_solve, random_orthogonal, seeded_rng,
                              spectral_norm)
+from krybound.nrsor import preconditioned_matrix
 
 RNG = seeded_rng(20260816)
 
@@ -400,17 +407,22 @@ def test_eig_extended_precision_residual():
         assert float(dd.approx(res)) <= 1e3 * dd.EPS * scale
 
 
-def test_eig_extended_distinct_values_sharing_one_image():
+def _shared_image_matrix():
     # W diag(l1, l2, 0.5, 0.25) W^-1 with l1 != l2 in double-double but
-    # equal in binary64: neither vector may be projected out of the other
+    # equal in binary64
     lams = [dd.from_str(s) for s in ("1.0000000000000004096",
                                      "1.0000000000000004528", "0.5", "0.25")]
-    assert dd.approx(lams[0]) == dd.approx(lams[1])
     w = dd.asdd(_rand(4, 4, seed=70) + 2.0 * np.eye(4))
     d = dd.zeros((4, 4))
     for i, lam in enumerate(lams):
         d[i, i] = lam
-    a = lu_solve(*lu_factor(w.T), (w @ d).T).T
+    return lu_solve(*lu_factor(w.T), (w @ d).T).T, lams
+
+
+def test_eig_extended_distinct_values_sharing_one_image():
+    # neither vector may be projected out of the other
+    a, lams = _shared_image_matrix()
+    assert dd.approx(lams[0]) == dd.approx(lams[1])
     out = eig_nonsymmetric(a)
     got = sorted(out.values.re[j] for j in range(4))
     for g, want in zip(got, sorted(lams)):
@@ -419,6 +431,20 @@ def test_eig_extended_distinct_values_sharing_one_image():
         v = out.vectors[:, j]
         res = dd.norm2(a @ v - v * out.values[j])
         assert float(dd.approx(res)) <= 1e3 * dd.EPS * 4.0
+
+
+def test_inverse_iteration_rejects_a_residual_over_tolerance():
+    # a normal matrix and a shift 10 tol off its eigenvalue 2: every
+    # vector leaves a residual of at least 10 tol, so none is accepted
+    q = random_orthogonal(5, seed=29)
+    a = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T
+    norm_a = float(np.linalg.norm(a))
+    tol = 1e3 * dd.EPS64 * norm_a
+    shift = 2.0 + 10.0 * tol
+    start = linalg._first_solves(a, [(0, shift, 0.0)], 0, norm_a)[0]
+    with pytest.raises(NumericalFailureError, match="best residual"):
+        linalg._inverse_iteration(a, shift, 0.0, 0, np.zeros((5, 5), complex),
+                                  [], tol, tol, norm_a, start)
 
 
 def test_eig_canonical_ordering():
@@ -476,3 +502,43 @@ def random_orthogonal_dd(n, seed):
         if float(dd.approx(qr.r[j, j])) < 0.0:
             q[:, j] = -q[:, j]
     return q
+
+
+# ------------------------------------------------------ mpmath oracle
+
+def _mp_real(x, idx):
+    return mp.mpf(float(x.hi[idx])) + mp.mpf(float(x.lo[idx]))
+
+
+def _mp_complex(z, idx):
+    return mp.mpc(_mp_real(z.re, idx), _mp_real(z.im, idx))
+
+
+def _stair_operator():
+    inst = stair_matrix(seed=0)
+    return preconditioned_matrix(dd.asdd(inst.a), 1.0, 8)
+
+
+@pytest.mark.skipif(mp is None, reason="needs mpmath")
+@pytest.mark.parametrize("build", [_stair_operator,
+                                   lambda: _shared_image_matrix()[0]],
+                         ids=["stair-l8", "shared-image-4x4"])
+def test_eig_extended_matches_mpmath_on_clustered_spectra(build):
+    # the l=8 stair operator: ten eigenvalues cluster at 1 (offsets from
+    # 0.4 down to below 1e-15) and ten at 0
+    a = build()
+    n = a.shape[0]
+    out = eig_nonsymmetric(a)
+    scale = float(np.linalg.norm(dd.approx(a)))
+    with mp.workdps(60):
+        am = mp.matrix([[_mp_real(a, (i, j)) for j in range(n)]
+                        for i in range(n)])
+        oracle = mp.eig(am, left=False, right=False)
+        lam = [_mp_complex(out.values, j) for j in range(n)]
+        gap = max(max(min(abs(x - y) for y in oracle) for x in lam),
+                  max(min(abs(x - y) for x in lam) for y in oracle))
+        assert gap <= 10.0 * dd.EPS * scale
+        for j in range(n):
+            v = mp.matrix([_mp_complex(out.vectors, (i, j))
+                           for i in range(n)])
+            assert mp.norm(am * v - lam[j] * v) <= 1e3 * dd.EPS * scale

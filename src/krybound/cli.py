@@ -171,7 +171,8 @@ def _trace_metadata(cfg, label, extra=None):
     return meta
 
 
-def _run_solver(cfg, a, b):
+def _run_solver(cfg, a, b, ncfg=None):
+    # ncfg: the NR-SOR set-up, when the caller has built it already
     maxit = cfg.maxit if cfg.maxit is not None else a.shape[1]
     opts = GmresOptions(rtol=cfg.rtol, max_iterations=maxit)
     if cfg.solver == "gmres":
@@ -179,7 +180,8 @@ def _run_solver(cfg, a, b):
             raise ValueError(
                 f"gmres needs a square matrix, got {a.shape}; use ba-gmres")
         return gmres(matrix_operator(a), b, opts=opts)
-    ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
+    if ncfg is None:
+        ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
     return nrsor_ba_gmres(a, ncfg, b, opts=opts)
 
 
@@ -248,12 +250,13 @@ def cmd_solve(cfg):
 
 
 def _bound_operator(cfg, a, b):
-    """The matrix the bound analyses, and the rhs it decomposes."""
+    """The matrix the bound analyses, the rhs it decomposes, and the
+    NR-SOR set-up the solver runs with."""
     if cfg.solver == "gmres":
-        return a, b
+        return a, b, None
     m1 = preconditioned_matrix(a, cfg.omega, cfg.inner_steps)
     ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
-    return m1, nrsor_apply(a, ncfg, b)
+    return m1, nrsor_apply(a, ncfg, b), ncfg
 
 
 def _cluster_for(cfg, e):
@@ -268,7 +271,7 @@ def _cluster_for(cfg, e):
 def cmd_bound(cfg):
     t0 = time.perf_counter()
     a, b, label = _build_problem(cfg)
-    op, w0 = _bound_operator(cfg, a, b)
+    op, w0, ncfg = _bound_operator(cfg, a, b)
     n_op = op.shape[0]
     cap = EIG_CAP[cfg.precision]
     if n_op > cap:
@@ -277,7 +280,7 @@ def cmd_bound(cfg):
         raise ValueError(
             f"operator size {n_op} exceeds the {cfg.precision} eigensolver "
             f"cap ({cap}); rerun with {ways}")
-    trace = _run_solver(cfg, a, b)
+    trace = _run_solver(cfg, a, b, ncfg)
     records = traceio.records_from_solver(trace.rows)
     e = decompose_rhs(op, w0)
     k_max = trace.iterations
@@ -361,8 +364,14 @@ def _add_common(p):
     p.add_argument("--out", default=None, metavar="PATH")
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error exits 1 like any other: 2 means the iteration cap
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="krybound",
         description="GMRES / BA-GMRES experiments with eigenvalue-based "
                     "residual bounds")
@@ -373,14 +382,13 @@ def _build_parser():
     rp.add_argument("target",
                     choices=("table1", "table2", "table3", "greenbaum",
                              "fig6", "fig8", "maragal"))
-    _add_common(rp)
     return ap
 
 
 def main(argv=None):
-    ns = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(**{k: v for k, v in vars(ns).items()})
     try:
+        ns = _build_parser().parse_args(argv)
+        cfg = ExperimentConfig(**vars(ns))
         cfg.validate()
         handler = {"gen": cmd_gen, "solve": cmd_solve,
                    "bound": cmd_bound, "reproduce": cmd_reproduce}

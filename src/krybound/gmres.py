@@ -17,6 +17,7 @@ import numpy as np
 
 from . import dd
 from .errors import DimensionMismatchError, NumericalFailureError
+from .linalg import solve_triangular
 
 __all__ = [
     "OperatorHandle", "matrix_operator", "GmresOptions", "TraceRow",
@@ -197,7 +198,7 @@ def _engine(apply_op, w0, x0, n, opts, recompute):
             raise NumericalFailureError(
                 f"minimized residual increased at iteration {j + 1}: "
                 f"{_f(estimate):.6e} > {_f(prev):.6e}")
-        y = _back_substitute(h, g, j + 1)
+        y = solve_triangular(h[:j + 1, :j + 1], g[:j + 1])
         x = x0.copy()
         for i in range(j + 1):
             x = x + basis[i] * y[i]
@@ -220,12 +221,3 @@ def _rotation(a, b):
     if _f(r) == 0.0:
         return a * 0.0 + 1.0, a * 0.0
     return a / r, b / r
-
-
-def _back_substitute(h, g, k):
-    y = g[:k].copy()
-    for i in reversed(range(k)):
-        for t in range(i + 1, k):
-            y[i] = y[i] - h[i, t] * y[t]
-        y[i] = y[i] / h[i, i]
-    return y

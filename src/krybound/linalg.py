@@ -23,8 +23,8 @@ from .errors import (DimensionMismatchError, NumericalFailureError,
 
 __all__ = [
     "householder_qr", "apply_q_adjoint", "form_q", "lstsq", "LstsqResult",
-    "jacobi_svd", "SvdResult", "eig_nonsymmetric", "EigenResult", "EIG_CAP",
-    "lu_factor", "lu_solve", "spectral_norm", "condition_number_2",
+    "solve_triangular", "jacobi_svd", "eig_nonsymmetric", "EigenResult",
+    "EIG_CAP", "lu_factor", "lu_solve", "spectral_norm", "condition_number_2",
     "random_orthogonal", "seeded_rng",
 ]
 
@@ -199,43 +199,25 @@ def lstsq(a, b, rcond=None):
             rank += 1
         else:
             break
-    g = y[:rank].copy()
-    z = dd.zeros_like(g, (rank,))
-    for i in reversed(range(rank)):
-        zi = g[i] / qr.r[i, i]
-        z[i] = zi
-        if i:
-            g[:i] = g[:i] - qr.r[:i, i] * zi
+    z = solve_triangular(qr.r[:rank, :rank], y[:rank])
     x = dd.zeros_like(b, (n,))
-    for j in range(rank):
-        x[qr.perm[j]] = z[j]
+    x[qr.perm[:rank]] = z
     return LstsqResult(x, dd.norm2(y[rank:]), rank)
 
 
 # ----------------------------------------------------------------- SVD
 
-@dataclass
-class SvdResult:
-    u: object
-    s: object               # real 1-d, descending
-    v: object               # right singular vectors as columns; A = U S V^H
-
-
 def jacobi_svd(a):
-    """One-sided Jacobi SVD, real or complex, either precision.
+    """Singular values of a by one-sided Jacobi, real or complex, either
+    precision: a real 1-d array in descending order.
 
     Rotations proceed until every column pair is orthogonal to working
-    precision, for at most 64 sweeps; zero singular directions get an orthonormal completion so
-    U is always a full frame.
+    precision, for at most 64 sweeps.
     """
     m, n = a.shape
     if m < n:
-        t = jacobi_svd(dd.conj(a).T)
-        return SvdResult(t.v, t.s, t.u)
+        return jacobi_svd(dd.conj(a).T)
     w = a.copy()
-    v = dd.eye_like(dd.complex_like(a) if dd.is_complexkind(a) else a, n)
-    if dd.is_complexkind(a) and not dd.is_complexkind(v):
-        v = dd.complex_like(v)
     eps = dd.eps_of(a)
     cplx = dd.is_complexkind(a)
     for _ in range(64):
@@ -253,9 +235,7 @@ def jacobi_svd(a):
                 if cplx:
                     ph = _phase_of(apq)
                     if ph is not None:
-                        cph = _conj_scalar(ph)
-                        w[:, q] = w[:, q] * cph
-                        v[:, q] = v[:, q] * cph
+                        w[:, q] = w[:, q] * _conj_scalar(ph)
                     g = abs(apq)
                 else:
                     g = apq
@@ -269,47 +249,10 @@ def jacobi_svd(a):
                 wp = w[:, p].copy()
                 w[:, p] = wp * c - w[:, q] * s
                 w[:, q] = wp * s + w[:, q] * c
-                vp = v[:, p].copy()
-                v[:, p] = vp * c - v[:, q] * s
-                v[:, q] = vp * s + v[:, q] * c
         if not rotated:
             break
-    sig = [dd.norm2(w[:, j]) for j in range(n)]
-    s_img = np.array([_f(x) for x in sig])
-    order = np.argsort(-s_img, kind="stable")
-    u = dd.zeros_like(w, (m, n))
-    vout = dd.zeros_like(v, (n, n))
-    smax = s_img.max(initial=0.0)
-    null_cols = []
-    s_sorted = []
-    for out_j, j in enumerate(order):
-        s_sorted.append(sig[j])
-        vout[:, out_j] = v[:, j]
-        if s_img[j] > smax * eps * m:
-            u[:, out_j] = w[:, j] * (1.0 / sig[j])
-        else:
-            null_cols.append(out_j)
-    if null_cols:
-        _complete_basis(u, null_cols)
-    return SvdResult(u, dd.stack(s_sorted), vout)
-
-
-def _complete_basis(u, cols):
-    m = u.shape[0]
-    filled = [j for j in range(u.shape[1]) if j not in cols]
-    for j in cols:
-        for trial in range(m):
-            e = dd.zeros_like(u, (m,))
-            e[trial] = 1.0
-            for i in filled:
-                e = e - u[:, i] * dd.vdot(u[:, i], e)
-            nm = dd.norm2(e)
-            if _f(nm) > 0.5:
-                u[:, j] = e * (1.0 / nm)
-                filled.append(j)
-                break
-        else:
-            raise NumericalFailureError("basis completion failed")
+    return dd.stack(sorted((dd.norm2(w[:, j]) for j in range(n)),
+                           key=lambda x: -_f(x)))
 
 
 # ----------------------------------------------------------------- LU
@@ -377,35 +320,38 @@ def lu_solve(lu, piv, b):
         raise DimensionMismatchError(
             f"lu_solve: a stack {lu.shape} takes one vector per member, "
             f"not {b.shape}")
-    if lu.ndim == 3 and len(lu) == 1:
-        return _substitute(lu[0], piv[0], b[0])[None]
-    if b.ndim == 1 or lu.ndim == 3:
-        return _substitute(lu, piv, b)
-    n = lu.shape[0]
-    x = b[piv, :].copy()
-    for k in range(1, n):           # unit lower solve
-        x[k, :] = x[k, :] - lu[k, :k] @ x[:k, :]
-    for k in reversed(range(n)):
-        if k + 1 < n:
-            x[k, :] = x[k, :] - lu[k, k + 1:] @ x[k + 1:, :]
-        x[k, :] = x[k, :] / lu[k, k]
-    return x
+    if lu.ndim == 2:
+        # right-hand sides as rows; a vector is its own transpose
+        return _lu_substitute(lu, b[piv].T).T
+    if len(lu) == 1:
+        # one vector's 0-d entries run DD arithmetic on Python floats
+        return _lu_substitute(lu[0], b[0][piv[0]])[None]
+    return _lu_substitute(lu, b[np.arange(len(piv))[:, None], piv])
 
 
-def _substitute(lu, piv, b):
-    # one vector, or one per member of a stack: "..." spans the stack
-    # axis, if any; one vector's 0-d entries run DD arithmetic on Python
-    # floats, so a stack of one comes here as its matrix
-    n = lu.shape[-1]
-    x = b[np.arange(len(piv))[:, None], piv] if piv.ndim == 2 \
-        else b[piv].copy()
-    for k in range(1, n):           # unit lower solve
-        x[..., k] = x[..., k] - (lu[..., k, :k] * x[..., :k]).sum(axis=-1)
-    for k in reversed(range(n)):
-        if k + 1 < n:
+def _lu_substitute(lu, b):
+    return solve_triangular(lu, solve_triangular(lu, b, lower=True,
+                                                 unit=True))
+
+
+def solve_triangular(t, b, lower=False, unit=False):
+    """x with t x = b, t upper (or ``lower``) triangular, by substitution
+    one row at a time; ``unit`` takes t's diagonal as ones unread.
+
+    t is (n, n) or a stack (s, n, n), and "..." spans that stack: b is
+    one vector (n,), one per member (s, n), or for one t several
+    right-hand sides as the rows of (r, n).  Row sums are tree-summed
+    in extended precision.
+    """
+    n = t.shape[-1]
+    x = b.copy()
+    for k in (range(n) if lower else reversed(range(n))):
+        if k != (0 if lower else n - 1):
+            done = slice(0, k) if lower else slice(k + 1, n)
             x[..., k] = x[..., k] - \
-                (lu[..., k, k + 1:] * x[..., k + 1:]).sum(axis=-1)
-        x[..., k] = x[..., k] / lu[..., k, k]
+                (t[..., k, done] * x[..., done]).sum(axis=-1)
+        if not unit:
+            x[..., k] = x[..., k] / t[..., k, k]
     return x
 
 
@@ -880,12 +826,12 @@ def spectral_norm(a):
                 return sigma
             prev_diff = diff
         prev = _f(sigma)
-    return jacobi_svd(a).s[0]
+    return jacobi_svd(a)[0]
 
 
 def condition_number_2(a):
     """sigma_max / sigma_min from the one-sided Jacobi SVD."""
-    s = jacobi_svd(a).s
+    s = jacobi_svd(a)
     lo = _f(s[-1])
     if lo == 0.0:
         return math.inf

@@ -19,6 +19,7 @@ import numpy as np
 from . import dd
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .gmres import ba_gmres
+from .linalg import solve_triangular
 
 __all__ = [
     "NrsorConfig", "nrsor_config", "nrsor_apply", "SplittingMatrices",
@@ -137,32 +138,21 @@ def explicit_splitting(a, omega=1.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
     ata = a.T @ a
     n = ata.shape[0]
-    diag_img = np.diag(dd.approx(ata))
-    if np.any(diag_img == 0.0):
-        dead = [int(i) for i in np.nonzero(diag_img == 0.0)[0]]
+    dead = [int(i) for i in np.nonzero(np.diag(dd.approx(ata)) == 0.0)[0]]
+    if dead:
         raise InvalidMatrixError(f"zero columns at indices {dead}")
+    d = np.arange(n)
+    below = np.tri(n, k=-1, dtype=bool)
     m = dd.zeros_like(ata, (n, n))
     nn = dd.zeros_like(ata, (n, n))
-    for i in range(n):
-        m[i, i] = ata[i, i] / omega
-        # D/omega - D, in working precision so M - N = A^T A holds exactly
-        nn[i, i] = m[i, i] - ata[i, i]
-        if i > 0:
-            m[i, :i] = ata[i, :i]
-        if i + 1 < n:
-            nn[i, i + 1:] = -ata[i, i + 1:]
-    h = _forward_solve_matrix(m, nn)
+    m[below] = ata[below]
+    nn[below.T] = -ata[below.T]
+    m[d, d] = ata[d, d] / omega
+    # D/omega - D, in working precision so M - N = A^T A holds exactly
+    nn[d, d] = m[d, d] - ata[d, d]
+    # the columns of N are the right-hand sides
+    h = solve_triangular(m, nn.T, lower=True).T
     return SplittingMatrices(m, nn, h)
-
-
-def _forward_solve_matrix(lower, rhs):
-    n = lower.shape[0]
-    x = rhs.copy()
-    for k in range(n):
-        if k > 0:
-            x[k, :] = x[k, :] - lower[k, :k] @ x[:k, :]
-        x[k, :] = x[k, :] / lower[k, k]
-    return x
 
 
 def preconditioned_matrix(a, omega=1.0, inner_steps=1):

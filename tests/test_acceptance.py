@@ -64,7 +64,7 @@ def test_criterion_3_stair_spectra_seed_invariant():
     failures = []
     reference = [math.sqrt(2.0) * (10 - i) / 10.0 for i in range(10)]
     for seed in (0, 3, 11):
-        sv = jacobi_svd(stair_matrix(seed=seed).a).s[:10]
+        sv = jacobi_svd(stair_matrix(seed=seed).a)[:10]
         for i, ref in enumerate(reference):
             if abs(float(sv[i]) - ref) > 1e-10:
                 failures.append(f"seed {seed} sigma_{i + 1} = {sv[i]!r}")

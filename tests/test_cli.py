@@ -9,6 +9,7 @@ import pytest
 from krybound import cli, dd
 from krybound.cli import main
 from krybound.generators import load_matrix_market, write_matrix_market
+from krybound.nrsor import nrsor_config
 from krybound.traceio import read_csv, read_json, write_csv
 
 
@@ -124,6 +125,26 @@ def test_missing_matrix_file_is_an_error(tmp_path, capsys):
     assert "absent.mtx" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "stair", "--precision", "bogus"],
+    ["solve", "--gen", "stair", "--no-such-option"],
+    ["nosuchverb"],
+    [],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    # 2 is reserved for "stopped at the iteration cap"
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: krybound")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: krybound" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------- bound
 
 def test_bound_theorem1_column_dominates_residual(tmp_path):
@@ -168,6 +189,19 @@ def test_bound_multi_center_first_order_column_starts_at_s(tmp_path, capsys,
     assert len(rows) > s
     for r in rows:
         assert (r.estimate_first_order is not None) == (r.k >= s)
+
+
+def test_bound_builds_the_nrsor_config_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return nrsor_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "nrsor_config", counting)
+    assert run(["bound", "--gen", "stair", "--out",
+                str(tmp_path / "b.csv")]) == 0
+    assert len(built) == 1
 
 
 def test_bound_extended_stair_dominates_preconditioned_residual(tmp_path):
@@ -215,6 +249,14 @@ def test_reproduce_greenbaum_passes(capsys):
     assert run(["reproduce", "greenbaum"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("extra", [["--precision", "extended"],
+                                   ["--gen", "nonsense:3"]])
+def test_reproduce_takes_only_its_target(extra, capsys):
+    assert run(["reproduce", "greenbaum"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and extra[0] in err
 
 
 def test_reproduce_maragal_skips_without_data(capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Every name in a krybound module's ``__all__`` resolves, and something
-outside the tests uses it."""
+outside the tests uses it; every function the benchmark tracer wraps
+exists."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -57,3 +59,16 @@ def test_every_public_name_has_a_caller():
                                "__all__", ())
               if n not in used and (name, n) not in UNUSED_OK]
     assert not unused
+
+
+def test_every_traced_span_resolves():
+    # the benchmark's tracer wraps these by name; one that is gone makes
+    # every traced repetition raise
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(m, f) for m, f in tracer.SPANS
+               if not callable(getattr(importlib.import_module(
+                   f"krybound.{m}"), f, None))]
+    assert tracer.SPANS and not missing

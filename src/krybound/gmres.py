@@ -85,17 +85,18 @@ def gmres(op, rhs, opts=None):
         raise DimensionMismatchError("gmres needs a square operator")
     if rhs.shape != (n,):
         raise DimensionMismatchError(f"rhs shape {rhs.shape} vs n={n}")
-    x0 = dd.zeros_like(rhs, (n,))
 
-    def recompute(x, estimate):
-        r = rhs - op.apply(x)
+    def row(r, estimate=None):
         rn = dd.norm2(r)
         nr = dd.norm2(op.apply_transpose(r)) if op.apply_transpose else None
-        return r, TraceRow(0, rn, rn, nr, estimate)
+        return TraceRow(0, rn, rn, nr, rn if estimate is None else estimate)
 
-    w0 = rhs - op.apply(x0)
-    _require_real("gmres", w0)
-    return _engine(op.apply, w0, x0, n, opts, recompute)
+    # the one product with the zero start vector is also what rejects
+    # an opaque operator's complex field
+    r0 = rhs - op.apply(dd.zeros_like(rhs, (n,)))
+    _require_real("gmres", r0)
+    return _engine(op.apply, r0, row(r0), opts,
+                   lambda x, estimate: row(rhs - op.apply(x), estimate))
 
 
 def ba_gmres(a, precond, b, opts=None):
@@ -107,23 +108,24 @@ def ba_gmres(a, precond, b, opts=None):
     """
     opts = opts or GmresOptions()
     opts.validate()
-    m, n = a.shape
+    m = a.shape[0]
     if b.shape != (m,):
         raise DimensionMismatchError(f"rhs shape {b.shape} vs m={m}")
     _require_real("ba_gmres", a, b)
-    x0 = dd.zeros_like(b, (n,))
 
     def apply_op(v):
         return precond(a @ v)
 
     def recompute(x, estimate):
         r = b - a @ x
-        br = precond(r)
-        return br, TraceRow(0, dd.norm2(r), dd.norm2(br),
-                            dd.norm2(a.T @ r), estimate)
+        return TraceRow(0, dd.norm2(r), dd.norm2(precond(r)),
+                        dd.norm2(a.T @ r), estimate)
 
-    w0 = precond(b - a @ x0)
-    return _engine(apply_op, w0, x0, n, opts, recompute)
+    # the start vector is zero, so r0 = b
+    w0 = precond(b)
+    beta = dd.norm2(w0)
+    row0 = TraceRow(0, dd.norm2(b), beta, dd.norm2(a.T @ b), beta)
+    return _engine(apply_op, w0, row0, opts, recompute)
 
 
 def _f(x):
@@ -138,16 +140,20 @@ def _require_real(name, *arrays):
             f"got complex input")
 
 
-def _engine(apply_op, w0, x0, n, opts, recompute):
+def _engine(apply_op, w0, row0, opts, recompute):
+    # Krylov space of apply_op from w0, the (preconditioned) residual at
+    # the zero start; row0 is its trace row, with the minimized estimate
+    # ||w0||, and recompute(x, estimate) gives the row at iterate x
     eps = dd.eps_of(w0)
+    n = len(w0)
     # a second Gram-Schmidt pass keeps the basis orthogonal to the
     # extended working precision; binary64 runs one
     passes = 2 if dd.is_extended(w0) else 1
-    beta = dd.norm2(w0)
-    _, row0 = recompute(x0, beta)
+    beta = row0.minimized_estimate
+    x0 = dd.zeros_like(w0)
     rows = [row0]
     if _f(beta) == 0.0:
-        return ConvergenceTrace(rows, x0.copy(), 0, "converged")
+        return ConvergenceTrace(rows, x0, 0, "converged")
     if not dd.isfinite_all(w0):
         raise NumericalFailureError("non-finite initial residual")
 
@@ -199,11 +205,11 @@ def _engine(apply_op, w0, x0, n, opts, recompute):
                 f"minimized residual increased at iteration {j + 1}: "
                 f"{_f(estimate):.6e} > {_f(prev):.6e}")
         y = solve_triangular(h[:j + 1, :j + 1], g[:j + 1])
-        x = x0.copy()
+        x = x0
         for i in range(j + 1):
             x = x + basis[i] * y[i]
         k = j + 1
-        _, row = recompute(x, estimate)
+        row = recompute(x, estimate)
         row.k = k
         rows.append(row)
         if _f(estimate) <= opts.rtol * _f(beta):

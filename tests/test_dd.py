@@ -4,6 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krybound import dd
 from krybound.dd import CDD, DD
@@ -122,6 +124,23 @@ def test_sqrt_self_consistent():
         dd.sqrt(DD(-1.0))
 
 
+def test_scalar_sqrt_matches_array_sqrt_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=14))
+    special = [0.0, -0.0, 0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+               1.0, 4.0]
+    hi = np.concatenate([special, 10.0 ** rng.uniform(-320, 300, 400)])
+    lo = hi * rng.uniform(-1.0, 1.0, hi.size) * 2.0 ** -54
+    lo[:4] = [0.0, 0.0, -0.0, -0.0]
+    x = DD._raw(hi, lo)
+    want = dd.sqrt(x)
+    for i in range(x.size):
+        got = dd.sqrt(x[i])
+        assert isinstance(got.hi, np.float64)
+        assert _bits(got) == _bits(want[i:i + 1])
+    with pytest.raises(ValueError):
+        dd.sqrt(DD(-5e-324))
+
+
 def test_summation_matches_64_digit_decimal():
     rng = np.random.Generator(np.random.Philox(key=17))
     x = _rand_dd(rng, 10_000)
@@ -211,6 +230,93 @@ def test_matmul_against_float_triple_loop():
     assert np.allclose((dd.asdd(A) @ dd.asdd(v)).to_float(), A @ v, atol=1e-13)
     u = rng.standard_normal(7)
     assert np.allclose((dd.asdd(u) @ dd.asdd(A)).to_float(), u @ A, atol=1e-13)
+
+
+def _sparse_dd(rng, m, k, density):
+    # zero entries come out as +0 and -0
+    hi = rng.standard_normal((m, k)) * (rng.random((m, k)) < density)
+    return DD._raw(hi, hi * rng.uniform(-1.0, 1.0, (m, k)) * 2.0 ** -53)
+
+
+def _assert_matvec_is_dense_tree(a, b):
+    want = _bits(dd._matvec_dense(a, b))
+    nonzero = (a.hi != 0.0) | (a.lo != 0.0)
+    assert _bits(dd._matvec_sparse(a, b, nonzero)) == want
+    assert _bits(a @ b) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 24),
+       k=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 31, 32, 33, 64, 100]),
+       density=st.sampled_from([0.0, 0.01, 0.05, 0.0625, 0.2, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_skipping_matvec_matches_dense_tree_bytes(m, k, density, seed):
+    rng = np.random.default_rng(seed)
+    a = _sparse_dd(rng, m, k, density)
+    _assert_matvec_is_dense_tree(a, _rand_dd(rng, k))
+    _assert_matvec_is_dense_tree(a.T, _rand_dd(rng, m))
+
+
+@pytest.mark.parametrize("density", [0.005, 0.01, 0.02, 0.05, 0.0625, 0.1])
+def test_zero_skipping_matvec_densities(density):
+    rng = np.random.Generator(np.random.Philox(key=41))
+    a = _sparse_dd(rng, 60, 300, density)
+    _assert_matvec_is_dense_tree(a, _rand_dd(rng, 300, scale=1e3))
+    _assert_matvec_is_dense_tree(a.T, _rand_dd(rng, 60))
+    for b in (dd.zeros(300), -dd.zeros(300)):
+        _assert_matvec_is_dense_tree(a, b)
+
+
+def test_zero_skipping_matvec_signed_zeros_and_zero_rows():
+    k = 48                               # the tree pads rows to 64
+    hi = np.zeros((7, k))
+    hi[0] = -0.0                         # negative zeros only
+    # row 1 stays empty
+    hi[2, [3, 35]] = [1.5, -1.5]         # cancels at the first level
+    hi[3, [3, 35, 7]] = [1.5, -1.5, 2.0]  # a zero node inside the tree
+    hi[4, [0, 1]] = [1.0, -1.0]          # cancels at the last level
+    hi[5, 5] = 1e-300                    # its product underflows to zero
+    hi[6, [2, 9, 40]] = [-2.0, 3.0, -0.0]
+    a = DD._raw(hi, np.where(hi == 2.0, 2.0 ** -60, -0.0 * hi))
+    assert np.count_nonzero(hi) * 16 <= hi.size
+    b = np.ones(k)
+    b[5] = 1e-300
+    b[[9, 10]] = [-0.0, 0.0]
+    for lo in (np.zeros(k), np.full(k, -0.0), b * 2.0 ** -70):
+        _assert_matvec_is_dense_tree(a, DD._raw(b, lo))
+    for v in (dd.zeros(k), -dd.zeros(k)):
+        _assert_matvec_is_dense_tree(a, v)
+    _assert_matvec_is_dense_tree(a.T, DD._raw(np.arange(7.0) - 3.0,
+                                              np.zeros(7)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e305])
+def test_zero_skipping_matvec_keeps_dense_nans(bad):
+    # a zero entry times inf, NaN, or a value whose Dekker split
+    # overflows is NaN in the dense products, so every row is NaN
+    rng = np.random.Generator(np.random.Philox(key=42))
+    a = _sparse_dd(rng, 20, 64, 0.03)
+    b = _rand_dd(rng, 64)
+    b.hi[7], b.lo[7] = bad, 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = a @ b
+        assert _bits(got) == _bits(dd._matvec_dense(a, b))
+    assert np.isnan(got.hi).all()
+
+
+def test_zero_skipping_matvec_complex_operands():
+    rng = np.random.Generator(np.random.Philox(key=43))
+    a = CDD(_sparse_dd(rng, 30, 200, 0.03), _sparse_dd(rng, 30, 200, 0.03))
+    b = CDD(_rand_dd(rng, 200), _rand_dd(rng, 200))
+    d = dd._matvec_dense
+    for x, y in ((a, b), (a.re, b), (a, b.re)):
+        x, y = dd.ascdd(x), dd.ascdd(y)
+        got = x @ y
+        assert _bits(got.re) == _bits(d(x.re, y.re) - d(x.im, y.im))
+        assert _bits(got.im) == _bits(d(x.re, y.im) + d(x.im, y.re))
+    u = CDD(_rand_dd(rng, 30), _rand_dd(rng, 30))
+    got = a.T @ u
+    assert _bits(got.re) == _bits(d(a.re.T, u.re) - d(a.im.T, u.im))
 
 
 def test_tree_sum_is_deterministic_and_exact_for_ints():

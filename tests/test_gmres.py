@@ -25,6 +25,12 @@ def _f(x):
     return float(dd.approx(x))
 
 
+def _bits(x):
+    if dd.is_extended(x):
+        return np.asarray(x.hi).tobytes() + np.asarray(x.lo).tobytes()
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 # ------------------------------------------------------------ plain GMRES
 
 def test_identity_operator_converges_immediately():
@@ -220,6 +226,34 @@ def test_ba_trace_matches_explicit_preconditioner_matrix():
             # relative agreement until roundoff in the recomputed
             # residual itself dominates (diffs are O(eps * scale0))
             assert abs(v1 - v2) <= 1e-10 * abs(v1) + 1e-13 * scale0
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_ba_starts_from_b_with_2k_plus_1_preconditioner_calls(extended):
+    a = _rand((12, 5), seed=18)
+    b = _rand(12, seed=19)
+    if extended:
+        a, b = dd.asdd(a), dd.asdd(b)
+    cfg = nrsor_config(a, omega=1.0, inner_steps=2)
+    calls = []
+
+    def precond(u):
+        calls.append(u)
+        return nrsor_apply(a, cfg, u)
+
+    trace = ba_gmres(a, precond, b, opts=GmresOptions(max_iterations=3))
+    assert trace.iterations == 3
+    assert len(calls) == 2 * trace.iterations + 1
+    # row 0 is the recompute at the zero start vector
+    r = b - a @ dd.zeros_like(b, (5,))
+    row0 = trace.rows[0]
+    for got, want in ((row0.residual_norm, dd.norm2(r)),
+                      (row0.preconditioned_residual_norm,
+                       dd.norm2(nrsor_apply(a, cfg, r))),
+                      (row0.normal_residual_norm, dd.norm2(a.T @ r)),
+                      (row0.minimized_estimate,
+                       dd.norm2(nrsor_apply(a, cfg, r)))):
+        assert _bits(got) == _bits(want)
 
 
 def _lower_solve(lo, rhs):

@@ -18,7 +18,8 @@ from krybound.nrsor import nrsor_ba_gmres, nrsor_config, preconditioned_matrix
 inst = stair_matrix(seed=0)
 print(f"stair matrix: {inst.a.shape[0]}x{inst.a.shape[1]}, rank 10")
 
-m = preconditioned_matrix(inst.a, omega=1.0, inner_steps=8)
+m = preconditioned_matrix(inst.a, nrsor_config(inst.a, omega=1.0,
+                                               inner_steps=8))
 lam = np.sort_complex(eig_nonsymmetric(m).values)
 real = lam[np.abs(lam) > 1e-8]
 print("\nnonzero eigenvalues of the preconditioned operator:")

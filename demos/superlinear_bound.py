@@ -19,8 +19,9 @@ n = 41
 inst = exp_decay_matrix(n, seed=0)
 a, b = dd.asdd(inst.a), dd.asdd(inst.b)
 
-m = dd.asdd(preconditioned_matrix(inst.a, omega=1.0, inner_steps=1))
-w0 = nrsor_apply(a, nrsor_config(a, omega=1.0, inner_steps=1), b)
+cfg = nrsor_config(a, omega=1.0, inner_steps=1)
+m = preconditioned_matrix(a, cfg)
+w0 = nrsor_apply(a, cfg, b)
 trace = gmres(matrix_operator(m), w0,
               opts=GmresOptions(rtol=1e-12, max_iterations=40))
 print(f"n={n}, converged in {trace.iterations} iterations")

@@ -254,9 +254,8 @@ def _bound_operator(cfg, a, b):
     NR-SOR set-up the solver runs with."""
     if cfg.solver == "gmres":
         return a, b, None
-    m1 = preconditioned_matrix(a, cfg.omega, cfg.inner_steps)
     ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
-    return m1, nrsor_apply(a, ncfg, b), ncfg
+    return preconditioned_matrix(a, ncfg), nrsor_apply(a, ncfg, b), ncfg
 
 
 def _cluster_for(cfg, e):

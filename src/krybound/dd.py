@@ -21,9 +21,9 @@ import numpy as np
 
 __all__ = [
     "DD", "CDD", "EPS", "EPS64",
-    "asdd", "ascdd", "zeros", "czeros", "ones", "eye",
+    "asdd", "ascdd", "zeros", "czeros", "ones",
     "from_str", "to_str", "format_float",
-    "norm2", "vdot", "approx", "conj", "zeros_like", "eye_like",
+    "norm2", "vdot", "approx", "conj", "zeros_like",
     "is_extended", "is_complexkind", "eps_of", "complex_like",
 ]
 
@@ -634,10 +634,6 @@ def ones(shape):
     return DD._raw(np.ones(shape), np.zeros(shape))
 
 
-def eye(n):
-    return DD._raw(np.eye(n), np.zeros((n, n)))
-
-
 def stack(xs):
     """Join same-shape arrays or scalars of one kind on a new first axis."""
     x0 = xs[0]
@@ -714,12 +710,6 @@ def zeros_like(x, shape=None, field=None):
     if is_extended(x):
         return czeros(shape) if cplx else zeros(shape)
     return np.zeros(shape, dtype=np.complex128 if cplx else np.float64)
-
-
-def eye_like(x, n):
-    if is_extended(x):
-        return eye(n) if not is_complexkind(x) else CDD(eye(n), zeros((n, n)))
-    return np.eye(n, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
 
 
 def complex_like(x):

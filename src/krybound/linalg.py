@@ -586,9 +586,11 @@ def _eig_vectors(a, vals):
     return vectors
 
 
-# elements (shifts x n x n) of one stacked shifted LU: 9 shifts at n=81
-# (eig-bound's peak RSS +0.06 MiB), one from n=182 on.  Per complex
-# shift, attempt 0 in stacks of 4 took 0.62x (n=128), 0.78x (n=160) and
+# elements (shifts x n x n) of one stacked shifted LU: 9 shifts at n=81,
+# one from n=182 on.  At n=81 the stacks set eig-bound's peak RSS,
+# 50.0-50.3 MiB against 39.4-39.6 MiB with stacks of one, which take
+# run_s from 9.3-9.7 to 12.9-13.4 reference seconds.  Per complex shift,
+# attempt 0 in stacks of 4 took 0.62x (n=128), 0.78x (n=160) and
 # 0.82-0.92x (n=201) the time of stacks of one on a 2-vCPU x86-64 host,
 # numpy 2.4; a larger budget would trade that for peak memory, which no
 # benchmark workload at n>=182 checks

@@ -5,9 +5,9 @@ The solver path touches only the nonzeros of A. A sweep visits the
 columns in natural order, in runs of consecutive columns whose row
 supports are pairwise disjoint; such columns have a zero block in
 A^T A, so their updates commute and a run updates all its columns at
-once. The normal-equation matrix is formed densely only in the
-analysis helpers (explicit splitting and the preconditioned matrix),
-never while solving.
+once. The normal-equation matrix A^T A is never formed: the
+preconditioned matrix the bound analyses is the same sweep run on every
+column of A at once.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 from . import dd
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .gmres import ba_gmres
-from .linalg import solve_triangular
 
 __all__ = [
-    "NrsorConfig", "nrsor_config", "nrsor_apply", "SplittingMatrices",
-    "explicit_splitting", "preconditioned_matrix", "nrsor_ba_gmres",
+    "NrsorConfig", "nrsor_config", "nrsor_apply", "preconditioned_matrix",
+    "nrsor_ba_gmres",
 ]
 
 
@@ -108,76 +107,38 @@ def nrsor_apply(a, cfg, u):
     disjoint row supports at a time; the running residual r starts at u
     and is corrected run by run, at the rows the run touches. A's
     entries come from cfg, which nrsor_config built from this same a.
+    An (m, p) operand sweeps its p columns together, each column giving
+    the bytes its own sweep gives.
     """
     m, n = a.shape
-    if u.shape != (m,):
+    if u.shape[:1] != (m,) or u.ndim > 2:
         raise DimensionMismatchError(f"operand shape {u.shape} vs m={m}")
-    w = dd.zeros_like(u, (n,))
-    r = dd.zeros_like(u, (m + 1,))    # r[m] stays zero: the padding slot
+    tail = u.shape[1:]
+    w = dd.zeros_like(u, (n,) + tail)
+    r = dd.zeros_like(u, (m + 1,) + tail)   # r[m] stays zero: padding slot
     r[:m] = u
     omega = cfg.omega
     for _ in range(cfg.inner_steps):
         for rows, vals, cols in cfg.runs:
+            norms = cfg.column_norms[cols]
+            if tail:
+                vals, norms = vals[..., None], norms[..., None]
             g = r[rows]
-            delta = (_dots(vals, g) * omega) / cfg.column_norms[cols]
+            delta = (_dots(vals, g) * omega) / norms
             w[cols] = w[cols] + delta
             r[rows] = g - vals * delta
     return w
 
 
-@dataclass
-class SplittingMatrices:
-    m: object     # D/omega + L  (lower triangular)
-    n: object     # (1/omega - 1) D - U
-    h: object     # M^{-1} N
+def preconditioned_matrix(a, cfg):
+    """I - H^l = P^(l) A^T A, the matrix BA-GMRES effectively iterates with.
 
-
-def explicit_splitting(a, omega=1.0):
-    """Dense splitting of A^T A for analysis; M - N = A^T A by design."""
-    if not (0.0 < omega < 2.0):
-        raise ValueError(f"omega must lie in (0, 2), got {omega}")
-    ata = a.T @ a
-    n = ata.shape[0]
-    dead = [int(i) for i in np.nonzero(np.diag(dd.approx(ata)) == 0.0)[0]]
-    if dead:
-        raise InvalidMatrixError(f"zero columns at indices {dead}")
-    d = np.arange(n)
-    below = np.tri(n, k=-1, dtype=bool)
-    m = dd.zeros_like(ata, (n, n))
-    nn = dd.zeros_like(ata, (n, n))
-    m[below] = ata[below]
-    nn[below.T] = -ata[below.T]
-    m[d, d] = ata[d, d] / omega
-    # D/omega - D, in working precision so M - N = A^T A holds exactly
-    nn[d, d] = m[d, d] - ata[d, d]
-    # the columns of N are the right-hand sides
-    h = solve_triangular(m, nn.T, lower=True).T
-    return SplittingMatrices(m, nn, h)
-
-
-def preconditioned_matrix(a, omega=1.0, inner_steps=1):
-    """I - H^l, the matrix BA-GMRES effectively iterates with.
-
-    Formed by square-and-multiply on H; analysis use only.
+    From w = 0, l sweeps give w = sum_{i<l} H^i M^-1 A^T u, and
+    sum_{i<l} H^i (I - H) = I - H^l; so the sweep run on the columns of A
+    is the matrix, column for column the bytes of nrsor_apply(a, cfg,
+    a[:, j]). Analysis use only.
     """
-    h = explicit_splitting(a, omega).h
-    n = h.shape[0]
-    power = _matrix_power(h, inner_steps)
-    return dd.eye_like(h, n) - power
-
-
-def _matrix_power(h, l):
-    n = h.shape[0]
-    result = None
-    base = h.copy()
-    e = int(l)
-    while e > 0:
-        if e & 1:
-            result = base.copy() if result is None else result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return dd.eye_like(h, n) if result is None else result
+    return nrsor_apply(a, cfg, a)
 
 
 def nrsor_ba_gmres(a, cfg, b, opts=None):

@@ -177,7 +177,7 @@ def _target_table3():
     rep.note(f"relaxation parameter {TABLE3_OMEGA} "
              f"(the tabulated values pin the dropped digit)")
     for l in sorted(TABLE3_REFERENCE):
-        m = preconditioned_matrix(a, TABLE3_OMEGA, l)
+        m = preconditioned_matrix(a, nrsor_config(a, TABLE3_OMEGA, l))
         trace = gmres(matrix_operator(m), b,
                       opts=GmresOptions(rtol=1e-30, max_iterations=3))
         norms = [_fl(x) for x in trace.column("residual_norm")]
@@ -188,7 +188,8 @@ def _target_table3():
         rep.check(f"l={l} actual k=2", a2, norms[2], 1e-3)
         rep.check(f"l={l} bound  k=1", b1, _fl(series.bound_at(1)), 1e-3)
         rep.check(f"l={l} bound  k=2", b2, _fl(series.bound_at(2)), 1e-3)
-    e5 = decompose_rhs(preconditioned_matrix(a, TABLE3_OMEGA, 5), b)
+    cfg5 = nrsor_config(a, TABLE3_OMEGA, 5)
+    e5 = decompose_rhs(preconditioned_matrix(a, cfg5), b)
     rep.check("eigenvector condition", 25.69, e5.vector_condition, 1e-2)
     rep.check("weighted-frame norm", 4.28, _fl(e5.frame_norm), 1e-2)
     return rep
@@ -212,7 +213,7 @@ def _target_table1(seed=0):
 
 def _stair_preconditioned_eigs(seed, l=8, omega=1.0):
     inst = stair_matrix(seed=seed)
-    m = preconditioned_matrix(inst.a, omega, l)
+    m = preconditioned_matrix(inst.a, nrsor_config(inst.a, omega, l))
     return inst, np.asarray(dd.approx(eig_nonsymmetric(m).values))
 
 
@@ -254,7 +255,7 @@ def _target_fig6(seed=0):
     pre = [_fl(x) for x in trace.column("preconditioned_residual_norm")]
     rep.check("preconditioned residual k=4", 1e-10, pre[4], None, mode="le")
     rep.check("preconditioned residual k=6", 1e-24, pre[6], None, mode="le")
-    mx = preconditioned_matrix(ax, 1.0, 8)
+    mx = preconditioned_matrix(ax, cfg)
     w0 = nrsor_apply(ax, cfg, bx)
     e = decompose_rhs(mx, w0)
     ca = cluster_assign(e.lambdas, centers=[1.0])
@@ -273,7 +274,7 @@ def _target_fig8(seed=0):
     trace = nrsor_ba_gmres(ax, cfg, bx,
                            opts=GmresOptions(rtol=1e-12, max_iterations=80))
     pre = [_fl(x) for x in trace.column("preconditioned_residual_norm")]
-    mx = preconditioned_matrix(ax, 1.0, 1)
+    mx = preconditioned_matrix(ax, cfg)
     w0 = nrsor_apply(ax, cfg, bx)
     e = decompose_rhs(mx, w0)
     series = bound_curve(e, trace.iterations)

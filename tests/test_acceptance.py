@@ -18,8 +18,7 @@ from krybound.bounds import (EigenData, bound_curve, cluster_assign,
 from krybound.generators import stair_matrix
 from krybound.gmres import GmresOptions, gmres, matrix_operator
 from krybound.linalg import jacobi_svd
-from krybound.nrsor import (explicit_splitting, nrsor_apply, nrsor_config,
-                            preconditioned_matrix)
+from krybound.nrsor import nrsor_apply, nrsor_config, preconditioned_matrix
 from krybound.reproduce import TABLE1_ATA, run_target
 
 
@@ -172,9 +171,11 @@ def test_criterion_6_sweep_equivalence_and_shared_eigenvectors():
         steps = int(rng.integers(1, 5))
         u = rng.standard_normal(m)
         got = nrsor_apply(a, nrsor_config(a, omega, steps), u)
-        split = explicit_splitting(a, omega)
-        z = np.linalg.solve(split.m, a.T @ u)
-        h = np.linalg.solve(split.m, split.n)
+        # the dense splitting A^T A = M - N, M = D/omega + L
+        ata = a.T @ a
+        m_split = np.tril(ata, -1) + np.diag(np.diag(ata)) / omega
+        z = np.linalg.solve(m_split, a.T @ u)
+        h = np.linalg.solve(m_split, m_split - ata)
         want = np.zeros(n)
         term = z.copy()
         for _ in range(steps):
@@ -183,8 +184,10 @@ def test_criterion_6_sweep_equivalence_and_shared_eigenvectors():
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         if rel > 1e-12:
             failures.append(f"case {case} sweep mismatch rel {rel:.3e}")
-        _, v4 = np.linalg.eig(preconditioned_matrix(a, omega, 4))
-        w8, v8 = np.linalg.eig(preconditioned_matrix(a, omega, 8))
+        _, v4 = np.linalg.eig(
+            preconditioned_matrix(a, nrsor_config(a, omega, 4)))
+        w8, v8 = np.linalg.eig(
+            preconditioned_matrix(a, nrsor_config(a, omega, 8)))
         angle = _worst_containment_angle(v4, w8, v8)
         if angle > 1e-6:
             failures.append(f"case {case} eigenvector angle {angle:.3e}")

@@ -104,9 +104,7 @@ def test_decompose_keeps_close_distinct_eigenvalues_apart():
 
 
 def test_decompose_extended_keeps_tiny_weights():
-    a = dd.eye(3)
-    for i, s in enumerate([2.0, 3.0, 5.0]):
-        a[i, i] = s
+    a = dd.asdd(np.diag([2.0, 3.0, 5.0]))
     r0 = dd.zeros((3,))
     r0[0] = 1.0
     r0[1] = 1e-20

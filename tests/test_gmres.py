@@ -9,12 +9,12 @@ import pytest
 from krybound import dd
 from krybound.errors import (DimensionMismatchError, InvalidMatrixError,
                              NumericalFailureError)
-from krybound.generators import exp_decay_matrix
+from krybound.generators import exp_decay_matrix, stair_matrix
 from krybound.gmres import (GmresOptions, OperatorHandle, ba_gmres, gmres,
                             matrix_operator)
 from krybound.linalg import lstsq, seeded_rng
-from krybound.nrsor import (explicit_splitting, nrsor_apply, nrsor_ba_gmres,
-                            nrsor_config, preconditioned_matrix)
+from krybound.nrsor import (nrsor_apply, nrsor_ba_gmres, nrsor_config,
+                            preconditioned_matrix)
 
 
 def _rand(shape, seed=0):
@@ -208,13 +208,13 @@ def test_ba_trace_matches_explicit_preconditioner_matrix():
     a = _rand((8, 4), seed=16)
     cfg = nrsor_config(a, omega=1.0, inner_steps=3)
     b = _rand(8, seed=17)
-    split = explicit_splitting(a, omega=1.0)
+    m, h = _splitting(a, omega=1.0)
     # P^(l) A^T assembled densely: sum_{i<l} H^i M^{-1} A^T
-    minv_at = _lower_solve(split.m, a.T)
+    minv_at = _lower_solve(m, a.T)
     pm = minv_at.copy()
     term = minv_at
     for _ in range(cfg.inner_steps - 1):
-        term = split.h @ term
+        term = h @ term
         pm = pm + term
     t1 = nrsor_ba_gmres(a, cfg, b, opts=GmresOptions(max_iterations=4))
     t2 = ba_gmres(a, lambda u: pm @ u, b, opts=GmresOptions(max_iterations=4))
@@ -256,6 +256,13 @@ def test_ba_starts_from_b_with_2k_plus_1_preconditioner_calls(extended):
         assert _bits(got) == _bits(want)
 
 
+def _splitting(a, omega):
+    # the dense oracle: A^T A = M - N with M = D/omega + L, and H = M^-1 N
+    ata = a.T @ a
+    m = np.tril(ata, -1) + np.diag(np.diag(ata)) / omega
+    return m, _lower_solve(m, m - ata)
+
+
 def _lower_solve(lo, rhs):
     n = lo.shape[0]
     x = rhs.copy()
@@ -289,7 +296,7 @@ def test_sweep_orthonormal_columns_is_exact_transpose():
     u = _rand(9, seed=21)
     w = nrsor_apply(q, cfg, u)
     assert np.allclose(w, q.T @ u, atol=1e-14)
-    h = explicit_splitting(q, omega=1.0).h
+    _, h = _splitting(q, omega=1.0)
     assert np.abs(h).max() <= 1e-14
 
 
@@ -297,8 +304,8 @@ def test_sweep_matches_splitting_matrix_oracle():
     a = _rand((8, 4), seed=22)
     u = _rand(8, seed=23)
     for omega in (0.7, 1.0, 1.4):
-        split = explicit_splitting(a, omega)
-        minv_at_u = _lower_solve(split.m, a.T @ u.reshape(8, 1))[:, 0]
+        m, h = _splitting(a, omega)
+        minv_at_u = _lower_solve(m, a.T @ u.reshape(8, 1))[:, 0]
         acc = minv_at_u.copy()
         term = minv_at_u
         for steps in range(1, 5):
@@ -306,7 +313,7 @@ def test_sweep_matches_splitting_matrix_oracle():
             w = nrsor_apply(a, cfg, u)
             assert np.allclose(w, acc, rtol=1e-12, atol=1e-13), \
                 f"omega={omega} l={steps}"
-            term = split.h @ term
+            term = h @ term
             acc = acc + term
 
 
@@ -418,8 +425,6 @@ def test_zero_column_rejected_with_indices():
     a[:, 2] = 0.0
     with pytest.raises(InvalidMatrixError, match="2"):
         nrsor_config(a)
-    with pytest.raises(InvalidMatrixError, match="2"):
-        explicit_splitting(a)
 
 
 def test_config_validation():
@@ -430,22 +435,9 @@ def test_config_validation():
         nrsor_config(a, omega=1.0, inner_steps=0)
 
 
-def test_splitting_difference_is_normal_matrix():
-    a = _rand((9, 5), seed=29)
-    for omega in (0.5, 1.0, 1.7):
-        s = explicit_splitting(a, omega)
-        diff = s.m - s.n
-        assert np.allclose(diff, a.T @ a, rtol=0, atol=1e-13)
-    add = dd.asdd(a)
-    s = explicit_splitting(add, 1.1)
-    err = dd.norm2((s.m - s.n - add.T @ add).reshape(25))
-    assert _f(err) <= 1e-29
-
-
 def test_preconditioned_matrix_power_decay_and_eigvectors():
     a = _rand((8, 4), seed=30)
-    split = explicit_splitting(a, 1.0)
-    h = split.h
+    _, h = _splitting(a, 1.0)
     h8 = _mat_pow(h, 8)
     h32 = _mat_pow(h, 32)
     assert np.linalg.norm(h32) < np.linalg.norm(h8)
@@ -453,7 +445,7 @@ def test_preconditioned_matrix_power_decay_and_eigvectors():
     from krybound.linalg import eig_nonsymmetric
     eo = eig_nonsymmetric(h)
     for steps in (1, 4, 8):
-        pm = preconditioned_matrix(a, 1.0, steps)
+        pm = preconditioned_matrix(a, nrsor_config(a, 1.0, steps))
         lam = dd.approx(eo.values)
         target = 1.0 - lam ** steps
         for j in range(4):
@@ -471,13 +463,60 @@ def _mat_pow(h, k):
 
 def test_preconditioned_matrix_identity_for_orthonormal():
     q = np.linalg.qr(_rand((7, 3), seed=31))[0]
-    pm = preconditioned_matrix(q, 1.0, 1)
+    pm = preconditioned_matrix(q, nrsor_config(q, 1.0, 1))
     assert np.allclose(pm, np.eye(3), atol=1e-13)
 
 
 def test_spectral_radius_below_one_full_rank():
     a = _rand((10, 5), seed=32)
     for omega in (0.4, 1.0, 1.9):
-        h = explicit_splitting(a, omega).h
+        _, h = _splitting(a, omega)
         rho = np.abs(np.linalg.eigvals(h)).max()
         assert rho < 1.0, f"omega={omega} rho={rho}"
+
+
+# ------------------------------------------- the sweep on A's columns
+
+def _identity_cases():
+    return {"dense": exp_decay_matrix(20).a, "stair": stair_matrix(seed=0).a,
+            "sparse": _sparse_cases()["random"]}
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("omega", [0.7, 1.3])
+@pytest.mark.parametrize("name", ["dense", "stair", "sparse"])
+def test_preconditioned_matrix_columns_are_the_sweep(name, omega, steps):
+    # I - H^l = P^(l) A^T A: column j is the sweep applied to a_j, bytes
+    # and all; binary64 takes another summation order and agrees to 1e-13
+    a0 = _identity_cases()[name]
+    a = dd.asdd(a0)
+    cfg = nrsor_config(a, omega, steps)
+    if name == "sparse":
+        assert any(not isinstance(c, int) and c.stop - c.start > 1
+                   for _, _, c in cfg.runs)
+    pm = preconditioned_matrix(a, cfg)
+    assert pm.shape == (a.shape[1],) * 2
+    for j in range(a.shape[1]):
+        col = nrsor_apply(a, cfg, a[:, j])
+        assert _bits(pm[:, j]) == _bits(col), f"column {j}"
+    pm64 = preconditioned_matrix(a0, nrsor_config(a0, omega, steps))
+    assert np.abs(pm64 - dd.approx(pm)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["dense", "stair", "sparse"])
+def test_sweep_block_operand_is_the_column_sweeps(name):
+    a = dd.asdd(_identity_cases()[name])
+    u = dd.asdd(_rand((a.shape[0], 3), seed=43))
+    cfg = nrsor_config(a, 1.3, 2)
+    w = nrsor_apply(a, cfg, u)
+    assert w.shape == (a.shape[1], 3)
+    for j in range(3):
+        assert _bits(w[:, j]) == _bits(nrsor_apply(a, cfg, u[:, j]))
+
+
+def test_sweep_rejects_operands_of_the_wrong_shape():
+    a = _rand((6, 4), seed=44)
+    cfg = nrsor_config(a)
+    for shape in ((6, 2, 2), (5,), (5, 2), ()):
+        with pytest.raises(DimensionMismatchError):
+            nrsor_apply(a, cfg, np.zeros(shape))

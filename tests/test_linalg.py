@@ -23,7 +23,7 @@ from krybound.linalg import (condition_number_2, eig_nonsymmetric, form_q,
                              householder_qr, jacobi_svd, lstsq, lu_factor,
                              lu_solve, random_orthogonal, seeded_rng,
                              solve_triangular, spectral_norm)
-from krybound.nrsor import preconditioned_matrix
+from krybound.nrsor import nrsor_config, preconditioned_matrix
 
 RNG = seeded_rng(20260816)
 
@@ -543,8 +543,8 @@ def _mp_complex(z, idx):
 
 
 def _stair_operator():
-    inst = stair_matrix(seed=0)
-    return preconditioned_matrix(dd.asdd(inst.a), 1.0, 8)
+    a = dd.asdd(stair_matrix(seed=0).a)
+    return preconditioned_matrix(a, nrsor_config(a, 1.0, 8))
 
 
 @pytest.mark.skipif(mp is None, reason="needs mpmath")

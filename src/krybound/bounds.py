@@ -6,9 +6,10 @@ eigenvalues, take the spectral norm of the weighted eigenvector frame
 as a prefactor, and multiply by a minimized Vandermonde residual (the
 sharp route), by a cluster-polynomial evaluation (the structural
 route), or by its first-order expansion in the cluster radius (the
-cheap route).  Vandermonde solves and polynomial products always run
-in extended precision regardless of the solver precision: the systems
-are too ill-conditioned for binary64 beyond k of about 10.
+cheap route).  The Vandermonde minima for every k come from one GMRES
+run on diag(lambda), which never forms the power basis; it and the
+polynomial products run in extended precision regardless of the solver
+precision, so the curve keeps falling below binary64 resolution.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from . import dd
 from .dd import CDD, DD
 from .errors import InapplicableError, RangeError
+from .gmres import GmresOptions, TraceRow, _engine
 from .linalg import (condition_number_2, eig_nonsymmetric, lstsq,
                      spectral_norm)
 
@@ -187,27 +189,81 @@ def weighted_norm(e):
 
 # --------------------------------------------------------- Vandermonde
 
-def vandermonde_min(lambdas, k):
-    """min over y of the k-term power-sum fit to the all-ones vector.
+def vandermonde_min(lambdas, k_max):
+    """min over p of degree k with p(0) = 1 of ||p(lambda)||_2, for
+    k = 1..k_max, as a 1-d DD array whose index 0 is k = 1.
 
-    Always evaluated in extended precision; returns the attained
-    minimum and the minimizer.
+    Every minimum is the GMRES residual of diag(lambda) from the
+    all-ones vector, so one run of the solver's engine gives the whole
+    curve (Vandermonde with Arnoldi; Brubeck, Nakatsukasa and
+    Trefethen, SIAM Rev. 63, 2021).  The run is real and in extended
+    precision: see _real_diagonal.  Each value is the recomputed norm
+    of the residual the engine's iterate attains; after convergence or
+    breakdown the remaining k keep the last one.  From k = the number
+    of distinct points on, the minimum is exactly 0: p vanishes on them
+    all.  A point at 0 raises InapplicableError.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if k_max < 1:
+        raise InapplicableError(f"k_max must be >= 1, got {k_max}")
+    alpha, beta, partner, start, degree = _real_diagonal(lambdas)
+
+    def apply_op(v):
+        return alpha * v + beta * v[partner]
+
+    def recompute(x, estimate):
+        rn = dd.norm2(start - apply_op(x))
+        return TraceRow(0, rn, rn, None, estimate)
+
+    steps = min(k_max, degree - 1)
+    out = dd.zeros((k_max,))
+    if steps > 0:
+        rn = dd.norm2(start)
+        trace = _engine(apply_op, start, TraceRow(0, rn, rn, None, rn),
+                        GmresOptions(rtol=dd.EPS, max_iterations=steps),
+                        recompute)
+        for row in trace.rows[1:]:
+            out[row.k - 1:steps] = row.residual_norm
+    return out
+
+
+def _real_diagonal(lambdas):
+    """diag(lambda) and the all-ones start vector in real coordinates.
+
+    Each conjugate pair a +- ib, with start entries (1, 1), becomes the
+    block [[a, b], [-b, a]] with entries (sqrt 2, 0): a unitary
+    similarity, so every polynomial norm is kept.  A complex point whose
+    exact conjugate is missing gets one, which can only raise the
+    minimum.  Returns alpha, beta, partner and the start vector, with
+    diag(lambda) v = alpha * v + beta * v[partner], and the number of
+    distinct points.
+    """
     lam = _to_cdd_vector(lambdas)
-    d = lam.shape[0]
-    mat = dd.czeros((d, k))
-    col = lam.copy()
-    mat[:, 0] = col
-    for j in range(1, k):
-        col = col * lam
-        mat[:, j] = col
-    ones = CDD(dd.ones((d,)), dd.zeros((d,)))
-    # the power basis is analytic, not noisy data: truncate pivots only
-    # below the QR backward-error floor (~n*eps), not at eps^(2/3)
-    sol = lstsq(mat, ones, rcond=1e-28)
-    return sol.residual_norm, sol.x
+    re, im = lam.re, lam.im
+    if np.any((re.hi == 0.0) & (im.hi == 0.0)):
+        # p(0) = 1 there at every k: no minimum falls below its weight
+        raise InapplicableError("a point at zero bounds nothing")
+    src, first = [], []
+    balance: dict = {}    # (a, |b|) -> count of b > 0 minus count of b < 0
+    for i in range(lam.shape[0]):
+        s = np.sign(im.hi[i])
+        key = (re.hi[i], re.lo[i], s * im.hi[i], s * im.lo[i])
+        before = balance.get(key, 0.0)
+        balance[key] = before + s
+        if s == 0.0:
+            src.append(i)
+        elif before * s >= 0.0:       # no earlier block awaits this conjugate
+            first.append(len(src))
+            src += [i, i]
+    first = np.array(first, dtype=int)
+    partner = np.arange(len(src))
+    partner[first], partner[first + 1] = first + 1, first
+    sign = np.zeros(len(src))
+    sign[first], sign[first + 1] = 1.0, -1.0
+    start = dd.ones((len(src),))
+    start[first] = dd.sqrt(dd.asdd(2.0))
+    start[first + 1] = 0.0
+    degree = sum(2 if key[2] else 1 for key in balance)
+    return re[src], abs(im[src]) * sign, partner, start, degree
 
 
 @dataclass
@@ -229,22 +285,17 @@ class BoundSeries:
 def bound_curve(e, k_max):
     """Prefactor times the minimized Vandermonde residual for k = 1..k_max.
 
-    A (k-1)-term minimizer zero-pads into a feasible k-term candidate,
-    so the best attained value so far is itself attained at k.  Taking
-    the running minimum keeps the curve non-increasing and absorbs
-    least-squares wobble once the power basis hits its conditioning
-    cliff (the attained residual is an upper bound either way).
+    The minima come from one vandermonde_min run; each is the residual
+    a polynomial of degree k attains, recomputed in extended precision.
+    k_max = 0 gives no points.
     """
     pref = e.frame_norm
-    points = []
-    best = None
-    for k in range(1, k_max + 1):
-        vmin, _ = vandermonde_min(e.lambdas, k)
-        if best is not None and _f(vmin) > _f(best):
-            vmin = best
-        best = vmin
-        points.append(BoundPoint(k, vmin, pref * vmin))
-    return BoundSeries(pref, points)
+    if k_max < 1:
+        return BoundSeries(pref)
+    minima = vandermonde_min(e.lambdas, k_max)
+    return BoundSeries(pref, [BoundPoint(k, minima[k - 1],
+                                         pref * minima[k - 1])
+                              for k in range(1, k_max + 1)])
 
 
 # ------------------------------------------------------------- clusters

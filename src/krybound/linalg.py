@@ -180,11 +180,11 @@ class LstsqResult:
     rank: int
 
 
-def lstsq(a, b, rcond=None):
+def lstsq(a, b):
     """Minimize ||a y - b||_2 by column-pivoted Householder QR.
 
-    Pivots below eps^(2/3) * |R[0,0]| (or rcond * |R[0,0]|) are
-    truncated for the rank decision; the residual is the attained one.
+    Pivots below eps^(2/3) * |R[0,0]| are truncated for the rank
+    decision; the residual is the attained one.
     """
     m, n = a.shape
     if b.shape != (m,):
@@ -192,7 +192,7 @@ def lstsq(a, b, rcond=None):
     qr = householder_qr(a, pivot=True)
     y = apply_q_adjoint(qr, b)
     eps = dd.eps_of(a)
-    thresh = (eps ** (2.0 / 3.0) if rcond is None else rcond) * qr.scale
+    thresh = eps ** (2.0 / 3.0) * qr.scale
     rank = 0
     for j in range(min(m, n)):
         if abs(_f(abs(qr.r[j, j]))) > thresh:

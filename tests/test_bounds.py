@@ -134,48 +134,125 @@ def test_weighted_norm_single_vector_is_weight_magnitude():
 
 # ---------------------------------------------------------- Vandermonde
 
+def _power_basis_min(lam, k):
+    # the per-k least-squares route: min over y of ||1 - sum y_j lam^j||
+    mat = np.column_stack([lam ** (j + 1) for j in range(k)])
+    ones = np.ones(len(lam), dtype=complex)
+    sol, *_ = np.linalg.lstsq(mat, ones, rcond=None)
+    return np.linalg.norm(mat @ sol - ones)
+
+
 def test_vandermonde_identical_points_k1_exact_zero():
     lam = np.ones(5, dtype=complex)
-    vmin, y = vandermonde_min(lam, 1)
-    assert _fl(vmin) <= 1e-30
-    assert abs(complex(dd.approx(y)[0]) - 1.0) < 1e-28
+    assert _fl(vandermonde_min(lam, 1)[0]) == 0.0
 
 
 def test_vandermonde_k1_closed_form():
     lam = np.array([1.0, 1.01, 1.001], dtype=complex)
-    vmin, y = vandermonde_min(lam, 1)
+    vmin = vandermonde_min(lam, 1)[0]
     ystar = lam.conj().sum() / (np.abs(lam) ** 2).sum()
     res = np.linalg.norm(lam * ystar - 1.0)
     assert abs(_fl(vmin) - res) < 1e-14
-    assert abs(complex(dd.approx(y)[0]) - ystar) < 1e-12
 
 
 def test_vandermonde_interpolation_exact_at_full_degree():
     lam = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    vmin, _ = vandermonde_min(lam, 4)
-    assert _fl(vmin) <= 1e-20
+    assert _fl(vandermonde_min(lam, 4)[3]) == 0.0
 
 
 def test_vandermonde_matches_numpy_lstsq():
-    lam = np.array([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], dtype=complex)
-    for k in (1, 2, 3):
-        vmin, y = vandermonde_min(lam, k)
-        mat = np.column_stack([lam ** (j + 1) for j in range(k)])
-        sol, *_ = np.linalg.lstsq(mat, np.ones(6, dtype=complex), rcond=None)
-        res = np.linalg.norm(mat @ sol - 1.0)
-        assert abs(_fl(vmin) - res) < 1e-12 * max(res, 1e-3)
-        assert np.allclose(dd.approx(y), sol, atol=1e-10)
+    cases = [
+        ([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], 4),                 # real
+        ([1 + 1j, 1 - 1j, 2.0, 3 + 0.5j, 3 - 0.5j], 4),      # closed pairs
+        ([0.5 - 2j, 1.0, 0.5 + 2j, -1.5, 2 + 1j, 2 - 1j], 5),
+        ([1.0, 1.0, 2.0, 2.0, 2.0, 3.0], 2),                 # duplicates
+        ([1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j, 2.0], 2),
+    ]
+    for points, k_max in cases:
+        lam = np.array(points, dtype=complex)
+        curve = dd.approx(vandermonde_min(lam, k_max))
+        assert curve.shape == (k_max,)
+        for k in range(1, k_max + 1):
+            want = _power_basis_min(lam, k)
+            assert abs(curve[k - 1] - want) <= 1e-12 * want, (points, k)
+    # five equal points: one distinct point, so 0 at k = 1
+    assert _fl(vandermonde_min(np.ones(5, dtype=complex), 1)[0]) == 0.0
+
+
+def test_vandermonde_holds_value_past_breakdown():
+    # four points within 4 ulps of 1, plus 2 and 3: the engine converges
+    # at k = 4 and the value is held at k = 5; six distinct points make
+    # the minimum exactly 0 from k = 6 on
+    eps = np.finfo(float).eps
+    lam = np.array([1.0, 1 + eps, 1 + 2 * eps, 1 + 3 * eps, 2.0, 3.0])
+    curve = vandermonde_min(lam, 8)
+    img = dd.approx(curve)
+    for k in (1, 2):
+        want = _power_basis_min(lam, k)
+        assert abs(img[k - 1] - want) <= 1e-12 * want
+    assert 0.0 < img[3] <= 4 * dd.EPS * math.sqrt(6.0)
+    assert curve.hi[4] == curve.hi[3] and curve.lo[4] == curve.lo[3]
+    assert all(img[5:] == 0.0)
+    # past the number of distinct points (three here) nothing is left
+    assert all(dd.approx(vandermonde_min([1.0, 2.0, 3.0, 2.0], 6))[2:] == 0.0)
+
+
+def test_vandermonde_sharp_on_clustered_spectrum():
+    # d = 60 in three clusters of width 0.005: the power basis cannot
+    # resolve the k = 25 minimum, which the Arnoldi curve attains
+    mp = pytest.importorskip("mpmath").mp
+    k = 25
+    lam = np.concatenate([c + 0.005 * np.linspace(-0.5, 0.5, 20)
+                          for c in (1.0, 2.0, 4.0)])
+    e = _eigendata_from(np.eye(60), lam, np.ones(60))
+    got = _fl(bound_curve(e, k).bound_at(k))
+    with mp.workdps(60):
+        mat = mp.matrix([[mp.mpf(float(x)) ** (j + 1) for j in range(k)]
+                         for x in lam])
+        _, res = mp.qr_solve(mat, mp.matrix([1] * 60))
+        want = float(res)
+    # attained: at least the minimum, up to the DD roundoff of the
+    # recomputed residual, eps * ||1||
+    assert want - 4 * dd.EPS * math.sqrt(60.0) <= got <= 10.0 * want
+
+
+def test_vandermonde_non_closed_set_gets_conjugates():
+    # a missing conjugate is added with weight 1: the curve is the closed
+    # set's, and it bounds the complex minimum of the set as given
+    given = np.array([1 + 1j, 2.0, 3 + 0.5j])
+    closed = np.array([1 + 1j, 1 - 1j, 2.0, 3 + 0.5j, 3 - 0.5j])
+    curve = vandermonde_min(given, 4)
+    ref = vandermonde_min(closed, 4)
+    assert np.array_equal(curve.hi, ref.hi)
+    assert np.array_equal(curve.lo, ref.lo)
+    img = dd.approx(curve)
+    for k in (1, 2):
+        assert img[k - 1] >= _power_basis_min(given, k)
+    assert img[2] > 1e-3        # three points, but five after closing
+
+
+def test_vandermonde_rejects_k_max_below_one_and_a_zero_point():
+    with pytest.raises(InapplicableError):
+        vandermonde_min(np.array([1.0, 2.0]), 0)
+    # p(0) = 1 keeps every minimum at or above 1 there
+    with pytest.raises(InapplicableError):
+        vandermonde_min(np.array([0.0, 1.0, 2.0]), 3)
+
+
+def test_bound_curve_k_max_zero_is_empty(monkeypatch):
+    def refuse(lambdas, k_max):
+        raise AssertionError("vandermonde_min called for an empty curve")
+    monkeypatch.setattr(bounds, "vandermonde_min", refuse)
+    e = _eigendata_from(np.eye(2), [1.0, 2.0], [1.0, 1.0])
+    series = bound_curve(e, 0)
+    assert series.points == []
 
 
 def test_vandermonde_minima_nonincreasing():
     rng = np.random.default_rng(7)
     lam = 1.0 + 0.5 * rng.standard_normal(8) + 0.2j * rng.standard_normal(8)
-    prev = math.inf
-    for k in range(1, 9):
-        vmin, _ = vandermonde_min(lam, k)
-        val = _fl(vmin)
-        assert val <= prev + 1e-25
-        prev = val
+    curve = dd.approx(vandermonde_min(lam, 8))
+    assert all(b <= a + 1e-25 for a, b in zip(curve, curve[1:]))
 
 
 def test_bound_curve_scales_minima_by_prefactor():

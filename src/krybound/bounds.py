@@ -73,7 +73,8 @@ class EigenData:
 
     @property
     def frame_norm(self):
-        # the prefactor of every bound; one power iteration serves all k
+        # the prefactor of every bound, a certified upper bound on the
+        # frame's sigma_max; one Gram check serves all k
         if self._frame is None:
             self._frame = weighted_norm(self)
         return self._frame
@@ -181,10 +182,7 @@ def _exactly_equal(lam, i, j):
 
 def weighted_norm(e):
     """Spectral norm of the frame whose columns are c_i v_i."""
-    scaled = e.vectors.copy()
-    for j in range(e.d):
-        scaled[:, j] = scaled[:, j] * e.weights[j]
-    return spectral_norm(scaled)
+    return spectral_norm(e.vectors * e.weights)
 
 
 # --------------------------------------------------------- Vandermonde
@@ -198,20 +196,39 @@ def vandermonde_min(lambdas, k_max):
     curve (Vandermonde with Arnoldi; Brubeck, Nakatsukasa and
     Trefethen, SIAM Rev. 63, 2021).  The run is real and in extended
     precision: see _real_diagonal.  Each value is the recomputed norm
-    of the residual the engine's iterate attains; after convergence or
-    breakdown the remaining k keep the last one.  From k = the number
-    of distinct points on, the minimum is exactly 0: p vanishes on them
-    all.  A point at 0 raises InapplicableError.
+    of the residual the engine's iterate attains, plus a margin for the
+    rounding of that norm, so it does not fall below the iterate's true
+    residual; after convergence or breakdown the remaining k keep the
+    last one.  From k = the number of distinct points on, the minimum
+    is exactly 0: p vanishes on them all.  A point at 0 raises
+    InapplicableError.
     """
     if k_max < 1:
         raise InapplicableError(f"k_max must be >= 1, got {k_max}")
     alpha, beta, partner, start, degree = _real_diagonal(lambdas)
+    # Rounding margin for ||s - A x||, to first order in EPS.  Each DD
+    # product and sum lies within 2 EPS of its exact value, so entry i
+    # of the computed s - A x is off by at most 6 EPS (|s_i| + |alpha_i
+    # x_i| + |beta_i x_p|); over all entries that is at most 6 EPS
+    # (||s|| + sqrt 2 ||A x||) <= 9 EPS (2 ||s|| + r), as A acts on each
+    # block as a scaled rotation and ||A x|| <= ||s|| + r.  The squares,
+    # the tree sum of depth log2 n and the square root add (3 + log2 n)
+    # EPS r.  So the true norm of the iterate's residual is at most the
+    # computed r plus (12 + log2 n) EPS (2 ||s|| + r).  The iterate
+    # itself lies in the Krylov space only up to the Arnoldi basis's
+    # roundoff, which this margin does not bound; on the d = 60
+    # clustered spectrum of the tests that drift is 2e-32, against a
+    # margin of 1.4e-29.
+    n = start.shape[0]
+    margin = (12 + math.log2(n)) * dd.EPS
+    two_snorm = 2.0 * math.sqrt(n)    # ||s||^2 = n: 1 per real point, 2 per pair
 
     def apply_op(v):
         return alpha * v + beta * v[partner]
 
     def recompute(x, estimate):
         rn = dd.norm2(start - apply_op(x))
+        rn = rn + margin * (two_snorm + _f(rn))
         return TraceRow(0, rn, rn, None, estimate)
 
     steps = min(k_max, degree - 1)

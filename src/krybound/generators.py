@@ -393,8 +393,15 @@ def write_matrix_market(path, a):
     if a.ndim == 1:
         a = a[:, None]
     m, n = a.shape
+    zero = f"{0.0:.17e}\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{m} {n}\n")
         for j in range(n):   # one write per column keeps memory flat
-            fh.write("".join(f"{x:.17e}\n" for x in a[:, j].tolist()))
+            col = a[:, j]
+            lines = [zero] * m
+            # only +0.0 takes the cached line; -0.0 and NaN are formatted
+            idx = np.flatnonzero((col != 0.0) | np.signbit(col))
+            for i, x in zip(idx.tolist(), col[idx].tolist()):
+                lines[i] = f"{x:.17e}\n"
+            fh.write("".join(lines))

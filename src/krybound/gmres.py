@@ -11,7 +11,7 @@ from the true value is observable instead of silently trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -195,6 +195,14 @@ def _engine(apply_op, w0, row0, opts, recompute):
         sin.append(s)
         h[j, j] = c * h[j, j] + s * h[j + 1, j]
         h[j + 1, j] = 0.0
+        if breakdown and _f(abs(h[j, j])) <= n * eps * wnorm:
+            # the reduced H is singular: A v_j adds no direction to the
+            # image of the space, so the previous iterate stays the
+            # minimizer, and its estimate with it
+            k = j + 1
+            rows.append(replace(rows[-1], k=k))
+            reason = "breakdown"
+            break
         gj = g[j].copy() if dd.is_extended(w0) else g[j]
         g[j] = c * gj
         g[j + 1] = -s * gj

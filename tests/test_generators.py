@@ -296,12 +296,17 @@ def test_mm_write_read_round_trip(tmp_path):
 
 
 def test_mm_write_bytes_match_per_entry_format(tmp_path):
-    a = np.array([[1.5, -0.0, 1e-310], [-3.25e300, 2.0 / 3.0, np.pi]])
+    # +0 takes the cached line; -0, NaN, infinities and subnormals are
+    # formatted one by one, and the bytes must not tell the two apart
+    a = np.array([[1.5, -0.0, 1e-310, 0.0],
+                  [-3.25e300, 2.0 / 3.0, np.pi, np.nan],
+                  [0.0, np.inf, -np.inf, -5e-324],
+                  [0.0, 0.0, 0.0, 0.0]])
     path = tmp_path / "w.mtx"
     write_matrix_market(str(path), a)
-    want = "%%MatrixMarket matrix array real general\n2 3\n" + "".join(
-        f"{a[i, j]:.17e}\n" for j in range(3) for i in range(2))
-    assert path.read_text() == want
+    want = "%%MatrixMarket matrix array real general\n4 4\n" + "".join(
+        f"{float(a[i, j]):.17e}\n" for j in range(4) for i in range(4))
+    assert path.read_bytes() == want.encode("ascii")
 
 
 def test_mm_array_comments_blank_lines_and_spaces(tmp_path):

@@ -145,6 +145,22 @@ def test_breakdown_test_is_scale_invariant(kind):
     assert outcomes == [(6, "converged")] * 3
 
 
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_singular_breakdown_keeps_the_previous_iterate(kind):
+    # diag(0, 1, 2) from ones: the Krylov space is invariant at k = 3,
+    # where the reduced H is singular; the minimum, 1.0, is reached at
+    # k = 2.  The rotated Givens estimate used to read 5e-32 there and
+    # report "converged" with a recomputed residual of 7.28
+    a, b = np.diag([0.0, 1.0, 2.0]), np.ones(3)
+    op, rhs = (matrix_operator(dd.asdd(a)), dd.asdd(b)) if kind == "dd" \
+        else (matrix_operator(a), b)
+    trace = gmres(op, rhs)
+    assert trace.reason == "breakdown"
+    res = [_f(r.residual_norm) for r in trace.rows]
+    assert res[-1] <= res[2]
+    assert abs(res[2] - 1.0) <= 1e-14
+
+
 def test_nan_guard_raises_named_iteration():
     def bad_apply(v):
         out = np.array(v, copy=True)

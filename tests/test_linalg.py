@@ -486,19 +486,99 @@ def test_eig_canonical_ordering():
 
 # --------------------------------------------------------------- norms
 
-def test_spectral_norm_matches_svd():
-    a = _rand(9, 6, seed=24)
-    want = np.linalg.svd(a, compute_uv=False)[0]
-    got = float(dd.approx(spectral_norm(a)))
-    assert abs(got - want) <= 1e-10 * want
-    got_dd = float(dd.approx(spectral_norm(dd.asdd(a))))
-    assert abs(got_dd - want) <= 1e-10 * want
+def _assert_certified(a, want):
+    # sigma_max <= result <= sigma_max (1 + 2e-12), in the input's kind
+    got = spectral_norm(a)
+    assert isinstance(got, DD if dd.is_extended(a) else float)
+    g = float(dd.approx(got))
+    if mp is None:
+        want = float(want)
+        assert want <= g <= want * (1 + 2e-12)
+        return
+    with mp.workdps(50):
+        assert want <= mp.mpf(g) <= want * (1 + mp.mpf(2e-12)), (g, want)
+
+
+def _mp_sigma_max(a):
+    # 50-digit sigma_max of a binary64, DD or CDD matrix, exactly as
+    # stored (hi + lo)
+    def exact(x):
+        if isinstance(x, DD):
+            return [[mp.mpf(float(h)) + mp.mpf(float(lo)) for h, lo in
+                     zip(rh, rl)] for rh, rl in zip(x.hi, x.lo)]
+        if isinstance(x, CDD):
+            re, im = exact(x.re), exact(x.im)
+            return [[mp.mpc(r, i) for r, i in zip(rr, ri)]
+                    for rr, ri in zip(re, im)]
+        return [[mp.mpc(complex(v)) if np.iscomplexobj(x) else
+                 mp.mpf(float(v)) for v in row] for row in np.asarray(x)]
+    with mp.workdps(50):
+        return max(mp.svd(mp.matrix(exact(a)), compute_uv=False))
+
+
+@pytest.mark.skipif(mp is None, reason="needs mpmath")
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+@pytest.mark.parametrize("shape,complex_", [
+    ((9, 6), False), ((4, 9), False), ((7, 5), True), ((3, 8), True),
+    ((1, 1), False), ((1, 1), True)])
+def test_spectral_norm_certified_against_mpmath(kind, shape, complex_):
+    # real and complex, tall, wide and 1x1, in both precisions
+    a = _as_kind(_rand(*shape, seed=24, complex_=complex_), kind)
+    _assert_certified(a, _mp_sigma_max(a))
+
+
+@pytest.mark.skipif(mp is None, reason="needs mpmath")
+def test_spectral_norm_covers_the_dd_low_parts():
+    # the low parts move sigma_max by about 5e-17 relative; the result
+    # bounds the DD matrix as stored, hi + lo
+    hi = _rand(6, 4, seed=27)
+    a = DD(hi, hi * 2.0 ** -54)
+    _assert_certified(a, _mp_sigma_max(a))
+    _assert_certified(CDD(a, a * -0.5), _mp_sigma_max(CDD(a, a * -0.5)))
+
+
+@pytest.mark.skipif(mp is None, reason="needs mpmath")
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_spectral_norm_rank_one_and_cond_1e12(kind):
+    u, v = _rand(8, seed=28), _rand(5, seed=29)
+    a = _as_kind(np.outer(u, v), kind)
+    _assert_certified(a, _mp_sigma_max(a))
+    q1, q2 = random_orthogonal(12, seed=30), random_orthogonal(12, seed=31)
+    a = _as_kind(q1 @ np.diag(np.logspace(0, -12, 12)) @ q2.T, kind)
+    _assert_certified(a, _mp_sigma_max(a))
 
 
 def test_spectral_norm_tied_top_singular_values():
-    q = random_orthogonal(5, seed=25)
-    got = float(dd.approx(spectral_norm(q)))
-    assert abs(got - 1.0) <= 1e-11
+    # every singular value of an orthogonal matrix ties at 1
+    for n in (5, 40):
+        q = random_orthogonal(n, seed=25)
+        want = np.linalg.svd(q, compute_uv=False)[0]
+        for x in (q, dd.asdd(q)):
+            _assert_certified(x, mp.mpf(want) if mp else want)
+
+
+def test_spectral_norm_matches_svd():
+    # up to d = 200 columns in the real form: a 200 x 200 real matrix,
+    # and a 100 x 100 complex one through its [[Re, -Im], [Im, Re]] form
+    for n, complex_ in ((200, False), (100, True)):
+        a = _rand(n, n, seed=26, complex_=complex_)
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        for x in (a, _as_kind(a, "dd")):
+            _assert_certified(x, mp.mpf(want) if mp else want)
+
+
+def test_spectral_norm_zero_empty_and_non_finite():
+    assert spectral_norm(np.zeros((3, 2))) == 0.0
+    assert spectral_norm(np.zeros((0, 4))) == 0.0
+    z = spectral_norm(dd.zeros((2, 5)))
+    assert isinstance(z, DD) and z.hi == 0.0 and z.lo == 0.0
+    bad = _rand(4, 3, seed=32)
+    bad[1, 2] = np.nan
+    with pytest.raises(NumericalFailureError):
+        spectral_norm(bad)
+    bad[1, 2] = np.inf
+    with pytest.raises(NumericalFailureError):
+        spectral_norm(dd.ascdd(bad + 0j))
 
 
 def test_condition_number_matches_numpy():

@@ -307,8 +307,31 @@ def _eliminate(lu, piv, keep_singular):
                 pivot[zero] = 1.0
             low = (lu[..., k + 1:, k].T / pivot).T
             lu[..., k + 1:, k] = low
-            lu[..., k + 1:, k + 1:] = lu[..., k + 1:, k + 1:] - \
-                low[..., :, None] * lu[..., k, k + 1:][..., None, :]
+            m = _rows_to_update(low, lu[..., k, k + 1:])
+            rows = slice(k + 1, k + 1 + m)
+            lu[..., rows, k + 1:] = lu[..., rows, k + 1:] - \
+                low[..., :m, None] * lu[..., k, k + 1:][..., None, :]
+
+
+def _rows_to_update(low, urow):
+    """How many rows below the pivot an elimination step must update:
+    through the last whose multiplier in ``low`` is nonzero in some
+    member of the stack.
+
+    Below it every multiplier is an exact zero, and zero times a finite
+    u_kj whose Dekker split (about 2^27 u_kj) is finite is an exact zero
+    in every precision; subtracting it leaves each value unchanged and
+    could only turn a -0 component into +0, so skipping those rows can
+    differ from the full update in nothing but the sign of a zero.  A
+    dense column keeps the full slice; an upper Hessenberg matrix
+    updates one row per step, which makes its LU O(n^2).  A pivot row
+    that is not finite, with room to spare, takes the full update.
+    """
+    m = low.shape[-1]
+    if not np.isfinite(np.abs(dd.approx(urow)) * 2.0 ** 28).all():
+        return m
+    live = np.flatnonzero((dd.approx(low) != 0.0).reshape(-1, m).any(axis=0))
+    return live[-1] + 1 if len(live) else 0
 
 
 def lu_solve(lu, piv, b):
@@ -367,10 +390,14 @@ class EigenResult:
 def eig_nonsymmetric(a):
     """Eigenpairs of a real square matrix of order at most ``EIG_CAP``.
 
-    Hessenberg reduction + implicit double-shift QR for the values,
-    then inverse iteration (real or complex as the value demands) with
-    deflation against already-accepted eigenvalues equal to within
-    working precision.  Runs in the input's precision, which is the
+    The values come from the Hessenberg form H = Q^T a Q by implicit
+    double-shift QR.  The vectors come from inverse iteration on H
+    (real or complex as the value demands), with deflation against
+    already-accepted eigenvalues equal to within working precision; a
+    shifted H is Hessenberg, so each of its LUs costs O(n^2).  They are
+    then mapped back by Q's reflectors, given the canonical phase and
+    checked against a itself: a residual over tolerance raises
+    NumericalFailureError.  Runs in the input's precision, which is the
     point of hand-rolling it.
 
     Attempt 0 of inverse iteration (the shifted LU, the seeded start
@@ -389,16 +416,20 @@ def eig_nonsymmetric(a):
         raise DimensionMismatchError("eig_nonsymmetric takes real input")
     if not dd.isfinite_all(a):
         raise NumericalFailureError("non-finite entries in eigensolver input")
-    vals = _francis_qr(_hessenberg(a))
-    vals = _sort_eigvals(vals)
+    h, reflectors = _hessenberg(a)
+    vals = _sort_eigvals(_francis_qr(h))
     values = dd.stack([_make_scalar_complex(a, re, im) for re, im in vals])
-    vectors = _eig_vectors(a, vals)
+    vectors = _eig_vectors(a, h, reflectors, vals)
     return EigenResult(values, vectors)
 
 
 def _hessenberg(a):
+    """Upper Hessenberg h = Q^T a Q, and Q's reflectors as (k, v, vn)
+    triples in the order applied: P_k = I - 2 v v^T / vn acts on rows
+    and columns k+1:, and Q = P_0 P_1 ... ."""
     h = a.copy()
     n = h.shape[0]
+    reflectors = []
     for k in range(n - 2):
         v, vn, beta = _reflector(h[k + 1:, k].copy())
         if v is None:
@@ -407,7 +438,21 @@ def _hessenberg(a):
         h[k + 1, k] = beta
         if k + 2 < n:
             h[k + 2:, k] = dd.zeros_like(h, (n - k - 2,))
-    return h
+        reflectors.append((k, v, vn))
+    return h, reflectors
+
+
+def _apply_q(reflectors, y):
+    """y <- Q y in place, for _hessenberg's Q: one rank-1 update per
+    reflector, the last first.  Q is real, so the real and imaginary
+    parts of a complex y go apart, and an exactly zero part (the
+    imaginary one when every eigenvalue is real) stays zero."""
+    for part in (y.re, y.im) if isinstance(y, CDD) else (y.real, y.imag):
+        if not dd.approx(part).any():
+            continue
+        for k, v, vn in reversed(reflectors):
+            w = v @ part[k + 1:]
+            part[k + 1:] = part[k + 1:] - _outer(v, w) * (2.0 / vn)
 
 
 def _zero_of(x):
@@ -553,7 +598,10 @@ def _sort_eigvals(vals):
     return sorted(vals, key=key)
 
 
-def _eig_vectors(a, vals):
+def _eig_vectors(a, h, reflectors, vals):
+    """Unit eigenvectors of a for vals, by inverse iteration on its
+    Hessenberg form h, mapped back by Q, given the canonical phase, and
+    checked against a itself."""
     n = a.shape[0]
     eps = dd.eps_of(a)
     norm_a = float(np.linalg.norm(dd.approx(a)))
@@ -578,24 +626,38 @@ def _eig_vectors(a, vals):
                 queue = queues[images[idx].imag == 0.0]
                 j = queue.index(idx)
                 starts.update(_first_solves(
-                    a, [(i, *vals[i]) for i in queue[j:j + chunk]], 0,
+                    h, [(i, *vals[i]) for i in queue[j:j + chunk]], 0,
                     norm_a))
             vectors[:, idx] = _inverse_iteration(
-                a, re, im, idx, vectors, accepted, tol, sep, norm_a,
+                h, re, im, idx, vectors, accepted, tol, sep, norm_a,
                 starts.pop(idx))
         accepted.append((images[idx], vals[idx], idx))
+    _apply_q(reflectors, vectors)
+    for idx, (re, im) in enumerate(vals):
+        if partners[idx] is not None:
+            vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
+            continue
+        vectors[:, idx] = v = _phase_fix(vectors[:, idx])
+        # a real eigenvalue's vector, Q and phase are real: the
+        # imaginary part is exactly zero and needs no product
+        res = _eig_residual(a, _re_part(v) if _f(im) == 0.0 else v, re, im)
+        if not res <= tol:
+            raise NumericalFailureError(
+                f"eigenvector for {images[idx]} mapped back from the "
+                f"Hessenberg form: residual {res:.3e}, tolerance {tol:.3e}")
     return vectors
 
 
-# elements (shifts x n x n) of one stacked shifted LU: 9 shifts at n=81,
-# one from n=182 on.  At n=81 the stacks set eig-bound's peak RSS,
-# 50.0-50.3 MiB against 39.4-39.6 MiB with stacks of one, which take
-# run_s from 9.3-9.7 to 12.9-13.4 reference seconds.  Per complex shift,
-# attempt 0 in stacks of 4 took 0.62x (n=128), 0.78x (n=160) and
-# 0.82-0.92x (n=201) the time of stacks of one on a 2-vCPU x86-64 host,
-# numpy 2.4; a larger budget would trade that for peak memory, which no
-# benchmark workload at n>=182 checks
-_STACK_ELEMS = 1 << 16
+# elements (shifts x n x n) of one stacked shifted LU: 19 shifts at
+# n=81, 3 at n=201.  A Hessenberg LU step touches one row, so a step's
+# fixed numpy cost is most of its time and a stack shares it.  Wall
+# seconds of eig-bound's CLI run at n=81 (seed 1), then its peak RSS,
+# by shifts per stack: 1: 13.0-13.1 s, 40 MiB; 9: 8.0-9.4 s, 42 MiB;
+# 19: 7.1-8.0 s, 45 MiB; 39: 7.9-8.3 s, 52-53 MiB.  reproduce fig8
+# (n=201): 1 shift 92.9 s, 3 shifts 65.1 s, 6 shifts 57.7 s, peak RSS
+# 52, 52 and 61 MiB.  Measured on a 2-vCPU x86-64 host, numpy 2.4; a
+# larger budget trades little time for eig-bound's peak memory
+_STACK_ELEMS = 1 << 17
 
 
 def _conjugate_partners(images, eps, scale):
@@ -730,7 +792,7 @@ def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a,
             v = vn * (1.0 / nv2)
             res = _eig_residual(a, v, re, im)
             if res <= tol:
-                return _phase_fix(dd.complex_like(v))
+                return dd.complex_like(v)
             best_res = min(best_res, res)
     raise NumericalFailureError(
         f"inverse iteration failed for eigenvalue {lam_img}: "
@@ -759,7 +821,8 @@ def _deflate_against(v, vectors, accepted, lam, val, sep, real_case):
 
 
 def _eig_residual(a, v, re, im):
-    av = a @ v
+    # a is real, so a CDD v's two parts take one real product each
+    av = CDD(a @ v.re, a @ v.im) if isinstance(v, CDD) else a @ v
     if _f(im) == 0.0:
         lam_v = v * re
     else:

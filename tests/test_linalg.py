@@ -331,6 +331,126 @@ def test_eig_stacked_vectors_match_one_at_a_time(make, monkeypatch):
     assert sum(sizes) == len(calls)
 
 
+def _eliminate_dense(lu, piv, keep_singular):
+    # the elimination without zero skipping: every step updates every row
+    # below the pivot
+    n = lu.shape[-1]
+    members = [(m,) for m in range(len(lu))] if lu.ndim == 3 else [()]
+    for k in range(n):
+        col = dd.approx(lu[..., k:, k])
+        mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
+            else np.abs(col)
+        p = k + np.argmax(mags, axis=-1)
+        zero = mags.max(axis=-1) == 0.0
+        if zero.any() and not keep_singular:
+            raise SingularMatrixError(f"zero pivot at elimination step {k}")
+        for m in members:
+            pm = p[m]
+            if pm != k:
+                tmp = lu[m + (k,)].copy()
+                lu[m + (k,)] = lu[m + (pm,)]
+                lu[m + (pm,)] = tmp
+                piv[m + (k,)], piv[m + (pm,)] = piv[m + (pm,)], piv[m + (k,)]
+        if k + 1 < n:
+            pivot = lu[..., k, k]
+            if zero.any():
+                pivot = pivot.copy()
+                pivot[zero] = 1.0
+            low = (lu[..., k + 1:, k].T / pivot).T
+            lu[..., k + 1:, k] = low
+            lu[..., k + 1:, k + 1:] = lu[..., k + 1:, k + 1:] - \
+                low[..., :, None] * lu[..., k, k + 1:][..., None, :]
+
+
+def _lu_factor_dense(a):
+    lu = a.copy()
+    piv = np.tile(np.arange(a.shape[-1]), a.shape[:-2] + (1,))
+    _eliminate_dense(lu, piv, keep_singular=lu.ndim == 3)
+    return lu, piv
+
+
+def _lu_stack(case, complex_, n=16):
+    mats = np.array([_rand(n, n, seed=80 + j, complex_=complex_)
+                     for j in range(3)])
+    if case != "dense":
+        # shifted upper Hessenberg members
+        mats = np.triu(mats, -1)
+    if case == "zero_pivot":
+        mats[1, :, 3] = 0.0
+    if case == "inf_row":
+        # row 0 is step 0's pivot row in every member
+        mats[:, 0, 0] = 1e3
+        mats[:, 0, 5] = np.inf
+    return mats
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["dense", "hessenberg", "zero_pivot",
+                                  "inf_row"])
+@pytest.mark.parametrize("kind", ["f64", "c128", "dd", "cdd"])
+def test_lu_factor_matches_unskipped_elimination(kind, case):
+    complex_ = kind in ("c128", "cdd")
+    conv = np.asarray if kind == "c128" else lambda x: _as_kind(x, kind)
+    mats = _lu_stack(case, complex_)
+    stacks = [mats, mats[1:2]]
+    for a in stacks:
+        lu, piv = lu_factor(conv(a))
+        want, want_piv = _lu_factor_dense(conv(a))
+        assert np.array_equal(piv, want_piv)
+        if case == "inf_row":
+            # a zero multiplier times the inf is a NaN: the skipped
+            # rows must take it too
+            got = np.isfinite(_img(lu))
+            assert not got.all()
+            assert np.array_equal(got, np.isfinite(_img(want)))
+        else:
+            assert _bits(lu) == _bits(want)
+
+
+def _is_hessenberg(x):
+    return not np.tril(_img(x), -2).any()
+
+
+@pytest.mark.parametrize("make", [lambda: exp_decay_matrix(20).a,
+                                  _block_with_exact_eigenvalue],
+                         ids=["exp_decay_20", "exact_eigenvalue"])
+def test_eig_factors_only_hessenberg_matrices(make, monkeypatch):
+    a = dd.asdd(make())
+    assert not _is_hessenberg(a)
+    factored = []
+
+    def recorded(x):
+        factored.extend(x[j].copy() for j in range(len(x)))
+        return lu_factor(x)
+    monkeypatch.setattr(linalg, "lu_factor", recorded)
+    eig_nonsymmetric(a)
+    assert factored
+    assert all(_is_hessenberg(x) for x in factored)
+
+
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_eig_vectors_mapped_back_meet_tolerance_and_phase(kind):
+    a = _as_kind(_rand(12, 12, seed=90), kind)
+    assert not _is_hessenberg(a)
+    out = eig_nonsymmetric(a)
+    eps = dd.eps_of(a)
+    tol = 1e3 * eps * float(np.linalg.norm(_img(a)))
+    for j in range(12):
+        v, lam = out.vectors[:, j], out.values[j]
+        assert float(dd.approx(dd.norm2(a @ v - v * lam))) <= tol
+        img = _img(v)
+        mags = np.abs(img)
+        i = np.nonzero(mags > np.sqrt(eps) * mags.max())[0][0]
+        assert abs(img[i].imag) <= 10 * eps and img[i].real > 0
+
+
+def test_eig_vectors_checked_against_a_itself(monkeypatch):
+    # vectors left in Hessenberg coordinates are not eigenvectors of a
+    monkeypatch.setattr(linalg, "_apply_q", lambda reflectors, y: None)
+    with pytest.raises(NumericalFailureError, match="mapped back"):
+        eig_nonsymmetric(_rand(6, 6, seed=91))
+
+
 # ----------------------------------------------------------------- eig
 
 def test_eig_companion_matrix_known_roots():

@@ -407,6 +407,62 @@ def test_lu_factor_matches_unskipped_elimination(kind, case):
             assert _bits(lu) == _bits(want)
 
 
+def _hessenberg_stack(case, complex_, n=24):
+    # shifted upper Hessenberg members; a diagonal small against the
+    # subdiagonal swaps rows at every step, so L's rows collect runs of
+    # multipliers, and a dominant one never swaps
+    mats = np.triu(np.array([_rand(n, n, seed=110 + j, complex_=complex_)
+                             for j in range(3)]), -1)
+    d = np.arange(n)
+    if case == "swap_runs":
+        mats[:, d, d] *= 1e-3
+    if case == "no_swaps":
+        mats[:, d, d] += 4.0 * n
+    return mats
+
+
+def _live_columns(lu):
+    # per row of L, the columns where some member has a nonzero
+    live = (_img(lu) != 0.0).reshape((-1,) + lu.shape[-2:]).any(axis=0)
+    return [np.count_nonzero(live[k, :k]) for k in range(lu.shape[-1])]
+
+
+@pytest.mark.parametrize("case", ["swap_runs", "random", "no_swaps"])
+@pytest.mark.parametrize("kind", ["f64", "c128", "dd", "cdd"])
+def test_lu_solve_forward_skip_matches_full_rows(kind, case):
+    complex_ = kind in ("c128", "cdd")
+    conv = np.asarray if kind == "c128" else lambda x: _as_kind(x, kind)
+    mats = _hessenberg_stack(case, complex_)
+    rhs = _rand(3, 24, seed=120, complex_=complex_)
+    lu, piv = lu_factor(conv(mats))
+    most = max(_live_columns(lu))
+    assert most >= 3 if case != "no_swaps" else most == 1
+    # a stack, a stack of one, one matrix with a vector and with rows
+    for t, b in [(lu, rhs), (lu[:1], rhs[:1]), (lu[2], rhs[0]),
+                 (lu[1], rhs)]:
+        want = solve_triangular(t, conv(b), lower=True, unit=True)
+        assert _bits(linalg._solve_unit_lower(t, conv(b))) == _bits(want)
+    x = lu_solve(lu, piv, conv(rhs))
+    for j in range(3):
+        b = conv(rhs[j])[piv[j]]
+        want = solve_triangular(lu[j], solve_triangular(
+            lu[j], b, lower=True, unit=True))
+        assert _bits(x[j]) == _bits(want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_lu_solve_forward_non_finite_rhs_takes_full_rows(kind):
+    # an inf times one of L's zeros is a NaN, which only full rows give
+    lu, _ = lu_factor(_as_kind(_hessenberg_stack("random", False), kind))
+    b = _rand(3, 24, seed=121)
+    b[:, 2] = np.inf
+    want = solve_triangular(lu, _as_kind(b, kind), lower=True, unit=True)
+    got = linalg._solve_unit_lower(lu, _as_kind(b, kind))
+    assert np.isnan(_img(want)).any()
+    assert _bits(got) == _bits(want)
+
+
 def _is_hessenberg(x):
     return not np.tril(_img(x), -2).any()
 
@@ -451,6 +507,168 @@ def test_eig_vectors_checked_against_a_itself(monkeypatch):
         eig_nonsymmetric(_rand(6, 6, seed=91))
 
 
+# --------------------------------------------------- Francis QR oracle
+
+def _deflate_point_by_rows(h, hi, eps, hnorm):
+    lo = hi
+    while lo > 0:
+        a = abs(float(_img(h[lo, lo - 1])))
+        b = abs(float(_img(h[lo - 1, lo - 1]))) + abs(float(_img(h[lo, lo])))
+        thr = eps * b if b > 0.0 else eps * hnorm
+        if a <= thr:
+            h[lo, lo - 1] = linalg._zero_of(h)
+            break
+        lo -= 1
+    return lo
+
+
+def _reflect_full_width(h, v, vn, rows, col0, row_end):
+    # left on columns col0 to the last, right on rows 0 to row_end
+    t = 2.0 / vn
+    w = v @ h[rows, col0:]
+    h[rows, col0:] = h[rows, col0:] - (v[:, None] * w[None, :]) * t
+    w2 = h[:row_end, rows] @ v
+    h[:row_end, rows] = h[:row_end, rows] - (w2[:, None] * v[None, :]) * t
+
+
+def _bulge_sweep_full_width(h, lo, hi, re1, im1, re2, im2):
+    # the sweep with _reflector on packed vectors, updating the whole
+    # matrix as a Schur-form QR would
+    zero = linalg._zero_of(h)
+
+    def vector(entries):
+        vec = dd.zeros_like(h, (len(entries),))
+        for i, e in enumerate(entries):
+            vec[i] = e
+        return vec
+    p = h[lo, lo] - re1
+    q = h[lo, lo] - re2
+    x = p * q - im1 * im2 + h[lo, lo + 1] * h[lo + 1, lo]
+    y = h[lo + 1, lo] * (p + (h[lo + 1, lo + 1] - re2))
+    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
+    for k in range(lo, hi - 1):
+        v, vn, beta = linalg._reflector(vector([x, y, z]))
+        if v is not None:
+            _reflect_full_width(h, v, vn, slice(k, k + 3), max(lo, k - 1),
+                                min(k + 4, hi + 1))
+            if k > lo:
+                h[k, k - 1] = beta
+                h[k + 1, k - 1] = zero
+                h[k + 2, k - 1] = zero
+        x, y = h[k + 1, k], h[k + 2, k]
+        if k < hi - 2:
+            z = h[k + 3, k]
+    v, vn, beta = linalg._reflector(vector([x, y]))
+    if v is not None:
+        _reflect_full_width(h, v, vn, slice(hi - 1, hi + 1), hi - 2, hi + 1)
+        h[hi - 1, hi - 2] = beta
+        h[hi, hi - 2] = zero
+
+
+def _francis_full_width(h, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_bulge_sweep", _bulge_sweep_full_width)
+        m.setattr(linalg, "_deflate_point", _deflate_point_by_rows)
+        return linalg._francis_qr(h)
+
+
+def _sweeps_per_window(monkeypatch):
+    windows = []
+    sweep = linalg._bulge_sweep
+
+    def recorded(h, lo, hi, *shifts):
+        windows.append((lo, hi))
+        sweep(h, lo, hi, *shifts)
+    monkeypatch.setattr(linalg, "_bulge_sweep", recorded)
+    return windows
+
+
+def _preconditioned_exp_decay(n=40):
+    a = dd.asdd(exp_decay_matrix(n).a)
+    return preconditioned_matrix(a, nrsor_config(a, 1.0, 1))
+
+
+def _upper_block_triangular(n=10):
+    # h[5, 4] is an exact zero in the Hessenberg form, so the bottom
+    # block's window starts mid-matrix, under rows that are not zero
+    a = _rand(n, n, seed=130)
+    a[n // 2:, :n // 2] = 0.0
+    return a
+
+
+_FRANCIS_CASES = {
+    "preconditioned-exp-decay-40": _preconditioned_exp_decay,
+    "random-30": lambda: _rand(30, 30, seed=131),
+    "cyclic-6": lambda: np.roll(np.eye(6), 1, axis=0),
+    "block-triangular-10": _upper_block_triangular,
+}
+
+
+@pytest.mark.parametrize("case", list(_FRANCIS_CASES))
+def test_francis_matches_full_width_reference(case, monkeypatch):
+    h, _ = linalg._hessenberg(dd.asdd(_FRANCIS_CASES[case]()))
+    windows = _sweeps_per_window(monkeypatch)
+    got = linalg._francis_qr(h)
+    want = _francis_full_width(h, monkeypatch)
+    assert len(got) == h.shape[0]
+    assert [_bits(re) + _bits(im) for re, im in got] == \
+        [_bits(re) + _bits(im) for re, im in want]
+    # each input takes the path it is here for
+    his = [hi for _, hi in windows]
+    if case == "random-30":
+        assert any(_img(im) != 0.0 for _, im in got)
+    if case == "cyclic-6":
+        # ten sweeps on one window without a deflation: the exceptional
+        # shift ran
+        assert max(his.count(hi) for hi in his) >= 10
+    if case == "block-triangular-10":
+        assert windows[0] == (5, 9)
+
+
+def _dd_vectors():
+    rng = seeded_rng(132)
+    for n in (2, 3):
+        base = rng.standard_normal(n)
+        yield np.zeros(n)
+        for x0 in (0.0, -0.0, -abs(base[0]), abs(base[0])):
+            for scale in (1.0, 1e150, 1e-150):
+                x = base * scale
+                x[0] = x0 * scale
+                yield x
+    # low parts that are not zero
+    yield DD(np.array([1.5, -2.0, 0.25]), np.array([1e-20, 3e-19, -1e-21]))
+
+
+def test_bulge_reflector_matches_reflector_bitwise():
+    for x in _dd_vectors():
+        x = dd.asdd(x)
+        want = linalg._reflector(x.copy())
+        got = linalg._bulge_reflector(*(x[i] for i in range(len(x))))
+        assert (got[0] is None) == (want[0] is None)
+        if want[0] is not None:
+            assert [_bits(g) for g in got] == [_bits(w) for w in want]
+
+
+def test_francis_array_kernel_calls_per_bulge_step(monkeypatch):
+    # each bulge step's two rank-1 updates take 12 array-shaped DD
+    # kernel calls; building the reflector takes none
+    h, _ = linalg._hessenberg(dd.asdd(_rand(24, 24, seed=133)))
+    calls = []
+    for name in ("_add2", "_mul2", "_div2"):
+        kernel = getattr(dd, name)
+
+        def counted(*args, _kernel=kernel):
+            if np.ndim(args[0]) > 0:
+                calls.append(1)
+            return _kernel(*args)
+        monkeypatch.setattr(dd, name, counted)
+    windows = _sweeps_per_window(monkeypatch)
+    linalg._francis_qr(h)
+    steps = sum(hi - lo for lo, hi in windows)
+    assert steps > 100
+    assert len(calls) <= 12 * steps
+
+
 # ----------------------------------------------------------------- eig
 
 def test_eig_companion_matrix_known_roots():
@@ -469,7 +687,7 @@ def test_eig_companion_matrix_known_roots():
         assert np.allclose(vals.imag, 0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 11])
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 40])
 def test_eig_matches_numpy_random(n):
     a = _rand(n, n, seed=18 + n)
     out = eig_nonsymmetric(a)

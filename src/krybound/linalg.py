@@ -424,7 +424,8 @@ def eig_nonsymmetric(a):
     """Eigenpairs of a real square matrix of order at most ``EIG_CAP``.
 
     The values come from the Hessenberg form H = Q^T a Q by implicit
-    double-shift QR.  The vectors come from inverse iteration on H
+    QR (_francis_qr): double-shift sweeps on active windows of fewer than
+    30 rows, multishift chain sweeps on larger ones.  The vectors come from inverse iteration on H
     (real or complex as the value demands), with deflation against
     already-accepted eigenvalues equal to within working precision; a
     shifted H is Hessenberg, so each of its LUs costs O(n^2).  They are
@@ -494,14 +495,27 @@ def _zero_of(x):
 
 
 def _francis_qr(h):
-    """Implicit double-shift QR on an upper Hessenberg matrix.
+    """Implicit multishift QR on an upper Hessenberg matrix.
 
     Returns eigenvalues as (re, im) pairs of working-precision scalars.
 
+    An active window h[lo:hi+1, lo:hi+1] of fewer than 30 rows takes
+    one implicit double-shift sweep at a time, shifted by the
+    eigenvalues of its trailing 2 x 2 block.  A larger one takes a
+    chain sweep (_chain_sweep): ns shifts, by the window's order as in
+    ``_CHAIN_SHIFTS``, chase ns/2 bulges down the window 4 rows apart
+    (Braman, Byers and Mathias, SIAM J. Matrix Anal. Appl. 23, 2002;
+    LAPACK xLAQR5).  They are the eigenvalues of the binary64 image of
+    the window's trailing ns x ns block, found by this function on
+    floats, so no LAPACK call and no BLAS build decides them.  Every
+    tenth sweep on one window without a deflation is a double-shift
+    sweep with an exceptional shift, and so is a chain sweep whose
+    shifts cannot be had.
+
     Only the eigenvalues are wanted, so a sweep on the active window
-    h[lo:hi+1, lo:hi+1] updates nothing outside it (LAPACK xLAHQR with
-    WANTT false; Golub and Van Loan, Matrix Computations, 4th ed.,
-    sec. 7.5).  The rows above the window and the columns to its right
+    updates nothing outside it (LAPACK xLAHQR and xLAQR5 with WANTT
+    false; Golub and Van Loan, Matrix Computations, 4th ed., sec.
+    7.5).  The rows above the window and the columns to its right
     would only be read again to update themselves: a column's left
     update reads only that column, a row's right update only that row,
     and the deflation scan reads only diagonal blocks and the zeros it
@@ -534,18 +548,24 @@ def _francis_qr(h):
             continue
         iters += 1
         stall += 1
-        if stall % 11 == 10:
-            # exceptional shift assembled from subdiagonal magnitudes:
-            # the conjugate pair with trace 1.5*s1 and modulus s1
-            s1 = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            re1 = s1 * 0.75
-            re2 = s1 * 0.75
-            im1 = s1 * math.sqrt(0.4375)
-            im2 = -im1
-        else:
-            (re1, im1), (re2, im2) = _eig2(h[hi - 1, hi - 1],
-                                           h[hi - 1, hi],
-                                           h[hi, hi - 1], h[hi, hi])
+        if stall % 11 != 10:
+            if hi - lo + 1 < _CHAIN_SHIFTS[0][0]:
+                (re1, im1), (re2, im2) = _eig2(h[hi - 1, hi - 1],
+                                               h[hi - 1, hi],
+                                               h[hi, hi - 1], h[hi, hi])
+                _bulge_sweep(h, lo, hi, re1, im1, re2, im2)
+                continue
+            shifts = _chain_shifts(h, lo, hi)
+            if shifts is not None:
+                _chain_sweep(h, lo, hi, shifts)
+                continue
+        # exceptional shift assembled from subdiagonal magnitudes:
+        # the conjugate pair with trace 1.5*s1 and modulus s1
+        s1 = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
+        re1 = s1 * 0.75
+        re2 = s1 * 0.75
+        im1 = s1 * math.sqrt(0.4375)
+        im2 = -im1
         _bulge_sweep(h, lo, hi, re1, im1, re2, im2)
     return out
 
@@ -593,16 +613,33 @@ def _reflect(h, v, vn, rows, cols, right_rows):
     own sum rather than BLAS."""
     t = 2.0 / vn
     blk = h[rows, cols]
-    w = (v[:, None] * blk).sum(axis=0)
+    w = _sum_axis(v[:, None] * blk, 0)
     h[rows, cols] = blk - _outer(v, w) * t
     blk = h[right_rows, rows]
-    w = (blk * v[None, :]).sum(axis=1)
+    w = _sum_axis(blk * v[None, :], 1)
     h[right_rows, rows] = blk - _outer(w, v) * t
+
+
+def _sum_axis(p, axis):
+    """p.sum(axis), with a DD sum of 3 terms written out on views.
+
+    The tree sum pads 3 terms with a zero and adds (p0 + p2) + (p1 +
+    0).  Adding an exact zero to a normalized finite pair only turns a
+    -0 part into +0, which adding 0.0 to each part does too; so the two
+    DD additions left give the tree's bytes without its padded copies.
+    Binary64 keeps numpy's sum, whose order differs.
+    """
+    if not isinstance(p, DD) or p.shape[axis] != 3:
+        return p.sum(axis=axis)
+    part = [(slice(None),) * (axis % p.ndim) + (i,) for i in range(3)]
+    p1 = p[part[1]]
+    return (p[part[0]] + p[part[2]]) + DD._raw(p1.hi + 0.0, p1.lo + 0.0)
 
 
 def _short_vector(entries, like):
     # entry by entry: dd.stack takes about 4x as long on 3 DD scalars
-    # (13.7 against 3.1 us, 2-vCPU x86-64 host, numpy 2.4)
+    # (13.7 against 3.1 us), and 17.0 against 3.1 us on 5 (2-vCPU x86-64
+    # host, numpy 2.4)
     vec = dd.zeros_like(like, (len(entries),))
     for i, e in enumerate(entries):
         vec[i] = e
@@ -634,16 +671,22 @@ def _bulge_reflector(x, y, z=None):
     return _short_vector([x, y] if z is None else [x, y, z], vn), vn, beta
 
 
-def _bulge_sweep(h, lo, hi, re1, im1, re2, im2):
-    # first column of (H - lam1)(H - lam2) e1 built from shift
-    # differences; the expanded trace/det form cancels catastrophically
-    # when the window diagonal sits near the shifts (clustered
-    # eigenvalues) and its eps-level junk then stalls convergence
+def _shift_column(h, lo, re1, im1, re2, im2):
+    """(x, y, z): the first column of (H - lam1)(H - lam2) e1, built
+    from shift differences; the expanded trace/det form cancels
+    catastrophically when the window diagonal sits near the shifts
+    (clustered eigenvalues) and its eps-level junk then stalls
+    convergence."""
     p = h[lo, lo] - re1
     q = h[lo, lo] - re2
     x = p * q - im1 * im2 + h[lo, lo + 1] * h[lo + 1, lo]
     y = h[lo + 1, lo] * (p + (h[lo + 1, lo + 1] - re2))
     z = h[lo + 1, lo] * h[lo + 2, lo + 1]
+    return x, y, z
+
+
+def _bulge_sweep(h, lo, hi, re1, im1, re2, im2):
+    x, y, z = _shift_column(h, lo, re1, im1, re2, im2)
     end = hi + 1
     for k in range(lo, hi - 1):
         v, vn, beta = _bulge_reflector(x, y, z)
@@ -660,12 +703,131 @@ def _bulge_sweep(h, lo, hi, re1, im1, re2, im2):
         y = h[k + 2, k]
         if k < hi - 2:
             z = h[k + 3, k]
+    _last_bulge_step(h, lo, hi, x, y)
+
+
+def _last_bulge_step(h, lo, hi, x, y):
+    # the 2-entry reflector that pushes a bulge out at the bottom
     v, vn, beta = _bulge_reflector(x, y)
     if v is not None:
-        _reflect(h, v, vn, slice(hi - 1, end), slice(hi - 2, end),
-                 slice(lo, end))
+        _reflect(h, v, vn, slice(hi - 1, hi + 1), slice(hi - 2, hi + 1),
+                 slice(lo, hi + 1))
         h[hi - 1, hi - 2] = beta
         h[hi, hi - 2] = _zero_of(h)
+
+
+# shifts per chain sweep by the active window's order w, from LAPACK
+# xIPARMQ's table as (fewest rows, shifts): a window under 30 rows takes
+# double-shift sweeps, and from 150 rows it takes the largest even
+# number <= w / round(log2 w) (xIPARMQ stops that rule at 590 rows;
+# here it runs to EIG_CAP).  On eig-bound's operator (n=81, seed 1)
+# they take 29 chain sweeps of 2,023 chain steps and 57 double-shift
+# sweeps of 589 bulge steps, where double-shift sweeps alone take 116
+# sweeps of 5,646 bulge steps
+_CHAIN_SHIFTS = ((30, 4), (60, 10), (150, None))
+
+
+def _chain_shifts(h, lo, hi):
+    """Shift pairs (re1, im1, re2, im2), one per bulge of a chain sweep
+    on the window [lo, hi], as binary64 floats; None if binary64 QR of
+    the trailing block fails.
+
+    The shifts are the eigenvalues of the binary64 image of the
+    window's trailing ns x ns block.  A conjugate pair makes one bulge,
+    and real shifts pair up in the order QR deflated them.
+    """
+    w = hi - lo + 1
+    ns = 0
+    for rows, count in _CHAIN_SHIFTS:
+        if w >= rows:
+            ns = count or w // round(math.log2(w))
+    ns -= ns % 2
+    top = hi - ns + 1
+    try:
+        vals = _francis_qr(np.array(dd.approx(h[top:hi + 1, top:hi + 1])))
+    except NumericalFailureError:
+        return None
+    pairs = [(re, im, re, -im) for re, im in vals if im > 0.0]
+    reals = [re for re, im in vals if im == 0.0]
+    pairs += [(re1, 0.0, re2, 0.0)
+              for re1, re2 in zip(reals[::2], reals[1::2])]
+    return pairs
+
+
+def _chain_sweep(h, lo, hi, shifts):
+    """One multishift QR sweep on the window [lo, hi]: a chain of
+    bulges, one per shift pair, chased down 4 rows apart.
+
+    Bulge b enters at chain step 4b, so at step s it works at row k =
+    lo + s - 4b.  Between two bulges lies one free row, so no update in
+    a step touches the column another bulge builds its reflector from:
+    each step first builds every live reflector from the current H
+    (_bulge_reflector on 0-d values, or _shift_column for the bulge
+    that enters), and then applies all of them in one left and one
+    right update (_reflect_chain).  The one bulge that takes its last,
+    2-row step at the bottom goes after them through _reflect.
+    """
+    end = hi + 1
+    zero = _zero_of(h)
+    for s in range(hi - lo + 4 * (len(shifts) - 1)):
+        ks, vs, ts, betas = [], [], [], []
+        last = None
+        for b, shift in enumerate(shifts):
+            k = lo + s - 4 * b
+            if k == hi - 1:
+                last = (h[k, k - 1], h[k + 1, k - 1])
+                continue
+            if not lo <= k < hi - 1:
+                continue
+            if k == lo:
+                x, y, z = _shift_column(h, lo, *shift)
+            else:
+                x, y, z = h[k, k - 1], h[k + 1, k - 1], h[k + 2, k - 1]
+            v, vn, beta = _bulge_reflector(x, y, z)
+            if v is not None:
+                ks.append(k)
+                vs.append(v)
+                ts.append(2.0 / vn)
+                betas.append(beta)
+        if ks:
+            v = dd.stack(vs)
+            t = _short_vector(ts, h)
+            _reflect_chain(h, np.array(ks), v, v * t[:, None],
+                           slice(max(lo, min(ks) - 1), end),
+                           slice(lo, min(max(ks) + 4, end)))
+            for k, beta in zip(ks, betas):
+                if k > lo:
+                    # the reflector annihilated these by construction
+                    h[k, k - 1] = beta
+                    h[k + 1, k - 1] = zero
+                    h[k + 2, k - 1] = zero
+        if last is not None:
+            _last_bulge_step(h, lo, hi, *last)
+
+
+def _reflect_chain(h, ks, v, tv, cols, right_rows):
+    """One chain step's updates h <- P h P by the reflectors P_b = I -
+    v_b t_b v_b^T on rows ks[b]..ks[b]+2, where ``v`` is (nb, 3) and
+    ``tv`` holds t_b v_b, t_b = 2 / (v_b^T v_b): from the left on the
+    stacked (nb, 3, W) row blocks over columns ``cols``, then from the
+    right on the (W', nb, 3) column blocks over rows ``right_rows``.
+
+    ``cols`` and ``right_rows`` are the union of the bulges' own ranges.
+    What the union adds to a bulge's own ranges lies at least 2 below
+    the diagonal and outside every bulge: exact zeros, updated to exact
+    zeros.  Left updates of distinct bulges touch distinct rows, right
+    updates distinct columns, and a left update here precedes a right
+    one wherever they meet, as it does when the bulges go one by one,
+    the top one first.  So the step equals that, each bulge over its
+    own range, up to the sign of an exact zero.
+    """
+    r = ks[:, None] + np.arange(3)
+    blk = h[r, cols]
+    w = _sum_axis(v[:, :, None] * blk, 1)
+    h[r, cols] = blk - tv[:, :, None] * w[:, None, :]
+    blk = h[right_rows, r]
+    w = _sum_axis(blk * v[None], 2)
+    h[right_rows, r] = blk - w[:, :, None] * tv[None]
 
 
 def _sort_eigvals(vals):

@@ -565,21 +565,55 @@ def _bulge_sweep_full_width(h, lo, hi, re1, im1, re2, im2):
         h[hi, hi - 2] = zero
 
 
+def _reflect_chain_full_width(h, ks, v, tv, cols, right_rows):
+    # each bulge of the chain step alone, the top one first, by `@`:
+    # left on columns max(lo, k-1) to the last, right on rows 0 to
+    # min(k+3, hi), its own ranges
+    for b in np.argsort(ks):
+        k = ks[b]
+        rows = slice(k, k + 3)
+        col0 = max(cols.start, k - 1)
+        w = v[b] @ h[rows, col0:]
+        h[rows, col0:] = h[rows, col0:] - tv[b][:, None] * w[None, :]
+        row_end = min(k + 4, right_rows.stop)
+        w = h[:row_end, rows] @ v[b]
+        h[:row_end, rows] = h[:row_end, rows] - w[:, None] * tv[b][None, :]
+
+
+def _in_dd_only(full_width, windowed):
+    # a chain sweep's shifts come from binary64 QR on a trailing block,
+    # where `@` would call BLAS, whose sums differ from numpy's: binary64
+    # keeps the windowed code
+    def run(h, *args):
+        return (full_width if dd.is_extended(h) else windowed)(h, *args)
+    return run
+
+
 def _francis_full_width(h, monkeypatch):
+    full_width = {
+        "_bulge_sweep": _bulge_sweep_full_width,
+        "_deflate_point": _deflate_point_by_rows,
+        "_reflect_chain": _reflect_chain_full_width,
+        # the chain's last 2-row step
+        "_reflect": lambda h, v, vn, rows, cols, right_rows:
+            _reflect_full_width(h, v, vn, rows, cols.start, right_rows.stop),
+    }
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_bulge_sweep", _bulge_sweep_full_width)
-        m.setattr(linalg, "_deflate_point", _deflate_point_by_rows)
+        for name, fn in full_width.items():
+            m.setattr(linalg, name, _in_dd_only(fn, getattr(linalg, name)))
         return linalg._francis_qr(h)
 
 
-def _sweeps_per_window(monkeypatch):
+def _sweeps_per_window(monkeypatch, name="_bulge_sweep"):
+    # (lo, hi, shifts) of every sweep `name` runs on a DD matrix
     windows = []
-    sweep = linalg._bulge_sweep
+    sweep = getattr(linalg, name)
 
     def recorded(h, lo, hi, *shifts):
-        windows.append((lo, hi))
+        if dd.is_extended(h):
+            windows.append((lo, hi, shifts))
         sweep(h, lo, hi, *shifts)
-    monkeypatch.setattr(linalg, "_bulge_sweep", recorded)
+    monkeypatch.setattr(linalg, name, recorded)
     return windows
 
 
@@ -608,13 +642,15 @@ _FRANCIS_CASES = {
 def test_francis_matches_full_width_reference(case, monkeypatch):
     h, _ = linalg._hessenberg(dd.asdd(_FRANCIS_CASES[case]()))
     windows = _sweeps_per_window(monkeypatch)
+    chains = _sweeps_per_window(monkeypatch, "_chain_sweep")
     got = linalg._francis_qr(h)
     want = _francis_full_width(h, monkeypatch)
     assert len(got) == h.shape[0]
     assert [_bits(re) + _bits(im) for re, im in got] == \
         [_bits(re) + _bits(im) for re, im in want]
     # each input takes the path it is here for
-    his = [hi for _, hi in windows]
+    his = [hi for _, hi, _ in windows]
+    assert bool(chains) == (h.shape[0] >= 30)
     if case == "random-30":
         assert any(_img(im) != 0.0 for _, im in got)
     if case == "cyclic-6":
@@ -622,7 +658,23 @@ def test_francis_matches_full_width_reference(case, monkeypatch):
         # shift ran
         assert max(his.count(hi) for hi in his) >= 10
     if case == "block-triangular-10":
-        assert windows[0] == (5, 9)
+        assert windows[0][:2] == (5, 9)
+
+
+def test_francis_chain_needs_30_rows(monkeypatch):
+    # a 12 x 12 matrix, the largest of criterion 5 and bound-batch, runs
+    # double-shift sweeps only, in either precision
+    calls = []
+    chain = linalg._chain_sweep
+
+    def recorded(h, lo, hi, shifts):
+        calls.append((lo, hi))
+        chain(h, lo, hi, shifts)
+    monkeypatch.setattr(linalg, "_chain_sweep", recorded)
+    a = _rand(12, 12, seed=134)
+    for kind in ("f64", "dd"):
+        eig_nonsymmetric(_as_kind(a, kind))
+    assert calls == []
 
 
 def _dd_vectors():
@@ -649,24 +701,55 @@ def test_bulge_reflector_matches_reflector_bitwise():
             assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
-def test_francis_array_kernel_calls_per_bulge_step(monkeypatch):
-    # each bulge step's two rank-1 updates take 12 array-shaped DD
-    # kernel calls; building the reflector takes none
-    h, _ = linalg._hessenberg(dd.asdd(_rand(24, 24, seed=133)))
+def _count_array_kernel_calls(monkeypatch, counting=lambda: True):
+    # array-shaped dd._add2/_mul2/_div2 calls while counting() holds;
+    # the 0-d ones run on Python floats
     calls = []
     for name in ("_add2", "_mul2", "_div2"):
         kernel = getattr(dd, name)
 
         def counted(*args, _kernel=kernel):
-            if np.ndim(args[0]) > 0:
+            if np.ndim(args[0]) > 0 and counting():
                 calls.append(1)
             return _kernel(*args)
         monkeypatch.setattr(dd, name, counted)
+    return calls
+
+
+def test_francis_array_kernel_calls_per_bulge_step(monkeypatch):
+    # each bulge step's two rank-1 updates take 12 array-shaped DD
+    # kernel calls; building the reflector takes none
+    h, _ = linalg._hessenberg(dd.asdd(_rand(24, 24, seed=133)))
+    calls = _count_array_kernel_calls(monkeypatch)
     windows = _sweeps_per_window(monkeypatch)
     linalg._francis_qr(h)
-    steps = sum(hi - lo for lo, hi in windows)
+    steps = sum(hi - lo for lo, hi, _ in windows)
     assert steps > 100
     assert len(calls) <= 12 * steps
+
+
+def test_francis_array_kernel_calls_per_chain_step(monkeypatch):
+    # a chain step updates all its bulges in one set of array-shaped DD
+    # kernel calls, however many there are: at most 12 per step, the
+    # last 2-row steps at the bottom included
+    h, _ = linalg._hessenberg(dd.asdd(_rand(64, 64, seed=136)))
+    inside = []
+    calls = _count_array_kernel_calls(monkeypatch, lambda: bool(inside))
+    chain = linalg._chain_sweep
+    steps, bulges = [], set()
+
+    def recorded(h, lo, hi, shifts):
+        steps.append(hi - lo + 4 * (len(shifts) - 1))
+        bulges.add(len(shifts))
+        inside.append(1)
+        chain(h, lo, hi, shifts)
+        inside.pop()
+    monkeypatch.setattr(linalg, "_chain_sweep", recorded)
+    linalg._francis_qr(h)
+    # windows of 60 or more rows chase 5 bulges, of 30 to 59 rows 2
+    assert bulges == {2, 5}
+    assert sum(steps) > 100
+    assert len(calls) <= 12 * sum(steps)
 
 
 # ----------------------------------------------------------------- eig
@@ -687,7 +770,7 @@ def test_eig_companion_matrix_known_roots():
         assert np.allclose(vals.imag, 0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 11, 40])
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 40, 64])
 def test_eig_matches_numpy_random(n):
     a = _rand(n, n, seed=18 + n)
     out = eig_nonsymmetric(a)
@@ -988,3 +1071,66 @@ def test_eig_extended_matches_mpmath_on_clustered_spectra(build):
             v = mp.matrix([_mp_complex(out.vectors, (i, j))
                            for i in range(n)])
             assert mp.norm(am * v - lam[j] * v) <= 1e3 * dd.EPS * scale
+
+
+def _clustered_normal(n=64, seed=137):
+    # Q D Q^T with Q Haar orthogonal and D block diagonal with three
+    # eigenvalue clusters of width 1e-8: real ones at 1 and at -0.5,
+    # and conjugate pairs at 0.3 +- 0.8i from 2x2 blocks [[a, b], [-b, a]]
+    g = seeded_rng(seed)
+    pairs = n // 4
+    reals = n - 2 * pairs
+    d = np.zeros((n, n))
+    lam = np.concatenate([1.0 + 1e-8 * g.random(reals // 2),
+                          -0.5 + 1e-8 * g.random(reals - reals // 2)])
+    d[np.arange(reals), np.arange(reals)] = lam
+    for j in range(pairs):
+        i = reals + 2 * j
+        a, b = 0.3 + 1e-8 * g.random(), 0.8 + 1e-8 * g.random()
+        d[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+    q = dd.asdd(random_orthogonal(n, seed))
+    return q @ dd.asdd(d) @ q.T
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(mp is None, reason="needs mpmath")
+def test_eig_chain_matches_mpmath_on_clustered_normal_matrix(monkeypatch):
+    a = _clustered_normal()
+    n = a.shape[0]
+    chains = _sweeps_per_window(monkeypatch, "_chain_sweep")
+    out = eig_nonsymmetric(a)
+    assert chains
+    scale = float(np.linalg.norm(dd.approx(a)))
+    with mp.workdps(60):
+        am = mp.matrix([[_mp_real(a, (i, j)) for j in range(n)]
+                        for i in range(n)])
+        oracle = mp.eig(am, left=False, right=False)
+        lam = [_mp_complex(out.values, j) for j in range(n)]
+        gap = max(max(min(abs(x - y) for y in oracle) for x in lam),
+                  max(min(abs(x - y) for x in lam) for y in oracle))
+    assert gap <= 10.0 * dd.EPS * scale
+
+
+def _dd_gap(xs, ys):
+    # the largest distance from a value of either list to the nearest
+    # value of the other, from DD differences
+    def dist(x, y):
+        return abs(complex(float(x[0] - y[0]), float(x[1] - y[1])))
+    return max(max(min(dist(x, y) for y in ys) for x in xs),
+               max(min(dist(x, y) for x in xs) for y in ys))
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_francis_chain_agrees_with_double_shift_sweeps(n, monkeypatch):
+    a = dd.asdd(_rand(n, n, seed=138 + n))
+    h, _ = linalg._hessenberg(a)
+    chains = _sweeps_per_window(monkeypatch, "_chain_sweep")
+    got = linalg._francis_qr(h)
+    assert chains
+    # no window is large enough for a chain
+    monkeypatch.setattr(linalg, "_CHAIN_SHIFTS", ((n + 1, 4),))
+    chains.clear()
+    want = linalg._francis_qr(h)
+    assert not chains
+    scale = float(np.linalg.norm(dd.approx(a)))
+    assert _dd_gap(got, want) <= 10.0 * dd.EPS * scale

@@ -424,15 +424,15 @@ def eig_nonsymmetric(a):
     """Eigenpairs of a real square matrix of order at most ``EIG_CAP``.
 
     The values come from the Hessenberg form H = Q^T a Q by implicit
-    QR (_francis_qr): double-shift sweeps on active windows of fewer than
-    30 rows, multishift chain sweeps on larger ones.  The vectors come from inverse iteration on H
-    (real or complex as the value demands), with deflation against
-    already-accepted eigenvalues equal to within working precision; a
-    shifted H is Hessenberg, so each of its LUs costs O(n^2).  They are
-    then mapped back by Q's reflectors, given the canonical phase and
-    checked against a itself: a residual over tolerance raises
-    NumericalFailureError.  Runs in the input's precision, which is the
-    point of hand-rolling it.
+    multishift QR (_francis_qr): each sweep chases a chain of bulges, one
+    bulge on an active window of fewer than 30 rows.  The vectors come
+    from inverse iteration on H (real or complex as the value demands),
+    with deflation against already-accepted eigenvalues equal to within
+    working precision; a shifted H is Hessenberg, so each of its LUs
+    costs O(n^2).  They are then mapped back by Q's reflectors, given
+    the canonical phase and checked against a itself: a residual over
+    tolerance raises NumericalFailureError.  Runs in the input's
+    precision, which is the point of hand-rolling it.
 
     Attempt 0 of inverse iteration (the shifted LU, the seeded start
     vector, the first solve) runs as stacked lu_factor/lu_solve calls,
@@ -499,18 +499,14 @@ def _francis_qr(h):
 
     Returns eigenvalues as (re, im) pairs of working-precision scalars.
 
-    An active window h[lo:hi+1, lo:hi+1] of fewer than 30 rows takes
-    one implicit double-shift sweep at a time, shifted by the
-    eigenvalues of its trailing 2 x 2 block.  A larger one takes a
-    chain sweep (_chain_sweep): ns shifts, by the window's order as in
-    ``_CHAIN_SHIFTS``, chase ns/2 bulges down the window 4 rows apart
-    (Braman, Byers and Mathias, SIAM J. Matrix Anal. Appl. 23, 2002;
-    LAPACK xLAQR5).  They are the eigenvalues of the binary64 image of
-    the window's trailing ns x ns block, found by this function on
-    floats, so no LAPACK call and no BLAS build decides them.  Every
-    tenth sweep on one window without a deflation is a double-shift
-    sweep with an exceptional shift, and so is a chain sweep whose
-    shifts cannot be had.
+    Every sweep is a chain sweep (_chain_sweep): the shifts of
+    ``_chain_shifts`` chase one bulge per shift pair down the active
+    window h[lo:hi+1, lo:hi+1], 4 rows apart (Braman, Byers and Mathias,
+    SIAM J. Matrix Anal. Appl. 23, 2002; LAPACK xLAQR5).  A window of
+    fewer than 30 rows chases one bulge, the double-shift sweep.  The
+    10th sweep on one window without a deflation, and every 11th after
+    it (the 21st, 32nd, ...), chases one bulge with an exceptional
+    shift, and so does a sweep whose shifts cannot be had.
 
     Only the eigenvalues are wanted, so a sweep on the active window
     updates nothing outside it (LAPACK xLAHQR and xLAQR5 with WANTT
@@ -548,25 +544,14 @@ def _francis_qr(h):
             continue
         iters += 1
         stall += 1
-        if stall % 11 != 10:
-            if hi - lo + 1 < _CHAIN_SHIFTS[0][0]:
-                (re1, im1), (re2, im2) = _eig2(h[hi - 1, hi - 1],
-                                               h[hi - 1, hi],
-                                               h[hi, hi - 1], h[hi, hi])
-                _bulge_sweep(h, lo, hi, re1, im1, re2, im2)
-                continue
-            shifts = _chain_shifts(h, lo, hi)
-            if shifts is not None:
-                _chain_sweep(h, lo, hi, shifts)
-                continue
-        # exceptional shift assembled from subdiagonal magnitudes:
-        # the conjugate pair with trace 1.5*s1 and modulus s1
-        s1 = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-        re1 = s1 * 0.75
-        re2 = s1 * 0.75
-        im1 = s1 * math.sqrt(0.4375)
-        im2 = -im1
-        _bulge_sweep(h, lo, hi, re1, im1, re2, im2)
+        shifts = _chain_shifts(h, lo, hi) if stall % 11 != 10 else None
+        if shifts is None:
+            # exceptional shift assembled from subdiagonal magnitudes:
+            # the conjugate pair with trace 1.5*s1 and modulus s1
+            s1 = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
+            im = s1 * math.sqrt(0.4375)
+            shifts = [(s1 * 0.75, im, s1 * 0.75, -im)]
+        _chain_sweep(h, lo, hi, shifts)
     return out
 
 
@@ -636,23 +621,24 @@ def _sum_axis(p, axis):
     return (p[part[0]] + p[part[2]]) + DD._raw(p1.hi + 0.0, p1.lo + 0.0)
 
 
-def _short_vector(entries, like):
-    # entry by entry: dd.stack takes about 4x as long on 3 DD scalars
-    # (13.7 against 3.1 us), and 17.0 against 3.1 us on 5 (2-vCPU x86-64
-    # host, numpy 2.4)
-    vec = dd.zeros_like(like, (len(entries),))
-    for i, e in enumerate(entries):
-        vec[i] = e
-    return vec
+def _pack(entries, like):
+    """The 0-d scalars ``entries`` as one 1-D array in like's precision.
+
+    Built from their parts: dd.stack takes 29.7 against 4.0 us on 6 DD
+    scalars, one bulge's v and t v (2-vCPU x86-64 host, numpy 2.4)."""
+    if not dd.is_extended(like):
+        return np.array(entries)
+    return DD._raw(np.array([e.hi for e in entries]),
+                   np.array([e.lo for e in entries]))
 
 
 def _bulge_reflector(x, y, z=None):
     """_reflector of the real vector (x, y, z), or (x, y) without z,
-    worked on those 0-d scalars: (v, vn, beta), or three Nones.
+    worked on those 0-d scalars: (v, vn, beta) with v the tuple of v's
+    0-d entries, or three Nones.
 
     The squares add in the order of norm2's and vdot's tree, (x^2 +
-    z^2) + y^2, so in DD v, vn and beta keep _reflector's bytes; only
-    the finished v is packed into a vector."""
+    z^2) + y^2, so in DD v, vn and beta keep _reflector's bytes."""
     yy = y * y
     zz = None if z is None else z * z
 
@@ -668,7 +654,7 @@ def _bulge_reflector(x, y, z=None):
     vn = sumsq(x)
     if _f(vn) == 0.0:
         return None, None, None
-    return _short_vector([x, y] if z is None else [x, y, z], vn), vn, beta
+    return ((x, y) if z is None else (x, y, z)), vn, beta
 
 
 def _shift_column(h, lo, re1, im1, re2, im2):
@@ -685,58 +671,35 @@ def _shift_column(h, lo, re1, im1, re2, im2):
     return x, y, z
 
 
-def _bulge_sweep(h, lo, hi, re1, im1, re2, im2):
-    x, y, z = _shift_column(h, lo, re1, im1, re2, im2)
-    end = hi + 1
-    for k in range(lo, hi - 1):
-        v, vn, beta = _bulge_reflector(x, y, z)
-        if v is not None:
-            _reflect(h, v, vn, slice(k, k + 3), slice(max(lo, k - 1), end),
-                     slice(lo, min(k + 4, end)))
-            if k > lo:
-                # the reflector annihilated these by construction
-                h[k, k - 1] = beta
-                h[k + 1, k - 1] = _zero_of(h)
-                h[k + 2, k - 1] = _zero_of(h)
-        # indexing returns fresh scalars, which later updates leave alone
-        x = h[k + 1, k]
-        y = h[k + 2, k]
-        if k < hi - 2:
-            z = h[k + 3, k]
-    _last_bulge_step(h, lo, hi, x, y)
-
-
-def _last_bulge_step(h, lo, hi, x, y):
-    # the 2-entry reflector that pushes a bulge out at the bottom
-    v, vn, beta = _bulge_reflector(x, y)
-    if v is not None:
-        _reflect(h, v, vn, slice(hi - 1, hi + 1), slice(hi - 2, hi + 1),
-                 slice(lo, hi + 1))
-        h[hi - 1, hi - 2] = beta
-        h[hi, hi - 2] = _zero_of(h)
-
-
 # shifts per chain sweep by the active window's order w, from LAPACK
 # xIPARMQ's table as (fewest rows, shifts): a window under 30 rows takes
-# double-shift sweeps, and from 150 rows it takes the largest even
-# number <= w / round(log2 w) (xIPARMQ stops that rule at 590 rows;
-# here it runs to EIG_CAP).  On eig-bound's operator (n=81, seed 1)
-# they take 29 chain sweeps of 2,023 chain steps and 57 double-shift
-# sweeps of 589 bulge steps, where double-shift sweeps alone take 116
-# sweeps of 5,646 bulge steps
+# 2, and from 150 rows it takes the largest even number <= w / round(log2
+# w) (xIPARMQ stops that rule at 590 rows; here it runs to EIG_CAP).  On
+# eig-bound's operator (n=81, seed 1) they take 29 sweeps of 2 or 5
+# bulges (2,023 chain steps) and 59 one-bulge sweeps (607 steps), where
+# one bulge on every window takes 116 sweeps of 5,646 steps
 _CHAIN_SHIFTS = ((30, 4), (60, 10), (150, None))
 
 
 def _chain_shifts(h, lo, hi):
     """Shift pairs (re1, im1, re2, im2), one per bulge of a chain sweep
-    on the window [lo, hi], as binary64 floats; None if binary64 QR of
-    the trailing block fails.
+    on the window [lo, hi]; None if binary64 QR of the trailing block
+    fails.
 
-    The shifts are the eigenvalues of the binary64 image of the
-    window's trailing ns x ns block.  A conjugate pair makes one bulge,
-    and real shifts pair up in the order QR deflated them.
+    A window of fewer than 30 rows takes one pair, the eigenvalues of
+    its trailing 2 x 2 block in working precision: binary64 shifts would
+    take more sweeps to converge to DD precision.  A larger one takes
+    ns shifts, by its order as in ``_CHAIN_SHIFTS``: the eigenvalues of
+    the binary64 image of its trailing ns x ns block, found by
+    _francis_qr on floats, so no LAPACK call and no BLAS build decides
+    them.  A conjugate pair makes one bulge, and real shifts pair up in
+    the order QR deflated them.
     """
     w = hi - lo + 1
+    if w < _CHAIN_SHIFTS[0][0]:
+        (re1, im1), (re2, im2) = _eig2(h[hi - 1, hi - 1], h[hi - 1, hi],
+                                       h[hi, hi - 1], h[hi, hi])
+        return [(re1, im1, re2, im2)]
     ns = 0
     for rows, count in _CHAIN_SHIFTS:
         if w >= rows:
@@ -756,21 +719,23 @@ def _chain_shifts(h, lo, hi):
 
 def _chain_sweep(h, lo, hi, shifts):
     """One multishift QR sweep on the window [lo, hi]: a chain of
-    bulges, one per shift pair, chased down 4 rows apart.
+    bulges, one per shift pair, chased down 4 rows apart.  With one
+    pair it is the implicit double-shift sweep.
 
     Bulge b enters at chain step 4b, so at step s it works at row k =
     lo + s - 4b.  Between two bulges lies one free row, so no update in
     a step touches the column another bulge builds its reflector from:
     each step first builds every live reflector from the current H
     (_bulge_reflector on 0-d values, or _shift_column for the bulge
-    that enters), and then applies all of them in one left and one
+    that enters), packs the entries of v_b and of t_b v_b into two
+    (nb, 3) blocks, and then applies all of them in one left and one
     right update (_reflect_chain).  The one bulge that takes its last,
     2-row step at the bottom goes after them through _reflect.
     """
     end = hi + 1
     zero = _zero_of(h)
     for s in range(hi - lo + 4 * (len(shifts) - 1)):
-        ks, vs, ts, betas = [], [], [], []
+        ks, vs, tvs, betas = [], [], [], []
         last = None
         for b, shift in enumerate(shifts):
             k = lo + s - 4 * b
@@ -785,14 +750,19 @@ def _chain_sweep(h, lo, hi, shifts):
                 x, y, z = h[k, k - 1], h[k + 1, k - 1], h[k + 2, k - 1]
             v, vn, beta = _bulge_reflector(x, y, z)
             if v is not None:
+                t = 2.0 / vn
                 ks.append(k)
-                vs.append(v)
-                ts.append(2.0 / vn)
+                vs.extend(v)
+                tvs.extend(e * t for e in v)
                 betas.append(beta)
         if ks:
-            v = dd.stack(vs)
-            t = _short_vector(ts, h)
-            _reflect_chain(h, np.array(ks), v, v * t[:, None],
+            nb = len(ks)
+            vtv = _pack(vs + tvs, h).reshape(2 * nb, 3)
+            # one bulge's rows as a slice, which indexes faster than an
+            # index array and broadcasts to the same update
+            r = slice(ks[0], ks[0] + 3) if nb == 1 else \
+                np.array(ks)[:, None] + np.arange(3)
+            _reflect_chain(h, r, vtv[:nb], vtv[nb:],
                            slice(max(lo, min(ks) - 1), end),
                            slice(lo, min(max(ks) + 4, end)))
             for k, beta in zip(ks, betas):
@@ -802,15 +772,22 @@ def _chain_sweep(h, lo, hi, shifts):
                     h[k + 1, k - 1] = zero
                     h[k + 2, k - 1] = zero
         if last is not None:
-            _last_bulge_step(h, lo, hi, *last)
+            # the 2-entry reflector that pushes a bulge out at the bottom
+            v, vn, beta = _bulge_reflector(*last)
+            if v is not None:
+                _reflect(h, _pack(v, h), vn, slice(hi - 1, end),
+                         slice(hi - 2, end), slice(lo, end))
+                h[hi - 1, hi - 2] = beta
+                h[hi, hi - 2] = zero
 
 
-def _reflect_chain(h, ks, v, tv, cols, right_rows):
+def _reflect_chain(h, r, v, tv, cols, right_rows):
     """One chain step's updates h <- P h P by the reflectors P_b = I -
-    v_b t_b v_b^T on rows ks[b]..ks[b]+2, where ``v`` is (nb, 3) and
-    ``tv`` holds t_b v_b, t_b = 2 / (v_b^T v_b): from the left on the
-    stacked (nb, 3, W) row blocks over columns ``cols``, then from the
-    right on the (W', nb, 3) column blocks over rows ``right_rows``.
+    v_b t_b v_b^T on the rows r[b] (an (nb, 3) index array, or a slice
+    when nb = 1), where ``v`` is (nb, 3) and ``tv`` holds t_b v_b, t_b =
+    2 / (v_b^T v_b): from the left on the stacked (nb, 3, W) row blocks
+    over columns ``cols``, then from the right on the (W', nb, 3) column
+    blocks over rows ``right_rows``.
 
     ``cols`` and ``right_rows`` are the union of the bulges' own ranges.
     What the union adds to a bulge's own ranges lies at least 2 below
@@ -821,7 +798,6 @@ def _reflect_chain(h, ks, v, tv, cols, right_rows):
     the top one first.  So the step equals that, each bulge over its
     own range, up to the sign of an exact zero.
     """
-    r = ks[:, None] + np.arange(3)
     blk = h[r, cols]
     w = _sum_axis(v[:, :, None] * blk, 1)
     h[r, cols] = blk - tv[:, :, None] * w[:, None, :]

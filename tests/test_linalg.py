@@ -531,46 +531,18 @@ def _reflect_full_width(h, v, vn, rows, col0, row_end):
     h[:row_end, rows] = h[:row_end, rows] - (w2[:, None] * v[None, :]) * t
 
 
-def _bulge_sweep_full_width(h, lo, hi, re1, im1, re2, im2):
-    # the sweep with _reflector on packed vectors, updating the whole
-    # matrix as a Schur-form QR would
-    zero = linalg._zero_of(h)
-
-    def vector(entries):
-        vec = dd.zeros_like(h, (len(entries),))
-        for i, e in enumerate(entries):
-            vec[i] = e
-        return vec
-    p = h[lo, lo] - re1
-    q = h[lo, lo] - re2
-    x = p * q - im1 * im2 + h[lo, lo + 1] * h[lo + 1, lo]
-    y = h[lo + 1, lo] * (p + (h[lo + 1, lo + 1] - re2))
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    for k in range(lo, hi - 1):
-        v, vn, beta = linalg._reflector(vector([x, y, z]))
-        if v is not None:
-            _reflect_full_width(h, v, vn, slice(k, k + 3), max(lo, k - 1),
-                                min(k + 4, hi + 1))
-            if k > lo:
-                h[k, k - 1] = beta
-                h[k + 1, k - 1] = zero
-                h[k + 2, k - 1] = zero
-        x, y = h[k + 1, k], h[k + 2, k]
-        if k < hi - 2:
-            z = h[k + 3, k]
-    v, vn, beta = linalg._reflector(vector([x, y]))
-    if v is not None:
-        _reflect_full_width(h, v, vn, slice(hi - 1, hi + 1), hi - 2, hi + 1)
-        h[hi - 1, hi - 2] = beta
-        h[hi, hi - 2] = zero
-
-
-def _reflect_chain_full_width(h, ks, v, tv, cols, right_rows):
+def _reflect_chain_full_width(h, r, v, tv, cols, right_rows):
     # each bulge of the chain step alone, the top one first, by `@`:
     # left on columns max(lo, k-1) to the last, right on rows 0 to
     # min(k+3, hi), its own ranges
+    ks = [r.start] if isinstance(r, slice) else r[:, 0]
     for b in np.argsort(ks):
         k = ks[b]
+        # t_b v_b as the array product of v_b and t_b = 2 / (v_b^T v_b),
+        # the squares added as _bulge_reflector adds them
+        vb = v[b]
+        t = 2.0 / ((vb[0] * vb[0] + vb[2] * vb[2]) + vb[1] * vb[1])
+        assert _bits(tv[b]) == _bits(vb * t)
         rows = slice(k, k + 3)
         col0 = max(cols.start, k - 1)
         w = v[b] @ h[rows, col0:]
@@ -591,7 +563,6 @@ def _in_dd_only(full_width, windowed):
 
 def _francis_full_width(h, monkeypatch):
     full_width = {
-        "_bulge_sweep": _bulge_sweep_full_width,
         "_deflate_point": _deflate_point_by_rows,
         "_reflect_chain": _reflect_chain_full_width,
         # the chain's last 2-row step
@@ -604,16 +575,16 @@ def _francis_full_width(h, monkeypatch):
         return linalg._francis_qr(h)
 
 
-def _sweeps_per_window(monkeypatch, name="_bulge_sweep"):
-    # (lo, hi, shifts) of every sweep `name` runs on a DD matrix
+def _sweeps_per_window(monkeypatch, kinds=("dd",)):
+    # (lo, hi, shifts) of every sweep run on a matrix of one of `kinds`
     windows = []
-    sweep = getattr(linalg, name)
+    sweep = linalg._chain_sweep
 
-    def recorded(h, lo, hi, *shifts):
-        if dd.is_extended(h):
+    def recorded(h, lo, hi, shifts):
+        if ("dd" if dd.is_extended(h) else "f64") in kinds:
             windows.append((lo, hi, shifts))
-        sweep(h, lo, hi, *shifts)
-    monkeypatch.setattr(linalg, name, recorded)
+        sweep(h, lo, hi, shifts)
+    monkeypatch.setattr(linalg, "_chain_sweep", recorded)
     return windows
 
 
@@ -642,7 +613,6 @@ _FRANCIS_CASES = {
 def test_francis_matches_full_width_reference(case, monkeypatch):
     h, _ = linalg._hessenberg(dd.asdd(_FRANCIS_CASES[case]()))
     windows = _sweeps_per_window(monkeypatch)
-    chains = _sweeps_per_window(monkeypatch, "_chain_sweep")
     got = linalg._francis_qr(h)
     want = _francis_full_width(h, monkeypatch)
     assert len(got) == h.shape[0]
@@ -650,7 +620,8 @@ def test_francis_matches_full_width_reference(case, monkeypatch):
         [_bits(re) + _bits(im) for re, im in want]
     # each input takes the path it is here for
     his = [hi for _, hi, _ in windows]
-    assert bool(chains) == (h.shape[0] >= 30)
+    assert any(len(shifts) > 1 for _, _, shifts in windows) == \
+        (h.shape[0] >= 30)
     if case == "random-30":
         assert any(_img(im) != 0.0 for _, im in got)
     if case == "cyclic-6":
@@ -661,20 +632,18 @@ def test_francis_matches_full_width_reference(case, monkeypatch):
         assert windows[0][:2] == (5, 9)
 
 
-def test_francis_chain_needs_30_rows(monkeypatch):
-    # a 12 x 12 matrix, the largest of criterion 5 and bound-batch, runs
-    # double-shift sweeps only, in either precision
-    calls = []
-    chain = linalg._chain_sweep
-
-    def recorded(h, lo, hi, shifts):
-        calls.append((lo, hi))
-        chain(h, lo, hi, shifts)
-    monkeypatch.setattr(linalg, "_chain_sweep", recorded)
+def test_francis_windows_under_30_rows_chase_one_bulge(monkeypatch):
+    # a 12 x 12 matrix, the largest of criterion 5 and bound-batch: every
+    # sweep chases one bulge, in DD with shifts in DD
+    windows = _sweeps_per_window(monkeypatch, ("f64", "dd"))
     a = _rand(12, 12, seed=134)
     for kind in ("f64", "dd"):
+        windows.clear()
         eig_nonsymmetric(_as_kind(a, kind))
-    assert calls == []
+        assert windows
+        assert all(len(shifts) == 1 for _, _, shifts in windows)
+        assert all(isinstance(x, DD) == (kind == "dd")
+                   for _, _, shifts in windows for x in shifts[0])
 
 
 def _dd_vectors():
@@ -695,9 +664,10 @@ def test_bulge_reflector_matches_reflector_bitwise():
     for x in _dd_vectors():
         x = dd.asdd(x)
         want = linalg._reflector(x.copy())
-        got = linalg._bulge_reflector(*(x[i] for i in range(len(x))))
-        assert (got[0] is None) == (want[0] is None)
+        v, vn, beta = linalg._bulge_reflector(*(x[i] for i in range(len(x))))
+        assert (v is None) == (want[0] is None)
         if want[0] is not None:
+            got = (linalg._pack(v, x), vn, beta)
             assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
@@ -717,39 +687,51 @@ def _count_array_kernel_calls(monkeypatch, counting=lambda: True):
 
 
 def test_francis_array_kernel_calls_per_bulge_step(monkeypatch):
-    # each bulge step's two rank-1 updates take 12 array-shaped DD
-    # kernel calls; building the reflector takes none
+    # under 30 rows each sweep chases one bulge, and each of its steps
+    # takes 10 array-shaped DD kernel calls: the whole QR, shift finding
+    # and deflation checks included, takes no more
     h, _ = linalg._hessenberg(dd.asdd(_rand(24, 24, seed=133)))
     calls = _count_array_kernel_calls(monkeypatch)
     windows = _sweeps_per_window(monkeypatch)
     linalg._francis_qr(h)
+    assert {len(shifts) for _, _, shifts in windows} == {1}
     steps = sum(hi - lo for lo, hi, _ in windows)
     assert steps > 100
-    assert len(calls) <= 12 * steps
+    assert len(calls) <= 10 * steps
 
 
 def test_francis_array_kernel_calls_per_chain_step(monkeypatch):
-    # a chain step updates all its bulges in one set of array-shaped DD
-    # kernel calls, however many there are: at most 12 per step, the
-    # last 2-row steps at the bottom included
-    h, _ = linalg._hessenberg(dd.asdd(_rand(64, 64, seed=136)))
+    # a chain step updates all its bulges in one set of 10 array-shaped
+    # DD kernel calls, however many there are, and building the
+    # reflectors takes none.  A bulge's 2-row exit step at the bottom
+    # takes 10 more; every bulge but the last exits in a step that also
+    # updates the bulges behind it, so a sweep of nb bulges may take 10
+    # per step and 10 (nb - 1) more.  Only DD sweeps count: the binary64
+    # sweeps that find a chain's shifts call no DD kernel.
     inside = []
     calls = _count_array_kernel_calls(monkeypatch, lambda: bool(inside))
-    chain = linalg._chain_sweep
-    steps, bulges = [], set()
+    windows = _sweeps_per_window(monkeypatch)
+    sweep = linalg._chain_sweep
 
-    def recorded(h, lo, hi, shifts):
-        steps.append(hi - lo + 4 * (len(shifts) - 1))
-        bulges.add(len(shifts))
+    def counted(h, lo, hi, shifts):
         inside.append(1)
-        chain(h, lo, hi, shifts)
+        sweep(h, lo, hi, shifts)
         inside.pop()
-    monkeypatch.setattr(linalg, "_chain_sweep", recorded)
-    linalg._francis_qr(h)
-    # windows of 60 or more rows chase 5 bulges, of 30 to 59 rows 2
-    assert bulges == {2, 5}
-    assert sum(steps) > 100
-    assert len(calls) <= 12 * sum(steps)
+    monkeypatch.setattr(linalg, "_chain_sweep", counted)
+    # windows of 60 or more rows chase 5 bulges, of 30 to 59 rows 2, and
+    # smaller ones 1; the 24 x 24 one-bulge case is
+    # test_francis_array_kernel_calls_per_bulge_step
+    for n, seed, bulges in ((64, 136, {1, 2, 5}),):
+        h, _ = linalg._hessenberg(dd.asdd(_rand(n, n, seed=seed)))
+        calls.clear()
+        windows.clear()
+        linalg._francis_qr(h)
+        assert {len(shifts) for _, _, shifts in windows} == bulges
+        steps = sum(hi - lo + 4 * (len(shifts) - 1)
+                    for lo, hi, shifts in windows)
+        shared = sum(len(shifts) - 1 for _, _, shifts in windows)
+        assert steps > 100
+        assert len(calls) <= 10 * (steps + shared)
 
 
 # ----------------------------------------------------------------- eig
@@ -1097,9 +1079,9 @@ def _clustered_normal(n=64, seed=137):
 def test_eig_chain_matches_mpmath_on_clustered_normal_matrix(monkeypatch):
     a = _clustered_normal()
     n = a.shape[0]
-    chains = _sweeps_per_window(monkeypatch, "_chain_sweep")
+    windows = _sweeps_per_window(monkeypatch)
     out = eig_nonsymmetric(a)
-    assert chains
+    assert any(len(shifts) > 1 for _, _, shifts in windows)
     scale = float(np.linalg.norm(dd.approx(a)))
     with mp.workdps(60):
         am = mp.matrix([[_mp_real(a, (i, j)) for j in range(n)]
@@ -1124,13 +1106,14 @@ def _dd_gap(xs, ys):
 def test_francis_chain_agrees_with_double_shift_sweeps(n, monkeypatch):
     a = dd.asdd(_rand(n, n, seed=138 + n))
     h, _ = linalg._hessenberg(a)
-    chains = _sweeps_per_window(monkeypatch, "_chain_sweep")
+    windows = _sweeps_per_window(monkeypatch)
     got = linalg._francis_qr(h)
-    assert chains
-    # no window is large enough for a chain
+    assert any(len(shifts) > 1 for _, _, shifts in windows)
+    # no window is large enough for more than one bulge
     monkeypatch.setattr(linalg, "_CHAIN_SHIFTS", ((n + 1, 4),))
-    chains.clear()
+    windows.clear()
     want = linalg._francis_qr(h)
-    assert not chains
+    assert windows
+    assert all(len(shifts) == 1 for _, _, shifts in windows)
     scale = float(np.linalg.norm(dd.approx(a)))
     assert _dd_gap(got, want) <= 10.0 * dd.EPS * scale

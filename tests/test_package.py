@@ -1,5 +1,6 @@
 """Every name in a krybound module's ``__all__`` resolves, and something
-outside the tests uses it; every function the benchmark tracer wraps
+outside the tests uses it, as it does every module-level private
+function and constant; every function the benchmark tracer wraps
 exists."""
 
 import ast
@@ -48,16 +49,45 @@ def _references(tree):
     return out
 
 
-def test_every_public_name_has_a_caller():
+def _used_outside_tests():
     used = set()
     for sub in ("src", "demos", "perfbench"):
         for path in (ROOT / sub).rglob("*.py"):
             if not path.name.startswith("test_"):
                 used |= _references(ast.parse(path.read_text()))
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = _used_outside_tests()
     unused = [(name, n) for name in MODULES
               for n in getattr(importlib.import_module(f"krybound.{name}"),
                                "__all__", ())
               if n not in used and (name, n) not in UNUSED_OK]
+    assert not unused
+
+
+def _private_names(tree):
+    """Module-level functions and constants whose names start with one
+    underscore."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_private_name_has_a_caller():
+    # no helper that only its own unit test calls
+    used = _used_outside_tests()
+    src = ROOT / "src" / "krybound"
+    unused = [(name, n) for name in MODULES
+              for n in _private_names(ast.parse(
+                  (src / f"{name}.py").read_text()))
+              if n.startswith("_") and not n.startswith("__")
+              and n not in used]
     assert not unused
 
 

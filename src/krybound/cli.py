@@ -136,9 +136,17 @@ def _parse_centers(text):
     return ("centers", vals)
 
 
+def _rhs_path(mtx):
+    """Where `gen` writes the right-hand side of the matrix file mtx, and
+    where --mtx reads it from."""
+    return f"{os.path.splitext(mtx)[0]}.rhs.mtx"
+
+
 def _build_problem(cfg):
     if cfg.mtx is not None:
-        inst = load_matrix_market(cfg.mtx)
+        rhs = _rhs_path(cfg.mtx)
+        inst = load_matrix_market(cfg.mtx,
+                                  rhs if os.path.exists(rhs) else None)
         label = os.path.basename(cfg.mtx)
     else:
         kind, arg = _parse_generator(cfg.generator)
@@ -222,7 +230,7 @@ def cmd_gen(cfg):
     t0 = time.perf_counter()
     a, b, label = _build_problem(cfg)
     out = cfg.out or "problem.mtx"
-    rhs_path = f"{os.path.splitext(out)[0]}.rhs.mtx"
+    rhs_path = _rhs_path(out)
     write_matrix_market(out, dd.approx(a) if dd.is_extended(a) else a)
     bmat = dd.approx(b) if dd.is_extended(b) else b
     write_matrix_market(rhs_path, np.asarray(bmat).reshape(-1, 1))

@@ -51,15 +51,14 @@ GREENBAUM_CURVE = PrescribedCurve((1.0, 0.99, 0.98), (1.0, 1.01, 1.001))
 
 # ----------------------------------------------------------------- stair
 
-def stair_matrix(seed=0, inconsistent=False):
+def stair_matrix(seed=0):
     """100 x 20 rank-10 matrix: a two-entry-per-row stair core between
     random orthogonal factors.
 
     Core row p (1-based, p = 1..10) carries (11 - p)/10 in columns
     2p - 1 and 2p, so the singular values are sqrt(2) * (1.0, ..., 0.1)
     regardless of seed.  The right-hand side is a seeded unit vector
-    projected onto the range; pass inconsistent=True to keep the
-    orthogonal component (least-squares setting).
+    projected onto the range.
     """
     m, n = 100, 20
     s = np.zeros((m, n))
@@ -73,12 +72,11 @@ def stair_matrix(seed=0, inconsistent=False):
     raw = rng.standard_normal(m)
     raw /= np.linalg.norm(raw)
     ur = u[:, :10]                       # range basis: first 10 left factors
-    b = raw if inconsistent else ur @ (ur.T @ raw)
+    b = ur @ (ur.T @ raw)
     b = b / np.linalg.norm(b)
     return ProblemInstance(a, b, {
         "name": "stair",
         "seed": seed,
-        "inconsistent": bool(inconsistent),
         "rank": 10,
         "singular_values": [math.sqrt(2.0) * (11 - p) / 10.0
                             for p in range(1, 11)],
@@ -224,8 +222,8 @@ def load_matrix_market(path, rhs_path=None):
     """Densify a real Matrix Market file; coordinate or array layout,
     general, symmetric, or skew-symmetric storage.
 
-    The right-hand side defaults to the row sums (a consistent system);
-    a companion array file can override it.
+    The right-hand side is the single column of the array file rhs_path
+    if one is given, else the row sums (a consistent system).
     """
     a = _read_mm(path)
     if rhs_path is not None:

@@ -259,83 +259,71 @@ def jacobi_svd(a):
 # ----------------------------------------------------------------- LU
 
 def lu_factor(a):
-    """Partial-pivoted LU of a square matrix (n, n) or of a stack (s, n, n).
+    """LU of an upper Hessenberg matrix (n, n) or of a stack of them
+    (s, n, n), pivoting between adjacent rows (LAPACK xLAEIN's LU of
+    H - lambda I; Golub and Van Loan, section 3.4).
 
-    Returns ``(lu, piv)``: unit-lower L and U packed in ``lu`` (the
-    input's shape), and ``piv`` ((n,) or (s, n)) such that row k of the
-    factored matrix is row ``piv[k]`` of the input.  A 2-D input raises
-    SingularMatrixError on an exactly zero pivot column.  In a stack, a
-    member with one keeps that exact zero on the diagonal of U and every
-    member is factored bit for bit as if alone (LAPACK getrf also goes
-    on); lu_solve cannot use that member.
+    Step k takes as pivot row the larger of rows k and k+1 in column k
+    (row k on a tie), swaps the two rows' columns k: if that is row k+1,
+    and subtracts a multiple of row k from row k+1 alone.  Returns
+    ``(lu, piv)``: U in the upper triangle of ``lu`` (the input's shape)
+    with step k's multiplier at ``lu[..., k+1, k]``, and the swap flags
+    ``piv`` ((n-1,) or (s, n-1)).  A nonzero of the binary64 image below
+    the subdiagonal raises DimensionMismatchError.  A 2-D input raises
+    SingularMatrixError on an exactly zero pivot; in a stack, a member
+    with one keeps that zero on the diagonal of U, every member is
+    factored bit for bit as if alone, and lu_solve cannot use that
+    member.
     """
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
             "lu_factor needs a square matrix or a stack of them")
+    n = a.shape[-1]
+    # row by row: a binary64 image of the whole stack would be as large
+    # as the stack
+    if any(dd.approx(a[..., i, :i - 1]).any() for i in range(2, n)):
+        raise DimensionMismatchError(
+            "lu_factor needs upper Hessenberg matrices: a nonzero lies "
+            "below the subdiagonal")
     lu = a.copy()
-    n = lu.shape[-1]
-    piv = np.tile(np.arange(n), lu.shape[:-2] + (1,))
-    _eliminate(lu, piv, keep_singular=lu.ndim == 3)
+    piv = np.zeros(a.shape[:-2] + (max(n - 1, 0),), dtype=bool)
+    for k in range(n):
+        col = dd.approx(lu[..., k:k + 2, k])
+        mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
+            else np.abs(col)
+        zero = ~mags.any(axis=-1)
+        if zero.any() and lu.ndim == 2:
+            raise SingularMatrixError(f"zero pivot at elimination step {k}")
+        if k == n - 1:
+            break
+        swap = np.argmax(mags, axis=-1) == 1
+        piv[..., k] = swap
+        if swap.any():
+            at = _swapping(swap)
+            lu[at, [k, k + 1], k:] = lu[at, [k + 1, k], k:]
+        pivot = lu[..., k, k]
+        if zero.any():
+            # the entry below is exactly zero too: dividing it by 1
+            # leaves it so, and U keeps its zero
+            pivot = pivot.copy()
+            pivot[zero] = 1.0
+        low = lu[..., k + 1, k] / pivot
+        lu[..., k + 1, k] = low
+        lu[..., k + 1, k + 1:] = lu[..., k + 1, k + 1:] - \
+            low[..., None] * lu[..., k, k + 1:]
     return lu, piv
 
 
-def _eliminate(lu, piv, keep_singular):
-    # in place on one matrix or a stack: "..." spans the stack axis, if any
-    n = lu.shape[-1]
-    members = [(m,) for m in range(len(lu))] if lu.ndim == 3 else [()]
-    for k in range(n):
-        col = dd.approx(lu[..., k:, k])
-        mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
-            else np.abs(col)
-        p = k + np.argmax(mags, axis=-1)
-        zero = mags.max(axis=-1) == 0.0
-        if zero.any() and not keep_singular:
-            raise SingularMatrixError(f"zero pivot at elimination step {k}")
-        for m in members:
-            pm = p[m]
-            if pm != k:
-                tmp = lu[m + (k,)].copy()
-                lu[m + (k,)] = lu[m + (pm,)]
-                lu[m + (pm,)] = tmp
-                piv[m + (k,)], piv[m + (pm,)] = piv[m + (pm,)], piv[m + (k,)]
-        if k + 1 < n:
-            pivot = lu[..., k, k]
-            if zero.any():
-                # the column below is exactly zero too: dividing it by 1
-                # leaves it so, and U keeps its zero
-                pivot = pivot.copy()
-                pivot[zero] = 1.0
-            low = (lu[..., k + 1:, k].T / pivot).T
-            lu[..., k + 1:, k] = low
-            m = _rows_to_update(low, lu[..., k, k + 1:])
-            rows = slice(k + 1, k + 1 + m)
-            lu[..., rows, k + 1:] = lu[..., rows, k + 1:] - \
-                low[..., :m, None] * lu[..., k, k + 1:][..., None, :]
-
-
-def _rows_to_update(low, urow):
-    """How many rows below the pivot an elimination step must update:
-    through the last whose multiplier in ``low`` is nonzero in some
-    member of the stack.
-
-    Below it every multiplier is an exact zero, and zero times a finite
-    u_kj whose Dekker split (about 2^27 u_kj) is finite is an exact zero
-    in every precision; subtracting it leaves each value unchanged and
-    could only turn a -0 component into +0, so skipping those rows can
-    differ from the full update in nothing but the sign of a zero.  A
-    dense column keeps the full slice; an upper Hessenberg matrix
-    updates one row per step, which makes its LU O(n^2).  A pivot row
-    that is not finite, with room to spare, takes the full update.
-    """
-    m = low.shape[-1]
-    if not np.isfinite(np.abs(dd.approx(urow)) * 2.0 ** 28).all():
-        return m
-    live = np.flatnonzero((dd.approx(low) != 0.0).reshape(-1, m).any(axis=0))
-    return live[-1] + 1 if len(live) else 0
+def _swapping(swap):
+    """The index that, followed by two row indices, selects the members
+    whose flag in ``swap`` is set: their numbers as a column for a
+    stack, and ``...`` for one matrix, whose 0-d flag is set."""
+    return np.flatnonzero(swap)[:, None] if np.ndim(swap) else Ellipsis
 
 
 def lu_solve(lu, piv, b):
-    """Solve with a prior lu_factor result.
+    """Solve with a prior lu_factor result: replay each step's swap and
+    its one multiply-subtract, then back-substitute with U.
 
     One factorization (n, n) takes a vector (n,) or a matrix (n, m); a
     stack (s, n, n) takes one vector per member, (s, n).
@@ -344,56 +332,25 @@ def lu_solve(lu, piv, b):
         raise DimensionMismatchError(
             f"lu_solve: a stack {lu.shape} takes one vector per member, "
             f"not {b.shape}")
-    if lu.ndim == 2:
-        # right-hand sides as rows; a vector is its own transpose
-        return _lu_substitute(lu, b[piv].T).T
-    if len(lu) == 1:
+    if lu.ndim == 3 and len(lu) == 1:
         # one vector's 0-d entries run DD arithmetic on Python floats
-        return _lu_substitute(lu[0], b[0][piv[0]])[None]
-    return _lu_substitute(lu, b[np.arange(len(piv))[:, None], piv])
+        return lu_solve(lu[0], piv[0], b[0])[None]
+    # one matrix takes its right-hand sides as rows; a vector is its own
+    # transpose
+    x = b.T.copy() if lu.ndim == 2 else b.copy()
+    for k in range(lu.shape[-1] - 1):
+        swap = piv[..., k]
+        if swap.any():
+            at = _swapping(swap)
+            x[at, [k, k + 1]] = x[at, [k + 1, k]]
+        x[..., k + 1] = x[..., k + 1] - lu[..., k + 1, k] * x[..., k]
+    x = solve_triangular(lu, x)
+    return x.T if lu.ndim == 2 else x
 
 
-def _lu_substitute(lu, b):
-    return solve_triangular(lu, _solve_unit_lower(lu, b))
-
-
-def _solve_unit_lower(lu, b):
-    """solve_triangular(lu, b, lower=True, unit=True), skipping L's
-    exact zeros.
-
-    Row k sums only the columns where some member of the stack has a
-    nonzero multiplier, if there are at most two.  An exact zero times
-    a finite x_j whose Dekker split is finite is an exact zero, adding
-    one returns the other term, and one addition does not depend on
-    order; so the row sum equals the full tree's up to the sign of a
-    zero.  A Hessenberg LU has one or two multipliers in most rows, so
-    most rows take one product and at most one addition; a row with
-    more keeps the full tree, and an x that is not finite, with room
-    for its split, is solved again with full rows.
-    """
-    n = lu.shape[-1]
-    stack = lu if lu.ndim == 3 else lu[None]
-    live = np.zeros((n, n), dtype=bool)
-    for m in range(len(stack)):
-        # a member at a time: a binary64 image of the whole stack would
-        # raise the eigensolver's peak memory
-        live |= dd.approx(stack[m]) != 0.0
-    x = b.copy()
-    for k in range(1, n):
-        cols = np.flatnonzero(live[k, :k])
-        if len(cols) > 2:
-            cols = slice(0, k)
-        elif not len(cols):
-            continue
-        x[..., k] = x[..., k] - (lu[..., k, cols] * x[..., cols]).sum(axis=-1)
-    if not np.isfinite(np.abs(dd.approx(x)) * 2.0 ** 28).all():
-        return solve_triangular(lu, b, lower=True, unit=True)
-    return x
-
-
-def solve_triangular(t, b, lower=False, unit=False):
-    """x with t x = b, t upper (or ``lower``) triangular, by substitution
-    one row at a time; ``unit`` takes t's diagonal as ones unread.
+def solve_triangular(t, b):
+    """x with t x = b for the upper triangle of t, by substitution one
+    row at a time; t's entries below the diagonal are not read.
 
     t is (n, n) or a stack (s, n, n), and "..." spans that stack: b is
     one vector (n,), one per member (s, n), or for one t several
@@ -402,13 +359,11 @@ def solve_triangular(t, b, lower=False, unit=False):
     """
     n = t.shape[-1]
     x = b.copy()
-    for k in (range(n) if lower else reversed(range(n))):
-        if k != (0 if lower else n - 1):
-            done = slice(0, k) if lower else slice(k + 1, n)
+    for k in reversed(range(n)):
+        if k != n - 1:
             x[..., k] = x[..., k] - \
-                (t[..., k, done] * x[..., done]).sum(axis=-1)
-        if not unit:
-            x[..., k] = x[..., k] / t[..., k, k]
+                (t[..., k, k + 1:] * x[..., k + 1:]).sum(axis=-1)
+        x[..., k] = x[..., k] / t[..., k, k]
     return x
 
 
@@ -428,8 +383,9 @@ def eig_nonsymmetric(a):
     bulge on an active window of fewer than 30 rows.  The vectors come
     from inverse iteration on H (real or complex as the value demands),
     with deflation against already-accepted eigenvalues equal to within
-    working precision; a shifted H is Hessenberg, so each of its LUs
-    costs O(n^2).  They are then mapped back by Q's reflectors, given
+    working precision; a shifted H is upper Hessenberg, so lu_factor
+    pivots between adjacent rows and each LU costs O(n^2).  They are
+    then mapped back by Q's reflectors, given
     the canonical phase and checked against a itself: a residual over
     tolerance raises NumericalFailureError.  Runs in the input's
     precision, which is the point of hand-rolling it.

@@ -198,18 +198,39 @@ def write_json(path, doc):
 
 
 def read_json(path):
+    """Read a write_json document.  A malformed file, a row that is not
+    an object, lacks "k" or has a column not in COLUMNS, and a value
+    that does not parse raise ParseError, which names the row."""
     with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno) from None
     if payload.get("schema") != SCHEMA:
         raise ParseError(f"unknown schema '{payload.get('schema')}'")
     doc = TraceDocument(metadata=dict(payload.get("metadata", {})))
-    ext = doc.extended
-    for row in payload.get("rows", []):
-        rec = TraceRecord(k=int(row["k"]))
-        for c in _VALUE_COLUMNS:
-            v = row.get(c)
-            if v is not None:
-                rec_v = dd.from_str(v) if ext else float(v)
-                setattr(rec, c, rec_v)
-        doc.records.append(rec)
+    for i, row in enumerate(payload.get("rows", [])):
+        try:
+            doc.records.append(_json_record(row, doc.extended))
+        except ParseError as exc:
+            raise ParseError(f"row {i}: {exc}") from None
     return doc
+
+
+def _json_record(row, extended):
+    if not isinstance(row, dict):
+        raise ParseError("a row must be an object")
+    unknown = sorted(set(row) - set(COLUMNS))
+    if unknown:
+        raise ParseError(f"unknown columns {unknown}")
+    if "k" not in row:
+        raise ParseError("no 'k'")
+    if type(row["k"]) is not int:
+        raise ParseError(f"bad iteration index {row['k']!r}")
+    rec = TraceRecord(k=row["k"])
+    for c in _VALUE_COLUMNS:
+        v = row.get(c)
+        if v is not None and not isinstance(v, str):
+            raise ParseError(f"bad numeric field {v!r}")
+        setattr(rec, c, _parse_value(v or "", extended, None))
+    return rec

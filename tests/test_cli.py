@@ -37,6 +37,25 @@ def test_gen_exp_decay_size_argument(tmp_path):
     assert load_matrix_market(str(out)).a.shape == (7, 7)
 
 
+def test_solve_mtx_reads_the_rhs_gen_wrote(tmp_path):
+    # gen then solve --mtx runs the problem that solve --gen runs; with
+    # the rhs file gone, the row sums stand in.  In extended precision
+    # the records match bit for bit; binary64 sums depend on the memory
+    # order of the matrix, which the reader gives column-major
+    mtx = tmp_path / "s.mtx"
+    assert run(["gen", "--gen", "stair", "--out", str(mtx)]) == 0
+    args = ["--solver", "ba-gmres", "-l", "4", "--precision", "extended"]
+    paths = [tmp_path / f"{name}.csv" for name in ("gen", "mtx", "sums")]
+    codes = [run(["solve", "--gen", "stair", *args, "--out", str(paths[0])]),
+             run(["solve", "--mtx", str(mtx), *args, "--out", str(paths[1])])]
+    (tmp_path / "s.rhs.mtx").unlink()
+    run(["solve", "--mtx", str(mtx), *args, "--out", str(paths[2])])
+    assert codes[0] == codes[1]
+    want, got, sums = (read_csv(str(p)).records for p in paths)
+    assert got == want
+    assert sums[0] != want[0]
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_identity_trace_rows(tmp_path):

@@ -52,14 +52,6 @@ def test_stair_rhs_consistent_by_default():
     assert np.linalg.norm(r) < 1e-12
 
 
-def test_stair_inconsistent_keeps_orthogonal_component():
-    inst = stair_matrix(seed=3, inconsistent=True)
-    x, *_ = np.linalg.lstsq(inst.a, inst.b, rcond=None)
-    r = inst.b - inst.a @ x
-    assert np.linalg.norm(r) > 1e-3
-    assert inst.metadata["inconsistent"] is True
-
-
 # ------------------------------------------------------------ exp decay
 
 def test_exp_decay_singular_values_exact():

@@ -1,7 +1,7 @@
 """Every name in a krybound module's ``__all__`` resolves, and something
 outside the tests uses it, as it does every module-level private
-function and constant; every function the benchmark tracer wraps
-exists."""
+function and constant and every defaulted parameter of a public
+function; every function the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -49,12 +49,17 @@ def _references(tree):
     return out
 
 
-def _used_outside_tests():
-    used = set()
+def _trees_outside_tests():
     for sub in ("src", "demos", "perfbench"):
         for path in (ROOT / sub).rglob("*.py"):
             if not path.name.startswith("test_"):
-                used |= _references(ast.parse(path.read_text()))
+                yield ast.parse(path.read_text())
+
+
+def _used_outside_tests():
+    used = set()
+    for tree in _trees_outside_tests():
+        used |= _references(tree)
     return used
 
 
@@ -88,6 +93,59 @@ def test_every_private_name_has_a_caller():
                   (src / f"{name}.py").read_text()))
               if n.startswith("_") and not n.startswith("__")
               and n not in used]
+    assert not unused
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) for each parameter with a default
+    of a module-level public function; position is None for a
+    keyword-only one."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and \
+                not stmt.name.startswith("_"):
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield stmt.name, positional[i].arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield stmt.name, arg.arg, None
+
+
+def _calls(node, inside=()):
+    """(callee name, positional count, keyword names) of each call under
+    node, leaving out a function's calls to itself; a *args call counts
+    as passing every position and a **kwargs call every keyword."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside + (node.name,)
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+        if name is not None and name not in inside:
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield (name, float("inf") if star else len(node.args),
+                   keywords)
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, inside)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # no option that no caller outside the tests ever sets
+    most = {}    # callee -> most positional arguments in one call
+    named = {}   # callee -> keywords passed; None stands for **kwargs
+    for tree in _trees_outside_tests():
+        for name, count, keywords in _calls(tree):
+            most[name] = max(most.get(name, 0), count)
+            named.setdefault(name, set()).update(keywords)
+    src = ROOT / "src" / "krybound"
+    unused = [(name, fn, arg) for name in MODULES
+              for fn, arg, i in _defaulted_parameters(ast.parse(
+                  (src / f"{name}.py").read_text()))
+              if not (i is not None and most.get(fn, 0) > i
+                      or named.get(fn, set()) & {arg, None})]
     assert not unused
 
 

@@ -171,3 +171,37 @@ def test_csv_rejects_bad_number(tmp_path):
     with pytest.raises(ParseError, match="numeric") as err:
         read_csv(path)
     assert "line 3:" in str(err.value)
+
+
+def _json_with_row(tmp_path, row):
+    path = tmp_path / "t.json"
+    write_json(str(path), _extended_doc())
+    payload = json.loads(path.read_text())
+    payload["rows"].append(row)
+    path.write_text(json.dumps(payload))
+    return str(path), len(payload["rows"]) - 1
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"k": 9, "residual_norm": "xyz"}, "numeric"),
+    ({"k": 9, "residual_norm": 0.5}, "numeric"),
+    ({"residual_norm": "1e-3"}, "'k'"),
+    ({"k": "9"}, "iteration index"),
+    ({"k": 9, "residual": "1e-3"}, "unknown columns"),
+    ([9, "1e-3"], "object"),
+])
+def test_json_rejects_bad_rows(tmp_path, row, message):
+    # as the CSV reader does: a bad number, a row without k and a column
+    # the schema does not have are errors, not dropped or passed through
+    path, i = _json_with_row(tmp_path, row)
+    with pytest.raises(ParseError, match=message) as err:
+        read_json(path)
+    assert str(err.value).startswith(f"row {i}: ")
+
+
+def test_json_rejects_malformed_file(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"schema": "krybound-trace-v1",\n "rows": [}\n')
+    with pytest.raises(ParseError) as err:
+        read_json(str(path))
+    assert err.value.line == 2

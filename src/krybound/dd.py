@@ -758,15 +758,22 @@ def norm2(v):
 
 
 def vdot(u, v):
-    """Inner product conj(u).v (first argument conjugated)."""
+    """Inner product conj(u).v (first argument conjugated).
+
+    A 2-d u gives one product per row, each with the bytes of the 1-d
+    call on that row.
+    """
     if isinstance(u, (DD, CDD)) or isinstance(v, (DD, CDD)):
         if isinstance(u, CDD) or isinstance(v, CDD):
-            uc = ascdd(u)
-            vc = ascdd(v)
-            return (uc.conj() * vc).sum()
-        return (asdd(u) * asdd(v)).sum()
+            return (ascdd(u).conj() * ascdd(v)).sum(axis=-1)
+        return (asdd(u) * asdd(v)).sum(axis=-1)
     u = np.asarray(u)
     v = np.asarray(v)
+    if u.ndim == 2:
+        # a stack of (1, n) @ (n, 1) products: numpy's matmul runs each
+        # on the BLAS dot that np.dot and np.vdot call, where the
+        # matrix-vector product would change the summation order
+        return (u.conj()[:, None, :] @ v[:, None])[:, 0, 0]
     if np.iscomplexobj(u) or np.iscomplexobj(v):
         return np.vdot(u, v)
     return float(np.dot(u, v))

@@ -334,40 +334,74 @@ def _read_array(fh, size, sym, size_line):
         m, n = (int(x) for x in size)
     except ValueError:
         raise ParseError("size entries must be integers", line=size_line)
-    parts = []
     no = size_line
+    if sym == "general":
+        # the file lists the columns in turn; they go straight into a
+        # row-major array, the layout the generators build, so that
+        # binary64 sums over a loaded matrix add in the same order
+        a = np.empty((m, n))
+        seen = 0
+        for vals, no in _array_chunks(fh, no):
+            _put_columns(a, seen, vals[:max(m * n - seen, 0)])
+            seen += len(vals)
+        if seen != m * n:
+            raise ParseError(f"expected {m * n} values, got {seen}", line=no)
+        return a
+    if m != n:
+        raise ParseError("symmetric array matrix must be square",
+                         line=size_line)
+    parts = []
+    for vals, no in _array_chunks(fh, no):
+        parts.append(vals)
+    vals = np.concatenate(parts) if parts else np.zeros(0)
+    strict = sym == "skew-symmetric"
+    want = m * (m - 1) // 2 if strict else m * (m + 1) // 2
+    if len(vals) != want:
+        raise ParseError(
+            f"expected {want} triangle values, got {len(vals)}", line=no)
+    a = np.zeros((m, n))
+    it = iter(vals)
+    for j in range(n):
+        for i in range(j + 1 if strict else j, m):
+            v = next(it)
+            a[i, j] = v
+            if i != j:
+                a[j, i] = -v if strict else v
+    return a
+
+
+def _array_chunks(fh, no):
+    # the values of an array file's body a chunk at a time, each with
+    # the number of the chunk's last line
     for lines in _chunks(fh):
         try:
             # one value per line: float() takes the surrounding whitespace
-            parts.append(np.array([float(text) for text in lines]))
+            vals = np.array([float(text) for text in lines])
         except ValueError:
-            parts.append(np.array(_scan_values(lines, no + 1)))
+            vals = np.array(_scan_values(lines, no + 1))
         no += len(lines)
-    vals = np.concatenate(parts) if parts else np.zeros(0)
-    a = np.zeros((m, n))
-    if sym == "general":
-        if len(vals) != m * n:
-            raise ParseError(
-                f"expected {m * n} values, got {len(vals)}", line=no)
-        a = vals.reshape((n, m)).T    # column-major storage
-    else:
-        if m != n:
-            raise ParseError("symmetric array matrix must be square",
-                             line=size_line)
-        strict = sym == "skew-symmetric"
-        want = m * (m - 1) // 2 if strict else m * (m + 1) // 2
-        if len(vals) != want:
-            raise ParseError(
-                f"expected {want} triangle values, got {len(vals)}",
-                line=no)
-        it = iter(vals)
-        for j in range(n):
-            for i in range(j + 1 if strict else j, m):
-                v = next(it)
-                a[i, j] = v
-                if i != j:
-                    a[j, i] = -v if strict else v
-    return a
+        yield vals, no
+
+
+def _put_columns(a, seen, vals):
+    # writes vals, entries seen.. of a in column-major order: whole
+    # columns by one transposing block copy, a column split between
+    # chunks by slices
+    if not len(vals):
+        return
+    at = a.T
+    m = at.shape[1]
+    j, i = divmod(seen, m)
+    if i:
+        head = vals[:m - i]
+        at[j, i:i + len(head)] = head
+        vals = vals[len(head):]
+        j += 1
+    whole = len(vals) // m
+    at[j:j + whole] = vals[:whole * m].reshape(whole, m)
+    rest = vals[whole * m:]
+    if len(rest):
+        at[j + whole, :len(rest)] = rest
 
 
 def _scan_values(lines, first):

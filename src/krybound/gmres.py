@@ -1,5 +1,5 @@
-"""GMRES with modified Gram-Schmidt Arnoldi, plus the BA-preconditioned
-outer loop.
+"""GMRES with classical Gram-Schmidt Arnoldi run twice (CGS2), plus the
+BA-preconditioned outer loop.
 
 Both entry points share one engine. The engine minimizes the norm of
 the (possibly preconditioned) residual over the growing Krylov space
@@ -146,9 +146,6 @@ def _engine(apply_op, w0, row0, opts, recompute):
     # ||w0||, and recompute(x, estimate) gives the row at iterate x
     eps = dd.eps_of(w0)
     n = len(w0)
-    # a second Gram-Schmidt pass keeps the basis orthogonal to the
-    # extended working precision; binary64 runs one
-    passes = 2 if dd.is_extended(w0) else 1
     beta = row0.minimized_estimate
     x0 = dd.zeros_like(w0)
     rows = [row0]
@@ -158,7 +155,9 @@ def _engine(apply_op, w0, row0, opts, recompute):
         raise NumericalFailureError("non-finite initial residual")
 
     maxit = opts.max_iterations
-    basis = [w0 * (1.0 / beta)]
+    # the Krylov basis, one vector per row
+    basis = dd.zeros_like(w0, (maxit + 1, n))
+    basis[0] = w0 * (1.0 / beta)
     h = dd.zeros_like(w0, (maxit + 1, maxit))
     cos: list = []
     sin: list = []
@@ -175,16 +174,21 @@ def _engine(apply_op, w0, row0, opts, recompute):
         # ||A v_j|| before orthogonalization: the scale breakdown is
         # judged against, so that scaling A does not change the outcome
         wnorm = float(np.linalg.norm(dd.approx(w)))
-        for _ in range(passes):
-            for i in range(j + 1):
-                hij = dd.vdot(basis[i], w)
-                w = w - basis[i] * hij
-                h[i, j] = h[i, j] + hij
+        # classical Gram-Schmidt twice, each pass one batched product
+        # each way: one pass loses orthogonality as cond(K)^2 eps, and
+        # the second keeps the basis orthogonal to working precision
+        # (Giraud, Langou, Rozloznik and van den Eshof, Numer. Math.
+        # 101, 2005)
+        q = basis[:j + 1]
+        for _ in range(2):
+            c = dd.vdot(q, w)
+            w = w - c @ q
+            h[:j + 1, j] = h[:j + 1, j] + c
         hnext = dd.norm2(w)
         h[j + 1, j] = hnext
         breakdown = _f(hnext) <= n * eps * wnorm
         if not breakdown:
-            basis.append(w * (1.0 / hnext))
+            basis[j + 1] = w * (1.0 / hnext)
         for i in range(j):
             t1 = cos[i] * h[i, j] + sin[i] * h[i + 1, j]
             t2 = -sin[i] * h[i, j] + cos[i] * h[i + 1, j]
@@ -213,9 +217,7 @@ def _engine(apply_op, w0, row0, opts, recompute):
                 f"minimized residual increased at iteration {j + 1}: "
                 f"{_f(estimate):.6e} > {_f(prev):.6e}")
         y = solve_triangular(h[:j + 1, :j + 1], g[:j + 1])
-        x = x0
-        for i in range(j + 1):
-            x = x + basis[i] * y[i]
+        x = y @ q
         k = j + 1
         row = recompute(x, estimate)
         row.k = k
@@ -227,7 +229,9 @@ def _engine(apply_op, w0, row0, opts, recompute):
             # exact invariance of the Krylov space: nothing more to gain
             reason = "breakdown"
             break
-    return ConvergenceTrace(rows, x, k, reason, extras={"basis": basis})
+    # a breakdown leaves row k of the basis unset
+    return ConvergenceTrace(rows, x, k, reason,
+                            extras={"basis": basis[:k + 1 - breakdown]})
 
 
 def _rotation(a, b):

@@ -394,3 +394,37 @@ def test_norm_and_vdot_dispatch():
     ip = dd.vdot(u, u)
     assert abs(float(ip.re) - 2.0) < 1e-30 and abs(float(ip.im)) < 1e-30
     assert dd.vdot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+
+
+def _vdot_bits(x):
+    if isinstance(x, CDD):
+        return _vdot_bits(x.re) + _vdot_bits(x.im)
+    if isinstance(x, DD):
+        return np.asarray(x.hi).tobytes() + np.asarray(x.lo).tobytes()
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dd", "cdd", "f64", "c128"])
+@pytest.mark.parametrize("k,n", [(1, 1), (3, 5), (7, 12), (4, 33),
+                                 (13, 100), (5, 1682)])
+def test_vdot_rows_are_bitwise_the_1d_call(kind, k, n):
+    # a 2-d first argument gives one inner product per row, each with
+    # the bytes of the 1-d call on that row (the row conjugated); the
+    # rows are the leading rows of a larger array, as a Krylov basis
+    rng = np.random.default_rng(100 * k + n)
+
+    def make(shape):
+        if kind in ("dd", "cdd"):
+            x = _rand_dd(rng, shape, scale=rng.uniform(0.1, 10.0))
+            if kind == "cdd":
+                x = CDD(x, _rand_dd(rng, shape))
+            return x
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+        return x + 1j * rng.standard_normal(shape) if kind == "c128" else x
+
+    q = make((k + 2, n))[:k]
+    w = make(n)
+    rows = dd.vdot(q, w)
+    assert rows.shape == (k,)
+    for i in range(k):
+        assert _vdot_bits(rows[i]) == _vdot_bits(dd.vdot(q[i], w))

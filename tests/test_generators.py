@@ -287,6 +287,18 @@ def test_mm_write_read_round_trip(tmp_path):
     assert np.array_equal(load_matrix_market(path).a, a)
 
 
+def test_mm_array_reads_row_major_across_chunks(tmp_path):
+    # 307 x 211 values span two read chunks, which split a column; the
+    # loaded matrix is row-major, as the generators build theirs, since
+    # binary64 sums over it depend on the memory order
+    a = np.random.default_rng(6).standard_normal((307, 211))
+    path = str(tmp_path / "big.mtx")
+    write_matrix_market(path, a)
+    got = load_matrix_market(path).a
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, a)
+
+
 def test_mm_write_bytes_match_per_entry_format(tmp_path):
     # +0 takes the cached line; -0, NaN, infinities and subnormals are
     # formatted one by one, and the bytes must not tell the two apart
@@ -364,6 +376,8 @@ def test_mm_array_line_numbers_across_chunks(tmp_path):
      3, "diagonal"),
     ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
      5, "expected 4 values"),
+    ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n5\n",
+     7, "expected 4 values, got 5"),
 ])
 def test_mm_parse_errors_carry_line_numbers(tmp_path, text, line, fragment):
     path = _write(tmp_path, "bad.mtx", text)

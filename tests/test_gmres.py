@@ -92,15 +92,60 @@ def test_minimized_estimate_monotone_and_consistent():
 
 
 def test_arnoldi_orthogonality_with_reorthogonalization():
-    # extended precision always runs the second Gram-Schmidt pass
+    # the second Gram-Schmidt pass runs in both precisions; here it
+    # keeps the extended basis orthogonal to its working precision
     a = dd.asdd(_rand((14, 14), seed=6))
     b = dd.asdd(_rand(14, seed=7))
     trace = gmres(matrix_operator(a), b,
                   opts=GmresOptions(rtol=1e-30, max_iterations=14))
-    basis = trace.extras["basis"]
-    vt = dd.stack(basis)
-    g = dd.approx(vt @ vt.T) - np.eye(len(basis))
+    vt = trace.extras["basis"]
+    g = dd.approx(vt @ vt.T) - np.eye(len(vt))
     assert np.abs(g).max() <= 1e-28
+
+
+@pytest.mark.parametrize("kind,tol", [("f64", 1e-14), ("dd", 1e-28)])
+def test_arnoldi_orthogonality_on_clustered_spectrum(kind, tol):
+    # three clusters of width 1e-6 at 0.5, 1 and 2, and eigenvectors
+    # with cond(V) = 183: a single modified Gram-Schmidt pass lost
+    # orthogonality here in binary64 (||Q Q^T - I|| = 0.85, and 24
+    # iterations where 9 reach the residual's floor)
+    rng = seeded_rng(5)
+    lam = np.concatenate([c + 1e-6 * (rng.random(20) - 0.5)
+                          for c in (0.5, 1.0, 2.0)])
+    v = rng.standard_normal((60, 60))
+    a = v @ np.diag(lam) @ np.linalg.inv(v)
+    b = rng.standard_normal(60)
+    rtol = 1e-15
+    if kind == "dd":
+        a, b, rtol = dd.asdd(a), dd.asdd(b), 1e-28
+    trace = gmres(matrix_operator(a), b,
+                  opts=GmresOptions(rtol=rtol, max_iterations=60))
+    assert trace.reason == "converged"
+    q = trace.extras["basis"]
+    g = dd.approx(q @ q.T) - np.eye(len(q))
+    assert np.abs(g).max() <= tol
+
+
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_arnoldi_makes_two_vdot_calls_per_iteration(kind, monkeypatch):
+    # one batched inner product per Gram-Schmidt pass, against every
+    # basis vector so far, whatever the iteration
+    shapes = []
+    vdot = dd.vdot
+
+    def counted(u, v):
+        shapes.append(u.shape)
+        return vdot(u, v)
+
+    monkeypatch.setattr(dd, "vdot", counted)
+    a = _rand((8, 8), seed=14) + 3 * np.eye(8)
+    b = _rand(8, seed=15)
+    if kind == "dd":
+        a, b = dd.asdd(a), dd.asdd(b)
+    trace = gmres(matrix_operator(a), b,
+                  opts=GmresOptions(rtol=1e-30, max_iterations=6))
+    assert trace.iterations == 6
+    assert shapes == [(j, 8) for j in range(1, 7) for _ in range(2)]
 
 
 def test_krylov_optimality_probe():
@@ -108,9 +153,8 @@ def test_krylov_optimality_probe():
     b = _rand(10, seed=9)
     trace = gmres(matrix_operator(a), b,
                   opts=GmresOptions(rtol=1e-13, max_iterations=6))
-    basis = trace.extras["basis"]
     k = trace.iterations
-    v = np.stack([dd.approx(u) for u in basis[:k]], axis=1)
+    v = trace.extras["basis"][:k].T
     rng = seeded_rng(11)
     r_star = _f(trace.rows[k].residual_norm)
     for _ in range(50):

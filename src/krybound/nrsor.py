@@ -2,12 +2,13 @@
 system, used as an implicit preconditioner inside BA-GMRES.
 
 The solver path touches only the nonzeros of A. A sweep visits the
-columns in natural order, in runs of consecutive columns whose row
-supports are pairwise disjoint; such columns have a zero block in
-A^T A, so their updates commute and a run updates all its columns at
-once. The normal-equation matrix A^T A is never formed: the
-preconditioned matrix the bound analyses is the same sweep run on every
-column of A at once.
+columns by level (level scheduling; Saad, Iterative Methods for Sparse
+Linear Systems, section 11.6): the columns of a level have pairwise
+disjoint row supports, so they have a zero block in A^T A, their
+updates commute and a level updates all its columns at once. The
+normal-equation matrix A^T A is never formed: the preconditioned
+matrix the bound analyses is the same sweep run on every column of A
+at once.
 """
 
 from __future__ import annotations
@@ -31,84 +32,108 @@ class NrsorConfig:
     omega: float
     inner_steps: int
     column_norms: object     # ||a_i||^2, one per column, working precision
-    runs: list               # (rows, values, cols) per run; see _runs
+    levels: list             # (rows, values, cols) per level; see _levels
 
 
 def nrsor_config(a, omega=1.0, inner_steps=1):
-    """Validate parameters, split the columns into runs and precompute
+    """Validate parameters, schedule the columns by level and precompute
     squared column norms once."""
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
     if inner_steps < 1:
         raise ValueError(f"inner_steps must be >= 1, got {inner_steps}")
     n = a.shape[1]
-    runs = _runs(a)
+    levels = _levels(a)
     norms = dd.zeros_like(a, (n,))
-    for _, vals, cols in runs:
-        norms[cols] = _dots(vals, vals)
+    for _, vals, cols in levels:
+        norms[cols] = _dots(vals, vals, isinstance(cols, int))
     dead = [int(i) for i in np.nonzero(dd.approx(norms) == 0.0)[0]]
     if dead:
         raise InvalidMatrixError(f"zero columns at indices {dead}")
-    return NrsorConfig(float(omega), int(inner_steps), norms, runs)
+    return NrsorConfig(float(omega), int(inner_steps), norms, levels)
 
 
-def _runs(a):
-    """Maximal runs of consecutive columns with disjoint row supports.
+def _levels(a):
+    """The sweep's level schedule (Anderson and Saad 1989).
 
-    Greedy in natural order. A run of k columns is (rows, values, cols):
-    rows and values are (L, k) tables of each column's row indices and
-    values, its nonzeros in row order, padded with zero values at row m
-    (a slot the sweep keeps at the end of its residual, so padding never
-    aliases a real row) up to L, the power of two the DD tree sum pads
-    to anyway; cols is the slice of the run's columns. A one-column run
-    that covers every row keeps the whole column and an integer index,
-    so a dense matrix runs the plain column-by-column sweep on 0-d
-    scalars.
+    Column i's level is 1 + the highest level among the earlier columns
+    that share a row with it, or 0 if there are none. So the columns of
+    a level have disjoint row supports, and each row meets its columns
+    in natural order, one level at a time. A level of k columns is
+    (rows, values, cols): rows and values are (L, k) tables of each
+    column's row indices and values, its nonzeros in row order, padded
+    with zero values at row m (a slot the sweep keeps at the end of its
+    residual, so padding never aliases a real row) up to L, a power of
+    two; cols is the index array of the level's columns, ascending. A
+    one-column level that covers every row keeps the whole column and
+    an integer index, so a dense matrix runs the plain
+    column-by-column sweep on 0-d scalars.
     """
     m, n = a.shape
     col, row = np.nonzero(dd.approx(a).T != 0.0)    # column-major order
     ptr = np.searchsorted(col, np.arange(n + 1))
-    starts = [0]
-    last = np.full(m, -1)        # latest column that used each row
+    level = np.zeros(n, dtype=np.intp)
+    top = np.full(m, -1)         # highest level so far on each row
     for i in range(n):
         rows = row[ptr[i]:ptr[i + 1]]
-        if (last[rows] >= starts[-1]).any():
-            starts.append(i)
-        last[rows] = i
-    starts.append(n)
-    runs = []
-    for i0, i1 in zip(starts[:-1], starts[1:]):
-        lo, hi = ptr[i0], ptr[i1]
-        if i1 - i0 == 1 and hi - lo == m:
-            runs.append((slice(0, m), a[:, i0], i0))
+        level[i] = top[rows].max(initial=-1) + 1
+        top[rows] = level[i]
+    order = np.argsort(level, kind="stable")        # columns by level
+    first = np.searchsorted(level[order], np.arange(level.max() + 2))
+    slot = np.empty(n, dtype=np.intp)               # place in its level
+    slot[order] = np.arange(n) - first[level[order]]
+    nz_level = level[col]
+    nz = np.argsort(nz_level, kind="stable")        # nonzeros by level
+    nz_first = np.searchsorted(nz_level[nz], np.arange(len(first)))
+    count = np.diff(ptr)
+    levels = []
+    for lv in range(len(first) - 1):
+        cols = order[first[lv]:first[lv + 1]]
+        if len(cols) == 1 and count[cols[0]] == m:
+            levels.append((slice(0, m), a[:, cols[0]], int(cols[0])))
             continue
-        size = 1 << (int(np.diff(ptr[i0:i1 + 1]).max()) - 1).bit_length()
-        j, r = col[lo:hi], row[lo:hi]
-        at = (np.arange(lo, hi) - ptr[j], j - i0)   # position in the table
-        rows = np.full((size, i1 - i0), m)
+        e = nz[nz_first[lv]:nz_first[lv + 1]]
+        j, r = col[e], row[e]
+        at = (e - ptr[j], slot[j])                  # position in the table
+        size = 1 << (int(count[cols].max()) - 1).bit_length()
+        rows = np.full((size, len(cols)), m)
         rows[at] = r
-        vals = dd.zeros_like(a, (size, i1 - i0))
+        vals = dd.zeros_like(a, (size, len(cols)))
         vals[at] = a[r, j]
-        runs.append((rows, vals, slice(i0, i1)))
-    return runs
+        levels.append((rows, vals, cols))
+    return levels
 
 
-def _dots(vals, r):
-    # one inner product per column of vals; a 1-D run is one dense column
-    if vals.ndim == 1:
-        return dd.vdot(vals, r)
-    return (vals * r).sum(axis=0)
+def _dots(vals, r, dense):
+    """One inner product per column of vals (and of a block r).
+
+    A dense column takes dd.vdot, or the tree sum for a block operand.
+    A table's power-of-two rows are summed by halving, the pairs DD's
+    tree sum takes, so in binary64 too each column's sum is the same
+    whatever the table's shape.
+    """
+    if dense:
+        return dd.vdot(vals, r) if vals.ndim == 1 else (vals * r).sum(axis=0)
+    p = vals * r
+    while len(p) > 1:
+        h = len(p) // 2
+        p = p[:h] + p[h:]
+    return p[0]
 
 
 def nrsor_apply(a, cfg, u):
     """w = P^(l) A^T u: l relaxation sweeps on A^T A w = A^T u from w = 0.
 
-    Each sweep visits columns in natural order, a run of columns with
-    disjoint row supports at a time; the running residual r starts at u
-    and is corrected run by run, at the rows the run touches. A's
-    entries come from cfg, which nrsor_config built from this same a.
-    An (m, p) operand sweeps its p columns together, each column giving
-    the bytes its own sweep gives.
+    Each sweep visits the columns level by level; the running residual
+    r starts at u and is corrected one level at a time, at the rows the
+    level touches. Each row meets its columns in natural order, so the
+    levels give the bytes of the column-by-column order of the same
+    tables. A's entries come from cfg, which nrsor_config built from
+    this same a. An (m, p) operand sweeps its p columns together. In
+    extended precision each column gives the bytes its own sweep gives.
+    In binary64 so do columns of the tables; a whole dense column's
+    inner product is BLAS's dot for a one-column operand but numpy's
+    sum for a block, which may differ in the last bits.
     """
     m, n = a.shape
     if u.shape[:1] != (m,) or u.ndim > 2:
@@ -119,12 +144,12 @@ def nrsor_apply(a, cfg, u):
     r[:m] = u
     omega = cfg.omega
     for _ in range(cfg.inner_steps):
-        for rows, vals, cols in cfg.runs:
+        for rows, vals, cols in cfg.levels:
             norms = cfg.column_norms[cols]
             if tail:
                 vals, norms = vals[..., None], norms[..., None]
             g = r[rows]
-            delta = (_dots(vals, g) * omega) / norms
+            delta = (_dots(vals, g, isinstance(cols, int)) * omega) / norms
             w[cols] = w[cols] + delta
             r[rows] = g - vals * delta
     return w

@@ -1,6 +1,8 @@
 """Solver tests: plain GMRES invariants, then the BA outer loop checked
 against an explicit preconditioner-matrix oracle."""
 
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -454,37 +456,119 @@ def test_sweep_sparse_matches_column_by_column(name):
                 1e-12 * np.linalg.norm(want64)
 
 
-def test_runs_are_maximal_disjoint_and_hold_the_nonzeros():
+def test_levels_are_earliest_disjoint_and_hold_the_nonzeros():
     cases = dict(_sparse_cases(), dense=exp_decay_matrix(9).a)
     for name, a in cases.items():
         m, n = a.shape
         supports = [set(np.flatnonzero(a[:, i])) for i in range(n)]
-        runs = nrsor_config(a).runs
-        spans = [np.arange(n)[cols] for _, _, cols in runs]
-        flat = np.concatenate([np.atleast_1d(s) for s in spans])
-        assert np.array_equal(flat, np.arange(n)), name   # consecutive, all
+        levels = nrsor_config(a).levels
+        members = [np.arange(n)[cols] for _, _, cols in levels]
+        flat = np.concatenate([np.atleast_1d(c) for c in members])
+        assert np.array_equal(np.sort(flat), np.arange(n)), name  # each once
+        level_of = np.empty(n, dtype=int)
         rebuilt = np.zeros((m + 1, n))
-        for k, (rows, vals, cols) in enumerate(runs):
+        for k, (rows, vals, _) in enumerate(levels):
+            cols = np.atleast_1d(members[k])
+            assert np.all(np.diff(cols) > 0), f"{name}: level {k} order"
             used = set()
-            for i in np.atleast_1d(spans[k]):
-                assert not used & supports[i], f"{name}: run {k} overlaps"
+            for i in cols:
+                assert not used & supports[i], f"{name}: level {k} overlaps"
                 used |= supports[i]
-            if k + 1 < len(runs):
-                nxt = int(np.atleast_1d(spans[k + 1])[0])
-                assert used & supports[nxt], f"{name}: run {k} not maximal"
-            rebuilt[rows, spans[k]] = vals
+            level_of[cols] = k
+            rebuilt[rows, members[k]] = vals
+        for i in range(n):
+            earlier = [level_of[j] for j in range(i) if supports[j] & supports[i]]
+            assert level_of[i] == 1 + max(earlier, default=-1), \
+                f"{name}: column {i} not on its earliest level"
         assert np.array_equal(rebuilt[:m], a), name
         assert not rebuilt[m].any(), name
-    assert len(nrsor_config(cases["disjoint"]).runs) == 1
-    # a dense matrix keeps whole columns, indexed by integers
-    assert all(isinstance(c, int) for _, _, c in nrsor_config(cases["dense"]).runs)
+    assert len(nrsor_config(cases["disjoint"]).levels) == 1
+    # a dense matrix keeps whole columns, one per level, by integer index
+    dense = nrsor_config(cases["dense"]).levels
+    assert [c for _, _, c in dense] == list(range(9))
+    assert all(isinstance(c, int) and isinstance(rows, slice)
+               for rows, _, c in dense)
+
+
+def _consecutive_runs(a):
+    # the schedule before levels: greedy maximal runs of consecutive
+    # columns with disjoint row supports, in the same tables, each run's
+    # columns as a slice
+    m, n = a.shape
+    col, row = np.nonzero(dd.approx(a).T != 0.0)
+    ptr = np.searchsorted(col, np.arange(n + 1))
+    starts = [0]
+    last = np.full(m, -1)
+    for i in range(n):
+        rows = row[ptr[i]:ptr[i + 1]]
+        if (last[rows] >= starts[-1]).any():
+            starts.append(i)
+        last[rows] = i
+    starts.append(n)
+    runs = []
+    for i0, i1 in zip(starts[:-1], starts[1:]):
+        lo, hi = ptr[i0], ptr[i1]
+        if i1 - i0 == 1 and hi - lo == m:
+            runs.append((slice(0, m), a[:, i0], i0))
+            continue
+        size = 1 << (int(np.diff(ptr[i0:i1 + 1]).max()) - 1).bit_length()
+        j, r = col[lo:hi], row[lo:hi]
+        at = (np.arange(lo, hi) - ptr[j], j - i0)
+        rows = np.full((size, i1 - i0), m)
+        rows[at] = r
+        vals = dd.zeros_like(a, (size, i1 - i0))
+        vals[at] = a[r, j]
+        runs.append((rows, vals, slice(i0, i1)))
+    return runs
+
+
+@pytest.mark.parametrize("precision", ["extended", "f64"])
+@pytest.mark.parametrize("name", ["random", "mixed", "band", "disjoint"])
+def test_levels_give_the_bytes_of_consecutive_runs(name, precision):
+    # both schedules update each row by the same columns in natural order
+    a0 = _sparse_cases()[name]
+    wrap = dd.asdd if precision == "extended" else np.asarray
+    a = wrap(a0)
+    u3 = wrap(_rand((a0.shape[0], 3), seed=45))
+    runs = _consecutive_runs(a)
+    assert len(nrsor_config(a).levels) < len(runs) or name != "random"
+    for omega in (0.7, 1.0, 1.4):
+        for steps in (1, 3):
+            cfg = nrsor_config(a, omega, steps)
+            by_runs = dataclasses.replace(cfg, levels=runs)
+            for u in (u3[:, 0], u3):
+                assert _bits(nrsor_apply(a, cfg, u)) == \
+                    _bits(nrsor_apply(a, by_runs, u)), f"omega={omega} l={steps}"
 
 
 def test_zero_column_rejected_with_indices():
-    a = _rand((5, 4), seed=27)
-    a[:, 2] = 0.0
-    with pytest.raises(InvalidMatrixError, match="2"):
-        nrsor_config(a)
+    # a sparse empty support sits on level 0 and must reach the norm check
+    dense, sparse = _rand((5, 4), seed=27), _sparse_cases()["random"]
+    for a0, dead in ((dense, [2]), (sparse, [0]), (sparse, [7]),
+                     (sparse, [0, 59])):
+        a = a0.copy()
+        a[:, dead] = 0.0
+        for x in (a, dd.asdd(a)):
+            with pytest.raises(InvalidMatrixError,
+                               match=re.escape(f"indices {dead}")):
+                nrsor_config(x)
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (1, 6)])
+def test_sweep_single_column_and_single_row(shape):
+    a0 = _rand(shape, seed=47)
+    if shape[1] == 1:
+        a0[::2] = 0.0                  # a sparse column: a one-column table
+    u0 = _rand(shape[0], seed=48)
+    a, u = dd.asdd(a0), dd.asdd(u0)
+    for omega, steps in ((1.0, 1), (1.3, 3)):
+        got = nrsor_apply(a, nrsor_config(a, omega, steps), u)
+        want = _reference_sweep(a, omega, steps, u)
+        assert got.shape == (shape[1],)
+        assert _f(dd.norm2(got - want)) <= 1e-30 * _f(dd.norm2(want))
+        got64 = nrsor_apply(a0, nrsor_config(a0, omega, steps), u0)
+        want64 = _reference_sweep(a0, omega, steps, u0)
+        assert np.linalg.norm(got64 - want64) <= 1e-14 * np.linalg.norm(want64)
 
 
 def test_config_validation():
@@ -552,8 +636,8 @@ def test_preconditioned_matrix_columns_are_the_sweep(name, omega, steps):
     a = dd.asdd(a0)
     cfg = nrsor_config(a, omega, steps)
     if name == "sparse":
-        assert any(not isinstance(c, int) and c.stop - c.start > 1
-                   for _, _, c in cfg.runs)
+        assert any(not isinstance(c, int) and len(c) > 1
+                   for _, _, c in cfg.levels)
     pm = preconditioned_matrix(a, cfg)
     assert pm.shape == (a.shape[1],) * 2
     for j in range(a.shape[1]):
@@ -565,13 +649,17 @@ def test_preconditioned_matrix_columns_are_the_sweep(name, omega, steps):
 
 @pytest.mark.parametrize("name", ["dense", "stair", "sparse"])
 def test_sweep_block_operand_is_the_column_sweeps(name):
-    a = dd.asdd(_identity_cases()[name])
-    u = dd.asdd(_rand((a.shape[0], 3), seed=43))
-    cfg = nrsor_config(a, 1.3, 2)
-    w = nrsor_apply(a, cfg, u)
-    assert w.shape == (a.shape[1], 3)
-    for j in range(3):
-        assert _bits(w[:, j]) == _bits(nrsor_apply(a, cfg, u[:, j]))
+    # binary64 too for the sparse tables, whose sums halve their rows; a
+    # whole dense column takes BLAS's dot for one operand column
+    a0 = _identity_cases()[name]
+    u0 = _rand((a0.shape[0], 3), seed=43)
+    for wrap in (dd.asdd, np.asarray) if name == "sparse" else (dd.asdd,):
+        a, u = wrap(a0), wrap(u0)
+        cfg = nrsor_config(a, 1.3, 2)
+        w = nrsor_apply(a, cfg, u)
+        assert w.shape == (a.shape[1], 3)
+        for j in range(3):
+            assert _bits(w[:, j]) == _bits(nrsor_apply(a, cfg, u[:, j]))
 
 
 def test_sweep_rejects_operands_of_the_wrong_shape():

@@ -226,10 +226,13 @@ def vandermonde_min(lambdas, k_max):
     def apply_op(v):
         return alpha * v + beta * v[partner]
 
-    def recompute(x, estimate):
-        rn = dd.norm2(start - apply_op(x))
-        rn = rn + margin * (two_snorm + _f(rn))
-        return TraceRow(0, rn, rn, None, estimate)
+    def recompute(xs, estimates):
+        rows = []
+        for x, estimate in zip(xs, estimates):
+            rn = dd.norm2(start - apply_op(x))
+            rn = rn + margin * (two_snorm + _f(rn))
+            rows.append(TraceRow(0, rn, rn, None, estimate))
+        return rows
 
     steps = min(k_max, degree - 1)
     out = dd.zeros((k_max,))

@@ -761,7 +761,7 @@ def vdot(u, v):
     """Inner product conj(u).v (first argument conjugated).
 
     A 2-d u gives one product per row, each with the bytes of the 1-d
-    call on that row.
+    call on that row as a contiguous vector.
     """
     if isinstance(u, (DD, CDD)) or isinstance(v, (DD, CDD)):
         if isinstance(u, CDD) or isinstance(v, CDD):
@@ -772,7 +772,9 @@ def vdot(u, v):
     if u.ndim == 2:
         # a stack of (1, n) @ (n, 1) products: numpy's matmul runs each
         # on the BLAS dot that np.dot and np.vdot call, where the
-        # matrix-vector product would change the summation order
+        # matrix-vector product would change the summation order; BLAS
+        # sums a strided vector in another order than a contiguous one
+        u = np.ascontiguousarray(u)
         return (u.conj()[:, None, :] @ v[:, None])[:, 0, 0]
     if np.iscomplexobj(u) or np.iscomplexobj(v):
         return np.vdot(u, v)

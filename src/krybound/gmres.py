@@ -3,9 +3,10 @@ BA-preconditioned outer loop.
 
 Both entry points share one engine. The engine minimizes the norm of
 the (possibly preconditioned) residual over the growing Krylov space
-via an incrementally updated Givens QR of the Hessenberg matrix, but
-every reported residual in the trace is recomputed from scratch as
-b - A x_k; the cheap Givens estimate is kept alongside so its drift
+via an incrementally updated Givens QR of the Hessenberg matrix, and
+stops on the cheap Givens estimate.  Every reported residual in the
+trace is recomputed from scratch as b - A x_k after the loop, for all
+the iterates in one block; the estimate is kept alongside so its drift
 from the true value is observable instead of silently trusted.
 """
 
@@ -91,20 +92,26 @@ def gmres(op, rhs, opts=None):
         nr = dd.norm2(op.apply_transpose(r)) if op.apply_transpose else None
         return TraceRow(0, rn, rn, nr, rn if estimate is None else estimate)
 
+    def recompute(xs, estimates):
+        # apply is a vector callback: one product per iterate
+        return [row(rhs - op.apply(x), e) for x, e in zip(xs, estimates)]
+
     # the one product with the zero start vector is also what rejects
     # an opaque operator's complex field
     r0 = rhs - op.apply(dd.zeros_like(rhs, (n,)))
     _require_real("gmres", r0)
-    return _engine(op.apply, r0, row(r0), opts,
-                   lambda x, estimate: row(rhs - op.apply(x), estimate))
+    return _engine(op.apply, r0, row(r0), opts, recompute)
 
 
 def ba_gmres(a, precond, b, opts=None):
     """GMRES on the composed map v -> precond(A v), tracing true residuals.
 
-    precond maps m-vectors to n-vectors (for an m x n matrix a); the
-    returned iterates solve the preconditioned normal problem, and the
-    trace carries ||b - A x||, ||precond(b - A x)||, ||A^T(b - A x)||.
+    precond maps m-vectors to n-vectors (for an m x n matrix a), and an
+    (m, p) block to the (n, p) block of its columns' images, column by
+    column: the trace's k preconditioned residuals are one call on their
+    (m, k) block.  The returned iterates solve the preconditioned normal
+    problem, and the trace carries ||b - A x||, ||precond(b - A x)||,
+    ||A^T(b - A x)||.
     """
     opts = opts or GmresOptions()
     opts.validate()
@@ -116,10 +123,12 @@ def ba_gmres(a, precond, b, opts=None):
     def apply_op(v):
         return precond(a @ v)
 
-    def recompute(x, estimate):
-        r = b - a @ x
-        return TraceRow(0, dd.norm2(r), dd.norm2(precond(r)),
-                        dd.norm2(a.T @ r), estimate)
+    def recompute(xs, estimates):
+        rs = [b - a @ x for x in xs]
+        ws = precond(dd.stack(rs).T)
+        return [TraceRow(0, dd.norm2(r), dd.norm2(ws[:, i]),
+                         dd.norm2(a.T @ r), e)
+                for i, (r, e) in enumerate(zip(rs, estimates))]
 
     # the start vector is zero, so r0 = b
     w0 = precond(b)
@@ -143,14 +152,15 @@ def _require_real(name, *arrays):
 def _engine(apply_op, w0, row0, opts, recompute):
     # Krylov space of apply_op from w0, the (preconditioned) residual at
     # the zero start; row0 is its trace row, with the minimized estimate
-    # ||w0||, and recompute(x, estimate) gives the row at iterate x
+    # ||w0||.  The loop steers by the Givens estimate alone; after it,
+    # recompute(xs, estimates) gives the rows of all the iterates x_1..x_k
+    # in one call, so a caller can batch their residuals
     eps = dd.eps_of(w0)
     n = len(w0)
     beta = row0.minimized_estimate
     x0 = dd.zeros_like(w0)
-    rows = [row0]
     if _f(beta) == 0.0:
-        return ConvergenceTrace(rows, x0, 0, "converged")
+        return ConvergenceTrace([row0], x0, 0, "converged")
     if not dd.isfinite_all(w0):
         raise NumericalFailureError("non-finite initial residual")
 
@@ -163,9 +173,8 @@ def _engine(apply_op, w0, row0, opts, recompute):
     sin: list = []
     g = dd.zeros_like(w0, (maxit + 1,))
     g[0] = beta
-    x = x0
+    estimates: list = []            # the Givens estimate of each iterate
     reason = "max_iterations"
-    k = 0
     for j in range(maxit):
         w = apply_op(basis[j])
         if not dd.isfinite_all(w):
@@ -202,26 +211,19 @@ def _engine(apply_op, w0, row0, opts, recompute):
         if breakdown and _f(abs(h[j, j])) <= n * eps * wnorm:
             # the reduced H is singular: A v_j adds no direction to the
             # image of the space, so the previous iterate stays the
-            # minimizer, and its estimate with it
-            k = j + 1
-            rows.append(replace(rows[-1], k=k))
+            # minimizer, and its row with it
             reason = "breakdown"
             break
         gj = g[j].copy() if dd.is_extended(w0) else g[j]
         g[j] = c * gj
         g[j + 1] = -s * gj
         estimate = abs(g[j + 1])
-        prev = rows[-1].minimized_estimate
+        prev = estimates[-1] if estimates else beta
         if _f(estimate) > _f(prev) * (1.0 + 16 * eps) + 4 * eps * _f(beta):
             raise NumericalFailureError(
                 f"minimized residual increased at iteration {j + 1}: "
                 f"{_f(estimate):.6e} > {_f(prev):.6e}")
-        y = solve_triangular(h[:j + 1, :j + 1], g[:j + 1])
-        x = y @ q
-        k = j + 1
-        row = recompute(x, estimate)
-        row.k = k
-        rows.append(row)
+        estimates.append(estimate)
         if _f(estimate) <= opts.rtol * _f(beta):
             reason = "converged"
             break
@@ -229,8 +231,20 @@ def _engine(apply_op, w0, row0, opts, recompute):
             # exact invariance of the Krylov space: nothing more to gain
             reason = "breakdown"
             break
+    k = j + 1
+    # x_i solves the leading i x i block of the rotated H against g[:i];
+    # both are final once step i is done, so each iterate has the bytes
+    # it would have had in the loop
+    xs = [solve_triangular(h[:i, :i], g[:i]) @ basis[:i]
+          for i in range(1, len(estimates) + 1)]
+    rows = [row0] + (recompute(xs, estimates) if xs else [])
+    for i, row in enumerate(rows):
+        row.k = i
+    if k > len(xs):
+        # the singular breakdown's row k repeats row k - 1
+        rows.append(replace(rows[-1], k=k))
     # a breakdown leaves row k of the basis unset
-    return ConvergenceTrace(rows, x, k, reason,
+    return ConvergenceTrace(rows, xs[-1] if xs else x0, k, reason,
                             extras={"basis": basis[:k + 1 - breakdown]})
 
 

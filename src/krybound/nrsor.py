@@ -43,6 +43,8 @@ def nrsor_config(a, omega=1.0, inner_steps=1):
     if inner_steps < 1:
         raise ValueError(f"inner_steps must be >= 1, got {inner_steps}")
     n = a.shape[1]
+    if n == 0:
+        raise InvalidMatrixError("matrix has no columns")
     levels = _levels(a)
     norms = dd.zeros_like(a, (n,))
     for _, vals, cols in levels:
@@ -107,13 +109,14 @@ def _levels(a):
 def _dots(vals, r, dense):
     """One inner product per column of vals (and of a block r).
 
-    A dense column takes dd.vdot, or the tree sum for a block operand.
-    A table's power-of-two rows are summed by halving, the pairs DD's
+    A dense column takes dd.vdot, and a block operand its stacked path,
+    one product per operand column with the bytes of the 1-d call.  A
+    table's power-of-two rows are summed by halving, the pairs DD's
     tree sum takes, so in binary64 too each column's sum is the same
     whatever the table's shape.
     """
     if dense:
-        return dd.vdot(vals, r) if vals.ndim == 1 else (vals * r).sum(axis=0)
+        return dd.vdot(vals, r) if vals.ndim == 1 else dd.vdot(r.T, vals[:, 0])
     p = vals * r
     while len(p) > 1:
         h = len(p) // 2
@@ -129,11 +132,8 @@ def nrsor_apply(a, cfg, u):
     level touches. Each row meets its columns in natural order, so the
     levels give the bytes of the column-by-column order of the same
     tables. A's entries come from cfg, which nrsor_config built from
-    this same a. An (m, p) operand sweeps its p columns together. In
-    extended precision each column gives the bytes its own sweep gives.
-    In binary64 so do columns of the tables; a whole dense column's
-    inner product is BLAS's dot for a one-column operand but numpy's
-    sum for a block, which may differ in the last bits.
+    this same a. An (m, p) operand sweeps its p columns together, and
+    in both precisions each column gives the bytes its own sweep gives.
     """
     m, n = a.shape
     if u.shape[:1] != (m,) or u.ndim > 2:

@@ -149,6 +149,16 @@ def test_missing_matrix_file_is_an_error(tmp_path, capsys):
     assert "absent.mtx" in capsys.readouterr().err
 
 
+def test_matrix_without_columns_is_a_named_error(tmp_path, capsys):
+    mtx = tmp_path / "empty.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 0 0\n")
+    for precision in ("f64", "extended"):
+        code = run(["solve", "--mtx", str(mtx), "--precision", precision,
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: matrix has no columns\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--gen", "stair", "--precision", "bogus"],
     ["solve", "--gen", "stair", "--no-such-option"],

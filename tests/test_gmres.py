@@ -198,13 +198,26 @@ def test_singular_breakdown_keeps_the_previous_iterate(kind):
     # k = 2.  The rotated Givens estimate used to read 5e-32 there and
     # report "converged" with a recomputed residual of 7.28
     a, b = np.diag([0.0, 1.0, 2.0]), np.ones(3)
-    op, rhs = (matrix_operator(dd.asdd(a)), dd.asdd(b)) if kind == "dd" \
-        else (matrix_operator(a), b)
-    trace = gmres(op, rhs)
-    assert trace.reason == "breakdown"
+    if kind == "dd":
+        a, b = dd.asdd(a), dd.asdd(b)
+
+    def run(k):
+        return gmres(matrix_operator(a), b,
+                     opts=GmresOptions(max_iterations=k))
+
+    trace = gmres(matrix_operator(a), b)
+    assert trace.reason == "breakdown" and trace.iterations == 3
     res = [_f(r.residual_norm) for r in trace.rows]
     assert res[-1] <= res[2]
     assert abs(res[2] - 1.0) <= 1e-14
+    # rows 1 and 2 are recomputed after the loop, and row 3, where the
+    # reduced H is singular, repeats row 2
+    _oracle_rows(run, a, lambda r: r, b, 2)
+    assert [r.k for r in trace.rows] == [0, 1, 2, 3]
+    for name in _ROW_NAMES:
+        assert _bits(getattr(trace.rows[3], name)) == \
+            _bits(getattr(trace.rows[2], name))
+    assert _bits(trace.x) == _bits(run(2).x)
 
 
 def test_nan_guard_raises_named_iteration():
@@ -291,7 +304,9 @@ def test_ba_trace_matches_explicit_preconditioner_matrix():
 
 
 @pytest.mark.parametrize("extended", [False, True])
-def test_ba_starts_from_b_with_2k_plus_1_preconditioner_calls(extended):
+def test_ba_starts_from_b_with_k_plus_2_preconditioner_calls(extended):
+    # one call on b and one per Arnoldi step, then one on the (m, k)
+    # block of the k recomputed residuals
     a = _rand((12, 5), seed=18)
     b = _rand(12, seed=19)
     if extended:
@@ -305,7 +320,8 @@ def test_ba_starts_from_b_with_2k_plus_1_preconditioner_calls(extended):
 
     trace = ba_gmres(a, precond, b, opts=GmresOptions(max_iterations=3))
     assert trace.iterations == 3
-    assert len(calls) == 2 * trace.iterations + 1
+    assert len(calls) == trace.iterations + 2
+    assert [c.shape for c in calls] == [(12,)] * 4 + [(12, 3)]
     # row 0 is the recompute at the zero start vector
     r = b - a @ dd.zeros_like(b, (5,))
     row0 = trace.rows[0]
@@ -316,6 +332,76 @@ def test_ba_starts_from_b_with_2k_plus_1_preconditioner_calls(extended):
                       (row0.minimized_estimate,
                        dd.norm2(nrsor_apply(a, cfg, r)))):
         assert _bits(got) == _bits(want)
+
+
+_ROW_NAMES = ("residual_norm", "preconditioned_residual_norm",
+              "normal_residual_norm", "minimized_estimate")
+
+
+def _oracle_rows(run, a, precond, b, steps):
+    # the rows recomputed after the loop, against one-column rebuilds:
+    # the k-step run's iterate is x_k, so its residual, its one-column
+    # preconditioned image and A^T r give row k of the longer run
+    full = run(steps)
+    assert full.iterations == steps
+    for k in range(1, steps + 1):
+        x = run(k).x
+        r = b - a @ x
+        want = (dd.norm2(r), dd.norm2(precond(r)), dd.norm2(a.T @ r))
+        got = full.rows[k]
+        assert got.k == k
+        for name, value in zip(_ROW_NAMES, want):
+            assert _bits(getattr(got, name)) == _bits(value), (k, name)
+
+
+def _sparse_case():
+    # a sparse matrix whose sweep takes multi-column level tables
+    a0 = _sparse_cases()["random"]
+    return a0, _rand(a0.shape[0], seed=45)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("precision", ["f64", "dd"])
+@pytest.mark.parametrize("name", ["exp-decay", "sparse"])
+def test_ba_rows_are_the_one_column_recomputes(name, precision, steps):
+    if name == "sparse":
+        a0, b0 = _sparse_case()
+    else:
+        inst = exp_decay_matrix(20)
+        a0, b0 = inst.a, inst.b
+    a, b = (dd.asdd(a0), dd.asdd(b0)) if precision == "dd" else (a0, b0)
+    cfg = nrsor_config(a, 1.0, steps)
+    if name == "sparse":
+        assert any(not isinstance(c, int) and len(c) > 1
+                   for _, _, c in cfg.levels)
+
+    def precond(u):
+        return nrsor_apply(a, cfg, u)
+
+    def run(k):
+        return ba_gmres(a, precond, b,
+                        opts=GmresOptions(rtol=1e-30, max_iterations=k))
+
+    _oracle_rows(run, a, precond, b, 6)
+
+
+@pytest.mark.parametrize("precision", ["f64", "dd"])
+@pytest.mark.parametrize("name", ["exp-decay", "sparse"])
+def test_gmres_rows_are_each_iterates_recompute(name, precision):
+    if name == "sparse":
+        # square: the leading 30 columns
+        a0, b0 = _sparse_case()
+        a0 = a0[:, :30].copy()
+    else:
+        inst = exp_decay_matrix(20)
+        a0, b0 = inst.a, inst.b
+    a, b = (dd.asdd(a0), dd.asdd(b0)) if precision == "dd" else (a0, b0)
+
+    def run(k):
+        return gmres(matrix_operator(a), b,
+                     opts=GmresOptions(rtol=1e-30, max_iterations=k))
+
+    _oracle_rows(run, a, lambda r: r, b, 6)
 
 
 def _splitting(a, omega):
@@ -554,6 +640,12 @@ def test_zero_column_rejected_with_indices():
                 nrsor_config(x)
 
 
+def test_matrix_without_columns_rejected():
+    for a in (np.zeros((5, 0)), dd.zeros((5, 0))):
+        with pytest.raises(InvalidMatrixError, match="no columns"):
+            nrsor_config(a)
+
+
 @pytest.mark.parametrize("shape", [(9, 1), (1, 6)])
 def test_sweep_single_column_and_single_row(shape):
     a0 = _rand(shape, seed=47)
@@ -631,29 +723,33 @@ def _identity_cases():
 @pytest.mark.parametrize("name", ["dense", "stair", "sparse"])
 def test_preconditioned_matrix_columns_are_the_sweep(name, omega, steps):
     # I - H^l = P^(l) A^T A: column j is the sweep applied to a_j, bytes
-    # and all; binary64 takes another summation order and agrees to 1e-13
+    # and all, in both precisions
     a0 = _identity_cases()[name]
-    a = dd.asdd(a0)
-    cfg = nrsor_config(a, omega, steps)
-    if name == "sparse":
-        assert any(not isinstance(c, int) and len(c) > 1
-                   for _, _, c in cfg.levels)
-    pm = preconditioned_matrix(a, cfg)
-    assert pm.shape == (a.shape[1],) * 2
-    for j in range(a.shape[1]):
-        col = nrsor_apply(a, cfg, a[:, j])
-        assert _bits(pm[:, j]) == _bits(col), f"column {j}"
-    pm64 = preconditioned_matrix(a0, nrsor_config(a0, omega, steps))
-    assert np.abs(pm64 - dd.approx(pm)).max() <= 1e-13
+    pms = []
+    for a in (dd.asdd(a0), a0):
+        cfg = nrsor_config(a, omega, steps)
+        if name == "sparse":
+            assert any(not isinstance(c, int) and len(c) > 1
+                       for _, _, c in cfg.levels)
+        pm = preconditioned_matrix(a, cfg)
+        assert pm.shape == (a.shape[1],) * 2
+        for j in range(a.shape[1]):
+            col = nrsor_apply(a, cfg, a[:, j])
+            assert _bits(pm[:, j]) == _bits(col), f"column {j}"
+        pms.append(dd.approx(pm))
+    assert np.abs(pms[1] - pms[0]).max() <= 1e-13
 
 
-@pytest.mark.parametrize("name", ["dense", "stair", "sparse"])
+@pytest.mark.parametrize("name", ["dense", "stair", "sparse", "column"])
 def test_sweep_block_operand_is_the_column_sweeps(name):
-    # binary64 too for the sparse tables, whose sums halve their rows; a
-    # whole dense column takes BLAS's dot for one operand column
-    a0 = _identity_cases()[name]
+    # a table's sums halve its rows, and a whole dense column takes
+    # vdot's stacked path, so binary64 keeps the bytes too; a single
+    # column is contiguous, where BLAS takes another summation order
+    # than for a strided one
+    a0 = _rand((200, 1), seed=46) if name == "column" \
+        else _identity_cases()[name]
     u0 = _rand((a0.shape[0], 3), seed=43)
-    for wrap in (dd.asdd, np.asarray) if name == "sparse" else (dd.asdd,):
+    for wrap in (dd.asdd, np.asarray):
         a, u = wrap(a0), wrap(u0)
         cfg = nrsor_config(a, 1.3, 2)
         w = nrsor_apply(a, cfg, u)

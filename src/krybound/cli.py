@@ -20,8 +20,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dd, linalg, traceio
 from .bounds import (bound_curve, cluster_assign, cluster_poly_bound,
                      decompose_rhs, first_order_estimate)
@@ -159,7 +157,8 @@ def _build_problem(cfg):
         label = cfg.generator
     a, b = inst.a, inst.b
     if cfg.precision == "extended":
-        a, b = dd.asdd(a), dd.asdd(b)
+        # a sparse input keeps only its nonzeros
+        a, b = dd.asmatrix(a), dd.asdd(b)
     return a, b, label
 
 
@@ -231,9 +230,8 @@ def cmd_gen(cfg):
     a, b, label = _build_problem(cfg)
     out = cfg.out or "problem.mtx"
     rhs_path = _rhs_path(out)
-    write_matrix_market(out, dd.approx(a) if dd.is_extended(a) else a)
-    bmat = dd.approx(b) if dd.is_extended(b) else b
-    write_matrix_market(rhs_path, np.asarray(bmat).reshape(-1, 1))
+    write_matrix_market(out, dd.approx(dd.dense(a)))
+    write_matrix_market(rhs_path, dd.approx(b))
     m, n = a.shape
     print(f"gen {label}: {m}x{n} matrix -> {out}, rhs -> {rhs_path} "
           f"({time.perf_counter() - t0:.2f} s)")
@@ -261,7 +259,7 @@ def _bound_operator(cfg, a, b):
     """The matrix the bound analyses, the rhs it decomposes, and the
     NR-SOR set-up the solver runs with."""
     if cfg.solver == "gmres":
-        return a, b, None
+        return dd.dense(a), b, None
     ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
     return preconditioned_matrix(a, ncfg), nrsor_apply(a, ncfg, b), ncfg
 

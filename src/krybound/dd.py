@@ -19,9 +19,11 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 import numpy as np
 
+from .errors import DimensionMismatchError, InvalidMatrixError
+
 __all__ = [
-    "DD", "CDD", "EPS", "EPS64",
-    "asdd", "ascdd", "zeros", "czeros", "ones",
+    "DD", "CDD", "SparseDD", "EPS", "EPS64",
+    "asdd", "ascdd", "asmatrix", "dense", "zeros", "czeros", "ones",
     "from_str", "to_str", "format_float",
     "norm2", "vdot", "approx", "conj", "zeros_like",
     "is_extended", "is_complexkind", "eps_of", "complex_like",
@@ -130,6 +132,11 @@ def _apply(kernel, xh, xl, yh, yl):
     return DD._raw(*kernel(xh, xl, yh, yl))
 
 
+def _any_zero(h):
+    # np.any's dispatch costs more than a 0-d division itself
+    return (h == 0.0) if h.ndim == 0 else (h == 0.0).any()
+
+
 # ---------------------------------------------------------------- real DD
 
 class DD:
@@ -230,7 +237,7 @@ class DD:
             return ascdd(self) / o
         if o is NotImplemented:
             return NotImplemented
-        if np.any(o.hi == 0.0):
+        if _any_zero(o.hi):
             raise ZeroDivisionError("double-double division by zero")
         return _apply(_div2, self.hi, self.lo, o.hi, o.lo)
 
@@ -421,7 +428,7 @@ class CDD:
         if o is NotImplemented:
             return NotImplemented
         d = o.re * o.re + o.im * o.im
-        if np.any(d.hi == 0.0):
+        if _any_zero(d.hi):
             raise ZeroDivisionError("complex double-double division by zero")
         n = self * o.conj()
         return CDD(n.re / d, n.im / d)
@@ -551,13 +558,16 @@ def _matvec(a, b):
     """a @ b for 2-d a and 1-d b: the dense tree sum, byte for byte
     except for the sign and payload of a NaN."""
     nonzero = (a.hi != 0.0) | (a.lo != 0.0)
-    nnz = np.count_nonzero(nonzero)
-    # a zero entry times b[j] is zero while b[j] and its Dekker split
-    # are finite; otherwise only the dense products give the NaNs
-    if 0 < nnz * _SPARSE_FRACTION <= a.size and \
-            np.isfinite(_SPLITTER * b.hi).all() and np.isfinite(b.lo).all():
+    if 0 < np.count_nonzero(nonzero) * _SPARSE_FRACTION <= a.size and \
+            _skips_zeros(b):
         return _matvec_sparse(a, b, nonzero)
     return _matvec_dense(a, b)
+
+
+def _skips_zeros(b):
+    # a zero entry times b[j] is zero while b[j] and its Dekker split
+    # are finite; otherwise only the dense products give the NaNs
+    return np.isfinite(_SPLITTER * b.hi).all() and np.isfinite(b.lo).all()
 
 
 def _matvec_dense(a, b):
@@ -566,40 +576,156 @@ def _matvec_dense(a, b):
 
 
 def _matvec_sparse(a, b, nonzero):
-    # The dense tree pads each row to 2**bits and at each level adds node
-    # j to node j + half. With a finite b whose Dekker split is finite,
-    # the kernels never produce a -0: a zero entry of a gives (+0, +0),
-    # and _add2 of (+0, +0) and y, in either order, returns y. So the
-    # tree pruned of its all-zero subtrees gives the same bytes, and a
-    # node without a partner passes up unchanged.
-    m, k = a.shape
     rows, cols = np.nonzero(nonzero)
-    bits = (k - 1).bit_length()
-    rev = np.zeros_like(cols)
-    for i in range(bits):
-        rev |= ((cols >> i) & 1) << (bits - 1 - i)
-    # in (row, bit-reversed column) order the two nodes that a level
-    # adds are neighbours, the lower column first
-    order = np.argsort((rows << bits) | rev)
-    rows, cols = rows[order], cols[order]
-    h, l = _mul2(a.hi[rows, cols], a.lo[rows, cols], b.hi[cols], b.lo[cols])
-    key = (rows << bits) | cols
-    for level in reversed(range(bits)):
-        half = 1 << level
-        # partners share the row and the column mod half
-        agree = ~((1 << bits) - half)
-        left = np.flatnonzero(((key[:-1] ^ key[1:]) & agree) == 0)
-        sh, sl = _add2(h[left], l[left], h[left + 1], l[left + 1])
-        h[left] = sh
-        l[left] = sl
-        keep = np.ones(len(key), dtype=bool)
-        keep[left + 1] = False
-        h, l, key = h[keep], l[keep], key[keep]
-    hi = np.zeros(m)
-    lo = np.zeros(m)
-    hi[key >> bits] = h
-    lo[key >> bits] = l
-    return DD._raw(hi, lo)
+    plan = _TreePlan(a.shape, rows, cols, a.hi[rows, cols], a.lo[rows, cols])
+    return plan.apply(b)
+
+
+class _TreePlan:
+    """The dense tree sum of a @ b pruned to a's nonzeros, built once
+    from a's (row, column, value) triples and applied to any b.
+
+    The dense tree pads each row to 2**bits and at each level adds node
+    j to node j + half. With a finite b whose Dekker split is finite,
+    the kernels never produce a -0: a zero entry of a gives (+0, +0),
+    and _add2 of (+0, +0) and y, in either order, returns y. So the
+    tree pruned of its all-zero subtrees gives the same bytes, and a
+    node without a partner passes up unchanged.
+    """
+
+    __slots__ = ("m", "cols", "hi", "lo", "levels", "rows", "roots")
+
+    def __init__(self, shape, rows, cols, hi, lo):
+        m, k = shape
+        bits = (k - 1).bit_length()
+        rev = np.zeros_like(cols)
+        for i in range(bits):
+            rev |= ((cols >> i) & 1) << (bits - 1 - i)
+        # in (row, bit-reversed column) order the two nodes that a level
+        # adds are neighbours, the lower column first
+        order = np.argsort((rows << bits) | rev)
+        rows, cols = rows[order], cols[order]
+        self.m, self.cols, self.hi, self.lo = m, cols, hi[order], lo[order]
+        key = (rows << bits) | cols
+        at = np.arange(len(key))     # each live node's place in the products
+        # per level that adds anything: the places of its pairs' nodes;
+        # a sum goes to its left node's place
+        self.levels = []
+        for level in reversed(range(bits)):
+            half = 1 << level
+            # partners share the row and the column mod half
+            agree = ~((1 << bits) - half)
+            left = np.flatnonzero(((key[:-1] ^ key[1:]) & agree) == 0)
+            if len(left):
+                self.levels.append((at[left], at[left + 1]))
+                keep = np.ones(len(key), dtype=bool)
+                keep[left + 1] = False
+                key, at = key[keep], at[keep]
+        self.rows, self.roots = key >> bits, at
+
+    def apply(self, b):
+        h, l = _mul2(self.hi, self.lo, b.hi[self.cols], b.lo[self.cols])
+        for left, right in self.levels:
+            h[left], l[left] = _add2(h[left], l[left], h[right], l[right])
+        hi = np.zeros(self.m)
+        lo = np.zeros(self.m)
+        hi[self.rows] = h[self.roots]
+        lo[self.rows] = l[self.roots]
+        return DD._raw(hi, lo)
+
+
+# ---------------------------------------------------------------- sparse
+
+class SparseDD:
+    """A real double-double matrix held as its nonzeros.
+
+    rows, cols and values are the (row, column, value) triples of the
+    entries that are not zero, values a 1-d DD. ``a @ v`` for a 1-d v
+    gives the bytes of the dense DD product (NaN signs aside) from one
+    gather, one product and the tree levels of a plan that each
+    orientation builds on its first product; ``a.T`` is the transpose,
+    on the same triples, and the same object at every call.
+    """
+
+    __slots__ = ("shape", "rows", "cols", "values", "_plan", "_t")
+    __array_ufunc__ = None  # keep numpy from hijacking mixed arithmetic
+
+    def __init__(self, shape, rows, cols, values):
+        self.shape = tuple(shape)
+        self.rows, self.cols, self.values = rows, cols, values
+        self._plan = None
+        self._t = None
+
+    @classmethod
+    def from_dense(cls, a):
+        """The nonzeros of a real 2-d DD or binary64 array."""
+        if isinstance(a, DD):
+            hi, lo = a.hi, a.lo
+        elif isinstance(a, CDD) or np.iscomplexobj(a):
+            raise InvalidMatrixError(
+                "a sparse DD matrix is real; got complex input")
+        else:
+            hi, lo = np.asarray(a, dtype=np.float64), None
+        if hi.ndim != 2:
+            raise DimensionMismatchError(
+                f"a sparse DD matrix is 2-d; got shape {hi.shape}")
+        if lo is None:
+            rows, cols = np.nonzero(hi)
+            values = DD._raw(hi[rows, cols], np.zeros(len(rows)))
+        else:
+            rows, cols = np.nonzero((hi != 0.0) | (lo != 0.0))
+            values = DD._raw(hi[rows, cols], lo[rows, cols])
+        return cls(hi.shape, rows, cols, values)
+
+    @property
+    def T(self):
+        # no link back: a reference cycle would keep both plans alive
+        # until the cyclic collector runs
+        if self._t is None:
+            self._t = SparseDD(self.shape[::-1], self.cols, self.rows,
+                               self.values)
+        return self._t
+
+    def todense(self):
+        out = zeros(self.shape)
+        out.hi[self.rows, self.cols] = self.values.hi
+        out.lo[self.rows, self.cols] = self.values.lo
+        return out
+
+    def __matmul__(self, other):
+        b = _coerce(other)
+        if b is NotImplemented:
+            return NotImplemented
+        if isinstance(b, CDD):
+            raise InvalidMatrixError(
+                "a sparse DD matrix multiplies real operands; got complex")
+        if b.shape != self.shape[1:]:
+            raise DimensionMismatchError(
+                f"sparse matmul takes a vector of length {self.shape[1]}; "
+                f"got shape {b.shape}")
+        if not _skips_zeros(b):
+            # only the dense products give a non-finite operand's NaNs
+            return _matvec_dense(self.todense(), b)
+        if self._plan is None:
+            self._plan = _TreePlan(self.shape, self.rows, self.cols,
+                                   self.values.hi, self.values.lo)
+        return self._plan.apply(b)
+
+
+def asmatrix(a):
+    """The DD image of a real binary64 matrix: its nonzeros as a
+    SparseDD when at most 1/_SPARSE_FRACTION of its entries are nonzero
+    (the rule _matvec applies per product, decided once), else the dense
+    DD array."""
+    a = np.asarray(a)
+    if 0 < np.count_nonzero(a) * _SPARSE_FRACTION <= a.size:
+        return SparseDD.from_dense(a)
+    return asdd(a)
+
+
+def dense(x):
+    """x as an array: a SparseDD's dense DD matrix, anything else as is."""
+    return x.todense() if isinstance(x, SparseDD) else x
 
 
 def _sqrt_dd(x):
@@ -690,11 +816,11 @@ def format_float(x, digits=17):
 # ---------------------------------------------------------------- dispatch
 
 def is_extended(x):
-    return isinstance(x, (DD, CDD))
+    return isinstance(x, (DD, CDD, SparseDD))
 
 
 def is_complexkind(x):
-    return isinstance(x, CDD) or (not isinstance(x, DD)
+    return isinstance(x, CDD) or (not isinstance(x, (DD, SparseDD))
                                   and np.iscomplexobj(np.asarray(x)))
 
 

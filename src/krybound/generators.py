@@ -376,7 +376,7 @@ def _array_chunks(fh, no):
     for lines in _chunks(fh):
         try:
             # one value per line: float() takes the surrounding whitespace
-            vals = np.array([float(text) for text in lines])
+            vals = np.fromiter(map(float, lines), float, len(lines))
         except ValueError:
             vals = np.array(_scan_values(lines, no + 1))
         no += len(lines)

@@ -37,7 +37,11 @@ class NrsorConfig:
 
 def nrsor_config(a, omega=1.0, inner_steps=1):
     """Validate parameters, schedule the columns by level and precompute
-    squared column norms once."""
+    squared column norms once.
+
+    a is a dense array or a dd.SparseDD; either gives the same tables
+    and norms, byte for byte.
+    """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
     if inner_steps < 1:
@@ -45,18 +49,33 @@ def nrsor_config(a, omega=1.0, inner_steps=1):
     n = a.shape[1]
     if n == 0:
         raise InvalidMatrixError("matrix has no columns")
-    levels = _levels(a)
-    norms = dd.zeros_like(a, (n,))
-    for _, vals, cols in levels:
-        norms[cols] = _dots(vals, vals, isinstance(cols, int))
+    if isinstance(a, dd.SparseDD):
+        # the triples in column-major order: a whole column is a slice
+        order = np.lexsort((a.rows, a.cols))
+        col, row, vals = a.cols[order], a.rows[order], a.values[order]
+        ptr = np.searchsorted(col, np.arange(n + 1))
+        levels = _levels(a.shape, col, row, vals,
+                         lambda i: vals[ptr[i]:ptr[i + 1]])
+        norms = _column_norms(col, ptr, vals)
+    else:
+        col, row = np.nonzero(dd.approx(a).T != 0.0)    # column-major order
+        # a whole column stays a view of a: binary64 dot products sum a
+        # strided vector in another order than a contiguous copy
+        levels = _levels(a.shape, col, row, a[row, col], lambda i: a[:, i])
+        norms = dd.zeros_like(a, (n,))
+        for _, vals, cols in levels:
+            norms[cols] = _dots(vals, vals, isinstance(cols, int))
     dead = [int(i) for i in np.nonzero(dd.approx(norms) == 0.0)[0]]
     if dead:
         raise InvalidMatrixError(f"zero columns at indices {dead}")
     return NrsorConfig(float(omega), int(inner_steps), norms, levels)
 
 
-def _levels(a):
+def _levels(shape, col, row, values, column):
     """The sweep's level schedule (Anderson and Saad 1989).
+
+    col, row and values are the matrix's nonzeros in column-major order,
+    and column(i) is its whole column i.
 
     Column i's level is 1 + the highest level among the earlier columns
     that share a row with it, or 0 if there are none. So the columns of
@@ -71,8 +90,7 @@ def _levels(a):
     an integer index, so a dense matrix runs the plain
     column-by-column sweep on 0-d scalars.
     """
-    m, n = a.shape
-    col, row = np.nonzero(dd.approx(a).T != 0.0)    # column-major order
+    m, n = shape
     ptr = np.searchsorted(col, np.arange(n + 1))
     level = np.zeros(n, dtype=np.intp)
     top = np.full(m, -1)         # highest level so far on each row
@@ -92,18 +110,44 @@ def _levels(a):
     for lv in range(len(first) - 1):
         cols = order[first[lv]:first[lv + 1]]
         if len(cols) == 1 and count[cols[0]] == m:
-            levels.append((slice(0, m), a[:, cols[0]], int(cols[0])))
+            levels.append((slice(0, m), column(int(cols[0])), int(cols[0])))
             continue
         e = nz[nz_first[lv]:nz_first[lv + 1]]
-        j, r = col[e], row[e]
+        j = col[e]
         at = (e - ptr[j], slot[j])                  # position in the table
         size = 1 << (int(count[cols].max()) - 1).bit_length()
         rows = np.full((size, len(cols)), m)
-        rows[at] = r
-        vals = dd.zeros_like(a, (size, len(cols)))
-        vals[at] = a[r, j]
+        rows[at] = row[e]
+        vals = dd.zeros_like(values, (size, len(cols)))
+        vals[at] = values[e]
         levels.append((rows, vals, cols))
     return levels
+
+
+def _column_norms(col, ptr, vals):
+    """||a_i||^2 of every column from its nonzeros in column-major order.
+
+    Each column's nonzeros, in row order and zero padded to a power of
+    two, are summed by halving: the pairs of its level table's sum and
+    of the tree sum of a whole column, since zero padding past a power
+    of two leaves a halving sum unchanged. The columns padded to one
+    length share one table and one product, so there are as many
+    _dots calls as lengths, and no table has more entries than twice
+    the nonzeros it holds.
+    """
+    n = len(ptr) - 1
+    count = np.diff(ptr)
+    # the bit length of count - 1: each column's padded length is 2**bits
+    bits = np.frexp(np.maximum(count - 1, 0))[1]
+    place = np.arange(len(col)) - ptr[col]          # row in its table
+    norms = dd.zeros((n,))
+    for b in np.unique(bits):
+        cols = np.flatnonzero(bits == b)
+        e = np.flatnonzero(bits[col] == b)
+        table = dd.zeros((1 << int(b), len(cols)))
+        table[place[e], np.searchsorted(cols, col[e])] = vals[e]
+        norms[cols] = _dots(table, table, False)
+    return norms
 
 
 def _dots(vals, r, dense):
@@ -163,7 +207,7 @@ def preconditioned_matrix(a, cfg):
     is the matrix, column for column the bytes of nrsor_apply(a, cfg,
     a[:, j]). Analysis use only.
     """
-    return nrsor_apply(a, cfg, a)
+    return nrsor_apply(a, cfg, dd.dense(a))
 
 
 def nrsor_ba_gmres(a, cfg, b, opts=None):

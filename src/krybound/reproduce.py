@@ -324,7 +324,7 @@ def _target_maragal():
     inst = load_matrix_market(path)
     m, n = inst.a.shape
     rep.check_true("shape", (m, n) == (858, 1682), f"{m}x{n}")
-    ax, bx = dd.asdd(inst.a), dd.asdd(inst.b / np.linalg.norm(inst.b))
+    ax, bx = dd.asmatrix(inst.a), dd.asdd(inst.b / np.linalg.norm(inst.b))
     cfg = nrsor_config(ax, omega=1.0, inner_steps=1)
     trace = nrsor_ba_gmres(ax, cfg, bx,
                            opts=GmresOptions(rtol=1e-26, max_iterations=200))

@@ -61,6 +61,55 @@ def test_solve_mtx_reads_the_rhs_gen_wrote(tmp_path):
         assert sums[0] != want[0]
 
 
+def _sparse_matrix(shape, seed=0):
+    # a nonzero on every column (the diagonal, when square) and about
+    # 1% more entries: the kind of input extended runs hold as nonzeros
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    a = np.zeros(shape)
+    a[np.arange(n) % m, np.arange(n)] = 1.0 + rng.random(n)
+    extra = m * n // 100
+    a[rng.integers(0, m, extra), rng.integers(0, n, extra)] = \
+        0.3 * rng.standard_normal(extra)
+    return a
+
+
+@pytest.mark.parametrize("verb,solver,shape", [
+    ("solve", "ba-gmres", (100, 200)), ("bound", "ba-gmres", (40, 40)),
+    ("solve", "gmres", (40, 40)), ("bound", "gmres", (40, 40))])
+def test_extended_sparse_mtx_keeps_the_dense_trace(tmp_path, monkeypatch,
+                                                   verb, solver, shape):
+    mtx = tmp_path / "w.mtx"
+    write_matrix_market(str(mtx), _sparse_matrix(shape))
+    args = [verb, "--mtx", str(mtx), "--solver", solver, "-l", "2",
+            "--precision", "extended", "--maxit", "6"]
+    paths = [tmp_path / "sparse.csv", tmp_path / "dense.csv"]
+    held, asmatrix = [], dd.asmatrix
+    monkeypatch.setattr(dd, "asmatrix",
+                        lambda a: held.append(asmatrix(a)) or held[-1])
+    codes = [run(args + ["--out", str(paths[0])])]
+    assert [type(a) for a in held] == [dd.SparseDD]
+    monkeypatch.setattr(dd, "asmatrix", dd.asdd)
+    codes.append(run(args + ["--out", str(paths[1])]))
+    assert codes[0] == codes[1] == 2
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_extended_sparse_mtx_nan_rhs_is_the_dense_error(tmp_path, monkeypatch,
+                                                        capsys):
+    mtx = tmp_path / "w.mtx"
+    write_matrix_market(str(mtx), _sparse_matrix((100, 200)))
+    b = np.ones(100)
+    b[7] = np.nan
+    write_matrix_market(str(tmp_path / "w.rhs.mtx"), b)
+    args = ["solve", "--mtx", str(mtx), "--precision", "extended",
+            "--out", str(tmp_path / "t.csv")]
+    got = run(args), capsys.readouterr().err
+    monkeypatch.setattr(dd, "asmatrix", dd.asdd)
+    want = run(args), capsys.readouterr().err
+    assert got == want == (1, "error: non-finite initial residual\n")
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_identity_trace_rows(tmp_path):

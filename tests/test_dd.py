@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from krybound import dd
 from krybound.dd import CDD, DD
+from krybound.errors import DimensionMismatchError, InvalidMatrixError
 
 
 def _oracle(x):
@@ -172,10 +173,20 @@ def test_normalization_invariant():
 
 
 def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        DD(1.0) / DD(0.0)
+    one, zero = DD(1.0), DD(1.0) - DD(1.0)         # 0-d array, 0-d scalar
+    for x, y in ((one, DD(0.0)), (one, DD(-0.0)), (one, 0.0), (one, zero),
+                 (zero, zero), (DD([1.0, 2.0]), DD([3.0, 0.0])),
+                 (DD([1.0, 2.0]), 0.0), (one, DD([3.0, -0.0]))):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            x / y
     with pytest.raises(ZeroDivisionError):
         CDD(DD(1.0)) / CDD(DD(0.0))
+    with pytest.raises(ZeroDivisionError):
+        CDD(DD([1.0, 2.0])) / CDD(DD([1.0, 0.0]))
+    # only an exact zero raises: a NaN divisor gives NaN, as it always has
+    assert np.isnan((one / DD(np.nan)).hi)
+    assert np.isnan((DD([1.0, 2.0]) / DD([1.0, np.nan])).hi).tolist() == \
+        [False, True]
 
 
 def test_comparisons_and_abs():
@@ -243,6 +254,9 @@ def _assert_matvec_is_dense_tree(a, b):
     nonzero = (a.hi != 0.0) | (a.lo != 0.0)
     assert _bits(dd._matvec_sparse(a, b, nonzero)) == want
     assert _bits(a @ b) == want
+    # the sparse operator of a, and the transpose of a^T's operator
+    assert _bits(dd.SparseDD.from_dense(a) @ b) == want
+    assert _bits(dd.SparseDD.from_dense(a.T).T @ b) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,6 +302,14 @@ def test_zero_skipping_matvec_signed_zeros_and_zero_rows():
         _assert_matvec_is_dense_tree(a, v)
     _assert_matvec_is_dense_tree(a.T, DD._raw(np.arange(7.0) - 3.0,
                                               np.zeros(7)))
+    # m x 1 and 1 x n, with zero rows and signed zeros
+    u = DD._raw(np.arange(7.0) - 3.0, np.full(7, -0.0))
+    for col in (2, 5, 9):
+        _assert_matvec_is_dense_tree(a[:, col:col + 1], DD._raw(b[:1], lo[:1]))
+        _assert_matvec_is_dense_tree(a[:, col:col + 1].T, u)
+    for row in (0, 1, 6):
+        _assert_matvec_is_dense_tree(a[row:row + 1], DD._raw(b, lo))
+        _assert_matvec_is_dense_tree(a[row:row + 1].T, u[:1])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e305])
@@ -301,6 +323,7 @@ def test_zero_skipping_matvec_keeps_dense_nans(bad):
     with np.errstate(invalid="ignore", over="ignore"):
         got = a @ b
         assert _bits(got) == _bits(dd._matvec_dense(a, b))
+        assert _bits(dd.SparseDD.from_dense(a) @ b) == _bits(got)
     assert np.isnan(got.hi).all()
 
 
@@ -317,6 +340,35 @@ def test_zero_skipping_matvec_complex_operands():
     u = CDD(_rand_dd(rng, 30), _rand_dd(rng, 30))
     got = a.T @ u
     assert _bits(got.re) == _bits(d(a.re.T, u.re) - d(a.im.T, u.im))
+
+
+def test_sparse_operator_rejects_complex_input_by_name():
+    rng = np.random.Generator(np.random.Philox(key=44))
+    a = _sparse_dd(rng, 12, 40, 0.05)
+    for x in (a.hi + 1j * a.lo, CDD(a, a)):
+        with pytest.raises(InvalidMatrixError, match="complex input"):
+            dd.SparseDD.from_dense(x)
+    op = dd.SparseDD.from_dense(a)
+    for v in (CDD(_rand_dd(rng, 40)), np.ones(40) * 1j):
+        with pytest.raises(InvalidMatrixError, match="real operands"):
+            op @ v
+    with pytest.raises(DimensionMismatchError, match="length 40"):
+        op @ _rand_dd(rng, 12)
+
+
+def test_asmatrix_takes_the_sparse_form_at_one_sixteenth():
+    # the rule _matvec applies per product, decided once from the input
+    a = np.zeros((8, 16))
+    a[0, :8] = 1.0                      # 8 nonzeros of 128: exactly 1/16
+    op = dd.asmatrix(a)
+    assert isinstance(op, dd.SparseDD) and len(op.rows) == 8
+    assert _bits(op.todense()) == _bits(dd.asdd(a))
+    a[1, 0] = -0.0                      # a signed zero is not a nonzero
+    assert isinstance(dd.asmatrix(a), dd.SparseDD)
+    a[1, 1] = 2.0
+    for x in (a, np.zeros((8, 16)), np.zeros((3, 0))):
+        assert isinstance(dd.asmatrix(x), DD)
+    assert dd.dense(op) is not op and dd.dense(a) is a
 
 
 def test_tree_sum_is_deterministic_and_exact_for_ints():

@@ -627,6 +627,52 @@ def test_levels_give_the_bytes_of_consecutive_runs(name, precision):
                     _bits(nrsor_apply(a, by_runs, u)), f"omega={omega} l={steps}"
 
 
+def _same_levels(got, want):
+    assert len(got) == len(want)
+    for (rows, vals, cols), (rows0, vals0, cols0) in zip(got, want):
+        assert type(cols) is type(cols0) and np.array_equal(cols, cols0)
+        if isinstance(rows0, slice):
+            assert rows == rows0
+        else:
+            assert np.array_equal(rows, rows0)
+        assert _bits(vals) == _bits(vals0)
+
+
+@pytest.mark.parametrize("name", ["random", "mixed", "band", "disjoint",
+                                  "dense", "one-column", "one-row"])
+def test_config_from_the_operator_is_the_dense_config(name):
+    # the same level tables and column norms, bit for bit, and so the
+    # same preconditioned matrix; "dense" has a full column per level,
+    # "mixed" one full column among tables
+    cases = dict(_sparse_cases(), dense=exp_decay_matrix(9).a,
+                 **{"one-column": _rand((9, 1), seed=49),
+                    "one-row": _rand((1, 6), seed=49)})
+    a0 = cases[name]
+    for omega, steps in ((1.0, 1), (1.3, 3)):
+        want = nrsor_config(dd.asdd(a0), omega, steps)
+        op = dd.SparseDD.from_dense(a0)
+        got = nrsor_config(op, omega, steps)
+        assert _bits(got.column_norms) == _bits(want.column_norms)
+        _same_levels(got.levels, want.levels)
+        assert _bits(preconditioned_matrix(op, got)) == \
+            _bits(preconditioned_matrix(dd.asdd(a0), want))
+
+
+@pytest.mark.parametrize("name", ["random", "mixed", "band", "disjoint"])
+def test_ba_rows_from_the_operator_are_the_dense_rows(name):
+    a0 = _sparse_cases()[name]
+    b = dd.asdd(_rand(a0.shape[0], seed=46))
+    opts = GmresOptions(rtol=1e-30, max_iterations=6)
+    runs = [nrsor_ba_gmres(a, nrsor_config(a, 1.0, 2), b, opts=opts)
+            for a in (dd.asdd(a0), dd.SparseDD.from_dense(a0))]
+    want, got = runs
+    assert (got.iterations, got.reason) == (want.iterations, want.reason)
+    assert _bits(got.x) == _bits(want.x)
+    for r, r0 in zip(got.rows, want.rows, strict=True):
+        for name in _ROW_NAMES + ("minimized_estimate",):
+            assert _bits(getattr(r, name)) == _bits(getattr(r0, name))
+
+
 def test_zero_column_rejected_with_indices():
     # a sparse empty support sits on level 0 and must reach the norm check
     dense, sparse = _rand((5, 4), seed=27), _sparse_cases()["random"]
@@ -634,7 +680,7 @@ def test_zero_column_rejected_with_indices():
                      (sparse, [0, 59])):
         a = a0.copy()
         a[:, dead] = 0.0
-        for x in (a, dd.asdd(a)):
+        for x in (a, dd.asdd(a), dd.SparseDD.from_dense(a)):
             with pytest.raises(InvalidMatrixError,
                                match=re.escape(f"indices {dead}")):
                 nrsor_config(x)

@@ -545,23 +545,19 @@ def _matmul(a, b):
 
 
 # On 858x1682 (2 vCPU Intel Xeon, numpy 2.4) the dense tree takes about
-# 0.06 us per entry and the zero-skipping path 0.39 us per nonzero at 1%
-# density (0.20-0.22 us at 5-10%), so they break even near 1/4 density.
-# Its fixed cost per tree level is larger, so on small matrices it gains
-# less or loses: 137 us against 200 on a 64x64 identity, 92 against 73
-# on 16x16. A matrix takes it when at most 1/16 of its entries are
-# nonzero, which leaves room for that fixed cost.
+# 0.06 us per entry and a zero-skipping product built per call 0.39 us
+# per nonzero at 1% density (0.20-0.22 us at 5-10%), so they break even
+# near 1/4 density. Its fixed cost per tree level is larger, so on small
+# matrices it gains less or loses: 137 us against 200 on a 64x64
+# identity, 92 against 73 on 16x16. asmatrix holds a matrix as its
+# nonzeros when at most 1/16 of its entries are nonzero, which leaves
+# room for that fixed cost.
 _SPARSE_FRACTION = 16
 
 
 def _matvec(a, b):
-    """a @ b for 2-d a and 1-d b: the dense tree sum, byte for byte
-    except for the sign and payload of a NaN."""
-    nonzero = (a.hi != 0.0) | (a.lo != 0.0)
-    if 0 < np.count_nonzero(nonzero) * _SPARSE_FRACTION <= a.size and \
-            _skips_zeros(b):
-        return _matvec_sparse(a, b, nonzero)
-    return _matvec_dense(a, b)
+    # DD products, then the fixed tree along each row
+    return (a * DD._raw(b.hi[None, :], b.lo[None, :])).sum(axis=1)
 
 
 def _skips_zeros(b):
@@ -570,20 +566,10 @@ def _skips_zeros(b):
     return np.isfinite(_SPLITTER * b.hi).all() and np.isfinite(b.lo).all()
 
 
-def _matvec_dense(a, b):
-    # DD products, then the fixed tree along each row
-    return (a * DD._raw(b.hi[None, :], b.lo[None, :])).sum(axis=1)
-
-
-def _matvec_sparse(a, b, nonzero):
-    rows, cols = np.nonzero(nonzero)
-    plan = _TreePlan(a.shape, rows, cols, a.hi[rows, cols], a.lo[rows, cols])
-    return plan.apply(b)
-
-
 class _TreePlan:
     """The dense tree sum of a @ b pruned to a's nonzeros, built once
-    from a's (row, column, value) triples and applied to any b.
+    from a's (row, column, value) triples and applied to any b whose
+    entries and Dekker splits are finite.
 
     The dense tree pads each row to 2**bits and at each level adds node
     j to node j + half. With a finite b whose Dekker split is finite,
@@ -704,19 +690,32 @@ class SparseDD:
                 f"sparse matmul takes a vector of length {self.shape[1]}; "
                 f"got shape {b.shape}")
         if not _skips_zeros(b):
-            # only the dense products give a non-finite operand's NaNs
-            return _matvec_dense(self.todense(), b)
+            return self._dense_rows_matvec(b)
         if self._plan is None:
             self._plan = _TreePlan(self.shape, self.rows, self.cols,
                                    self.values.hi, self.values.lo)
         return self._plan.apply(b)
 
+    def _dense_rows_matvec(self, b):
+        # only the dense products give a non-finite operand's NaNs; each
+        # row's tree is its own, so the dense rows go in blocks of about
+        # 2**20 entries and the error path never holds the whole matrix
+        m, n = self.shape
+        step = max(1, (1 << 20) // max(n, 1))
+        out = zeros((m,))
+        for r0 in range(0, m, step):
+            r1 = min(r0 + step, m)
+            e = np.flatnonzero((self.rows >= r0) & (self.rows < r1))
+            block = zeros((r1 - r0, n))
+            block[self.rows[e] - r0, self.cols[e]] = self.values[e]
+            out[r0:r1] = _matvec(block, b)
+        return out
+
 
 def asmatrix(a):
     """The DD image of a real binary64 matrix: its nonzeros as a
-    SparseDD when at most 1/_SPARSE_FRACTION of its entries are nonzero
-    (the rule _matvec applies per product, decided once), else the dense
-    DD array."""
+    SparseDD when at most 1/_SPARSE_FRACTION of its entries are nonzero,
+    else the dense DD array."""
     a = np.asarray(a)
     if 0 < np.count_nonzero(a) * _SPARSE_FRACTION <= a.size:
         return SparseDD.from_dense(a)

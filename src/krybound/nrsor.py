@@ -54,17 +54,17 @@ def nrsor_config(a, omega=1.0, inner_steps=1):
         order = np.lexsort((a.rows, a.cols))
         col, row, vals = a.cols[order], a.rows[order], a.values[order]
         ptr = np.searchsorted(col, np.arange(n + 1))
-        levels = _levels(a.shape, col, row, vals,
+        levels = _levels(a.shape, col, row, lambda e: vals[e],
                          lambda i: vals[ptr[i]:ptr[i + 1]])
-        norms = _column_norms(col, ptr, vals)
     else:
         col, row = np.nonzero(dd.approx(a).T != 0.0)    # column-major order
         # a whole column stays a view of a: binary64 dot products sum a
         # strided vector in another order than a contiguous copy
-        levels = _levels(a.shape, col, row, a[row, col], lambda i: a[:, i])
-        norms = dd.zeros_like(a, (n,))
-        for _, vals, cols in levels:
-            norms[cols] = _dots(vals, vals, isinstance(cols, int))
+        levels = _levels(a.shape, col, row, lambda e: a[row[e], col[e]],
+                         lambda i: a[:, i])
+    norms = dd.zeros_like(a, (n,))
+    for _, vals, cols in levels:
+        norms[cols] = _dots(vals, vals, isinstance(cols, int))
     dead = [int(i) for i in np.nonzero(dd.approx(norms) == 0.0)[0]]
     if dead:
         raise InvalidMatrixError(f"zero columns at indices {dead}")
@@ -74,8 +74,11 @@ def nrsor_config(a, omega=1.0, inner_steps=1):
 def _levels(shape, col, row, values, column):
     """The sweep's level schedule (Anderson and Saad 1989).
 
-    col, row and values are the matrix's nonzeros in column-major order,
-    and column(i) is its whole column i.
+    col and row are the matrix's nonzeros in column-major order,
+    values(e) gathers the values of the nonzeros at places e of that
+    order, and column(i) is its whole column i. Only the levels that
+    make a table gather, so a matrix whose levels are all whole columns,
+    a dense one, gathers nothing.
 
     Column i's level is 1 + the highest level among the earlier columns
     that share a row with it, or 0 if there are none. So the columns of
@@ -118,36 +121,11 @@ def _levels(shape, col, row, values, column):
         size = 1 << (int(count[cols].max()) - 1).bit_length()
         rows = np.full((size, len(cols)), m)
         rows[at] = row[e]
-        vals = dd.zeros_like(values, (size, len(cols)))
-        vals[at] = values[e]
+        v = values(e)
+        vals = dd.zeros_like(v, (size, len(cols)))
+        vals[at] = v
         levels.append((rows, vals, cols))
     return levels
-
-
-def _column_norms(col, ptr, vals):
-    """||a_i||^2 of every column from its nonzeros in column-major order.
-
-    Each column's nonzeros, in row order and zero padded to a power of
-    two, are summed by halving: the pairs of its level table's sum and
-    of the tree sum of a whole column, since zero padding past a power
-    of two leaves a halving sum unchanged. The columns padded to one
-    length share one table and one product, so there are as many
-    _dots calls as lengths, and no table has more entries than twice
-    the nonzeros it holds.
-    """
-    n = len(ptr) - 1
-    count = np.diff(ptr)
-    # the bit length of count - 1: each column's padded length is 2**bits
-    bits = np.frexp(np.maximum(count - 1, 0))[1]
-    place = np.arange(len(col)) - ptr[col]          # row in its table
-    norms = dd.zeros((n,))
-    for b in np.unique(bits):
-        cols = np.flatnonzero(bits == b)
-        e = np.flatnonzero(bits[col] == b)
-        table = dd.zeros((1 << int(b), len(cols)))
-        table[place[e], np.searchsorted(cols, col[e])] = vals[e]
-        norms[cols] = _dots(table, table, False)
-    return norms
 
 
 def _dots(vals, r, dense):

@@ -250,9 +250,7 @@ def _sparse_dd(rng, m, k, density):
 
 
 def _assert_matvec_is_dense_tree(a, b):
-    want = _bits(dd._matvec_dense(a, b))
-    nonzero = (a.hi != 0.0) | (a.lo != 0.0)
-    assert _bits(dd._matvec_sparse(a, b, nonzero)) == want
+    want = _bits(dd._matvec(a, b))
     assert _bits(a @ b) == want
     # the sparse operator of a, and the transpose of a^T's operator
     assert _bits(dd.SparseDD.from_dense(a) @ b) == want
@@ -322,8 +320,13 @@ def test_zero_skipping_matvec_keeps_dense_nans(bad):
     b.hi[7], b.lo[7] = bad, 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         got = a @ b
-        assert _bits(got) == _bits(dd._matvec_dense(a, b))
+        assert _bits(got) == _bits(dd._matvec(a, b))
         assert _bits(dd.SparseDD.from_dense(a) @ b) == _bits(got)
+        # wide enough that the operator's dense rows go in blocks of 7
+        w = _sparse_dd(rng, 10, (1 << 17) + 1, 1e-4)
+        v = _rand_dd(rng, w.shape[1])
+        v.hi[7], v.lo[7] = bad, 0.0
+        assert _bits(dd.SparseDD.from_dense(w) @ v) == _bits(w @ v)
     assert np.isnan(got.hi).all()
 
 
@@ -331,7 +334,7 @@ def test_zero_skipping_matvec_complex_operands():
     rng = np.random.Generator(np.random.Philox(key=43))
     a = CDD(_sparse_dd(rng, 30, 200, 0.03), _sparse_dd(rng, 30, 200, 0.03))
     b = CDD(_rand_dd(rng, 200), _rand_dd(rng, 200))
-    d = dd._matvec_dense
+    d = dd._matvec
     for x, y in ((a, b), (a.re, b), (a, b.re)):
         x, y = dd.ascdd(x), dd.ascdd(y)
         got = x @ y
@@ -357,7 +360,6 @@ def test_sparse_operator_rejects_complex_input_by_name():
 
 
 def test_asmatrix_takes_the_sparse_form_at_one_sixteenth():
-    # the rule _matvec applies per product, decided once from the input
     a = np.zeros((8, 16))
     a[0, :8] = 1.0                      # 8 nonzeros of 128: exactly 1/16
     op = dd.asmatrix(a)

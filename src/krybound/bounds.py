@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dd
 from .dd import CDD, DD
-from .errors import InapplicableError, RangeError
+from .errors import InapplicableError, NumericalFailureError, RangeError
 from .gmres import GmresOptions, TraceRow, _engine
 from .linalg import (condition_number_2, eig_nonsymmetric, lstsq,
                      spectral_norm)
@@ -84,13 +84,20 @@ def decompose_rhs(op_matrix, r0):
     """Expand r0 over eigenvectors of op_matrix with nonzero eigenvalues.
 
     Eigenpairs whose |lambda| falls below 1e-12 relative to the largest
-    are discarded; coefficients come from a least-squares solve
-    against the remaining frame, so the expansion is exactly the
-    projection onto its span.  Exactly equal eigenvalues are folded
-    into one pair whose vector is the weighted combination, and weights
+    are discarded.  The weights come from a least-squares solve against
+    the real frame of the rest: each real eigenvector, then Re v and
+    Im v for the member of each conjugate pair with Im lambda > 0, so
+    the expansion is exactly the projection onto their span and the QR
+    is real.  A pair's weights are (alpha - i beta)/2 on v and
+    (alpha + i beta)/2 on its conjugate, for the weights alpha and beta
+    of Re v and Im v; a complex r0 goes through the same real QR.
+    eig_nonsymmetric gives each pair exactly conjugate eigenvalues and
+    vectors; a non-real column without such a partner raises
+    NumericalFailureError.  Exactly equal eigenvalues are folded into
+    one pair whose vector is the weighted combination, and weights
     below 1e-30 (extended) or 1e-12 (binary64) of the weight norm are
     dropped.  A right-hand side outside the span is a contract
-    violation and raises.
+    violation and raises RangeError.
     """
     eo = eig_nonsymmetric(op_matrix)
     n = op_matrix.shape[0]
@@ -104,9 +111,10 @@ def decompose_rhs(op_matrix, r0):
         raise RangeError("no eigenvalues survive the zero threshold")
     v = eo.vectors[:, keep]
     lam = eo.values[keep]
-    rhs = dd.complex_like(r0) if not dd.is_complexkind(r0) else r0
-    sol = lstsq(v, rhs)
-    c = sol.x
+    re, im = (v.re, v.im) if isinstance(v, CDD) else (v.real, v.imag)
+    real, upper, lower = _conjugate_columns(lam, re, im)
+    sol = lstsq(_join_columns(re[:, real + upper], im[:, upper]), r0)
+    c = _frame_weights(sol.x, len(keep), real, upper, lower)
     scale = _f(dd.norm2(r0))
     unexplained = _f(sol.residual_norm)
     if unexplained > 1e-6 * scale:
@@ -123,6 +131,54 @@ def decompose_rhs(op_matrix, r0):
         raise RangeError("all expansion weights fall below the threshold")
     return EigenData(len(retained), lam[retained], v[:, retained],
                      c[retained], sol.residual_norm)
+
+
+def _conjugate_columns(lam, re, im):
+    """Columns of real eigenvalues, those with Im lambda > 0, and for each
+    of the latter its partner: the first unclaimed column whose
+    eigenvalue and vector (re + i im) are its exact conjugates."""
+    img = dd.approx(lam)
+    real = [i for i in range(len(img)) if img[i].imag == 0.0]
+    upper = [i for i in range(len(img)) if img[i].imag > 0.0]
+    free = [i for i in range(len(img)) if img[i].imag < 0.0]
+    lower = []
+    for i in upper:
+        mate = next((j for j in free if bool(lam[i] == dd.conj(lam[j])) and
+                     bool(((re[:, i] == re[:, j]) &
+                           (im[:, i] == -im[:, j])).all())), None)
+        if mate is None:
+            raise NumericalFailureError(
+                f"eigenvalue {complex(img[i])} has no exactly conjugate "
+                f"eigenpair: the real frame cannot hold its vector")
+        free.remove(mate)
+        lower.append(mate)
+    if free or dd.approx(im[:, real]).any():
+        raise NumericalFailureError(
+            "an eigenvector the real frame cannot hold: a non-real "
+            "eigenvalue without a conjugate partner, or a real one with a "
+            "complex vector")
+    return real, upper, lower
+
+
+def _join_columns(x, y):
+    if isinstance(x, DD):
+        return DD._raw(np.hstack([x.hi, y.hi]), np.hstack([x.lo, y.lo]))
+    return np.hstack([x, y])
+
+
+def _frame_weights(y, d, real, upper, lower):
+    """The complex weights on the d eigenvector columns from the real
+    frame's weights y: y[j] on column real[j], and for pair p the
+    weights of Re v and Im v at len(real) + p and len(real + upper) + p.
+    """
+    c = dd.zeros_like(y, (d,), field="complex")
+    nr, m = len(real), len(real) + len(upper)
+    c[real] = y[:nr]
+    # multiplying by 1j and halving are exact
+    alpha, ibeta = y[nr:m], y[m:] * 1j
+    c[upper] = (alpha - ibeta) * 0.5
+    c[lower] = (alpha + ibeta) * 0.5
+    return c
 
 
 def _merge_duplicates(lam, v, c):
@@ -224,15 +280,17 @@ def vandermonde_min(lambdas, k_max):
     two_snorm = 2.0 * math.sqrt(n)    # ||s||^2 = n: 1 per real point, 2 per pair
 
     def apply_op(v):
-        return alpha * v + beta * v[partner]
+        # a vector, or a block of them as rows
+        return alpha * v + beta * v[..., partner]
 
     def recompute(xs, estimates):
-        rows = []
-        for x, estimate in zip(xs, estimates):
-            rn = dd.norm2(start - apply_op(x))
-            rn = rn + margin * (two_snorm + _f(rn))
-            rows.append(TraceRow(0, rn, rn, None, estimate))
-        return rows
+        # one (k, n) block of residuals: each row has the bytes of its
+        # own vector's residual
+        r = start - apply_op(dd.stack(xs))
+        rn = dd.sqrt((r * r).sum(axis=-1))
+        rn = rn + margin * (two_snorm + dd.approx(rn))
+        return [TraceRow(0, rn[i], rn[i], None, e)
+                for i, e in enumerate(estimates)]
 
     steps = min(k_max, degree - 1)
     out = dd.zeros((k_max,))

@@ -276,8 +276,9 @@ def _cluster_for(cfg, e):
 def cmd_bound(cfg):
     t0 = time.perf_counter()
     a, b, label = _build_problem(cfg)
-    op, w0, ncfg = _bound_operator(cfg, a, b)
-    n_op = op.shape[0]
+    # the order of the operator, known before it is built: BA-GMRES
+    # iterates on the columns of A, GMRES on A itself
+    n_op = a.shape[0] if cfg.solver == "gmres" else a.shape[1]
     cap = EIG_CAP[cfg.precision]
     if n_op > cap:
         ways = "a smaller n" if cfg.precision == "f64" else \
@@ -285,6 +286,7 @@ def cmd_bound(cfg):
         raise ValueError(
             f"operator size {n_op} exceeds the {cfg.precision} eigensolver "
             f"cap ({cap}); rerun with {ways}")
+    op, w0, ncfg = _bound_operator(cfg, a, b)
     trace = _run_solver(cfg, a, b, ncfg)
     records = traceio.records_from_solver(trace.rows)
     e = decompose_rhs(op, w0)

@@ -393,9 +393,16 @@ def eig_nonsymmetric(a):
     Attempt 0 of inverse iteration (the shifted LU, the seeded start
     vector, the first solve) runs as stacked lu_factor/lu_solve calls,
     real and complex shifts apart, in chunks of ``_STACK_ELEMS``
-    elements; vectors copied from a conjugate partner skip it.  The rest
-    runs one eigenvalue at a time, and every result is bit-identical to
-    running attempt 0 one shift at a time too.
+    elements; vectors copied from a conjugate partner skip it.  Step 0
+    (both normalisations and the residual against H) then runs on the
+    whole chunk at once, and accepts every member within tolerance.
+    Only a member with no first solve, a residual over tolerance, or an
+    earlier eigenvalue close enough to deflate against goes on alone.
+    After the map back, the phase and the check against a run once on
+    all the vectors.  Each array operation runs per entry the IEEE
+    operations of the one-vector call (a 0-d DD operation runs them on
+    Python floats), with the same operand order and tree sums, so every
+    vector is bit-identical to running each eigenvalue alone.
     """
     n, n2 = a.shape
     if n != n2:
@@ -782,54 +789,73 @@ def _eig_vectors(a, h, reflectors, vals):
     sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
     images = [complex(_f(re), _f(im)) for re, im in vals]
     partners = _conjugate_partners(images, eps, norm_a)
+    # _deflate_against acts on a member only when an earlier eigenvalue's
+    # image lies within sep of its own; such a member runs alone
+    crowded = [any(abs(lam_j - lam) <= sep for lam_j in images[:idx])
+               for idx, lam in enumerate(images)]
     # attempt 0 of inverse iteration runs stacked, real and complex shifts
     # apart, one chunk at a time as the loop below reaches it
     queues = {real: [i for i, lam in enumerate(images)
                      if partners[i] is None and (lam.imag == 0.0) == real]
               for real in (True, False)}
     chunk = max(1, _STACK_ELEMS // (n * n))
-    starts = {}
+    starts: dict = {}
+    finished: set = set()
     vectors = dd.zeros_like(a, (n, n), field="complex")
     accepted: list = []   # (eigenvalue image, (re, im), column)
     for idx, (re, im) in enumerate(vals):
         if partners[idx] is not None:
             vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
-        else:
+        elif idx not in finished:
             if idx not in starts:
                 queue = queues[images[idx].imag == 0.0]
                 j = queue.index(idx)
-                starts.update(_first_solves(
-                    h, [(i, *vals[i]) for i in queue[j:j + chunk]], 0,
-                    norm_a))
-            vectors[:, idx] = _inverse_iteration(
-                h, re, im, idx, vectors, accepted, tol, sep, norm_a,
-                starts.pop(idx))
+                shifts = [(i, *vals[i]) for i in queue[j:j + chunk]]
+                starts.update(_first_solves(h, shifts, 0, norm_a))
+                batch = [s for s in shifts if not crowded[s[0]]
+                         and starts[s[0]] is not None]
+                if batch:
+                    finished.update(_first_steps(h, vectors, batch, starts,
+                                                 tol))
+            if idx not in finished:
+                vectors[:, idx] = _inverse_iteration(
+                    h, re, im, idx, vectors, accepted, tol, sep, norm_a,
+                    starts.pop(idx))
         accepted.append((images[idx], vals[idx], idx))
     _apply_q(reflectors, vectors)
-    for idx, (re, im) in enumerate(vals):
+    own = [idx for idx in range(n) if partners[idx] is None]
+    rows = _phase_fix(vectors[:, own].T.copy())
+    failed = []
+    for real in (True, False):
+        sel = [j for j, idx in enumerate(own)
+               if (images[idx].imag == 0.0) == real]
+        if not sel:
+            continue
+        # a real eigenvalue's vector, Q and phase are real: the imaginary
+        # part is exactly zero and needs no product
+        res = _residual_rows(a, _re_part(rows[sel]) if real else rows[sel],
+                             [vals[own[j]] for j in sel])
+        failed += [(own[j], r) for j, r in zip(sel, res) if not r <= tol]
+    if failed:
+        idx, res = min(failed)
+        raise NumericalFailureError(
+            f"eigenvector for {images[idx]} mapped back from the "
+            f"Hessenberg form: residual {res:.3e}, tolerance {tol:.3e}")
+    vectors[:, own] = rows.T
+    for idx in range(n):
         if partners[idx] is not None:
             vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
-            continue
-        vectors[:, idx] = v = _phase_fix(vectors[:, idx])
-        # a real eigenvalue's vector, Q and phase are real: the
-        # imaginary part is exactly zero and needs no product
-        res = _eig_residual(a, _re_part(v) if _f(im) == 0.0 else v, re, im)
-        if not res <= tol:
-            raise NumericalFailureError(
-                f"eigenvector for {images[idx]} mapped back from the "
-                f"Hessenberg form: residual {res:.3e}, tolerance {tol:.3e}")
     return vectors
 
 
 # elements (shifts x n x n) of one stacked shifted LU: 19 shifts at
 # n=81, 3 at n=201.  A Hessenberg LU step touches one row, so a step's
-# fixed numpy cost is most of its time and a stack shares it.  Wall
-# seconds of eig-bound's CLI run at n=81 (seed 1), then its peak RSS,
-# by shifts per stack: 1: 13.0-13.1 s, 40 MiB; 9: 8.0-9.4 s, 42 MiB;
-# 19: 7.1-8.0 s, 45 MiB; 39: 7.9-8.3 s, 52-53 MiB.  reproduce fig8
-# (n=201): 1 shift 92.9 s, 3 shifts 65.1 s, 6 shifts 57.7 s, peak RSS
-# 52, 52 and 61 MiB.  Measured on a 2-vCPU x86-64 host, numpy 2.4; a
-# larger budget trades little time for eig-bound's peak memory
+# fixed numpy cost is most of its time and a stack shares it.  On
+# eig-bound's operator (n=81, seed 1) the eigenvector stage took, by
+# budget, then the process's peak RSS: 2**16 0.58 s, 41.7 MiB; 2**17
+# 0.38 s, 45.7 MiB; 2**18 0.30 s, 52.5 MiB, every vector bit-identical
+# (2-vCPU x86-64 host, numpy 2.4).  The larger budget would save 0.08 s
+# for 7 MiB of eig-bound's peak memory
 _STACK_ELEMS = 1 << 17
 
 
@@ -963,7 +989,7 @@ def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a,
                 v = v * (1.0 / dd.norm2(v))
                 continue
             v = vn * (1.0 / nv2)
-            res = _eig_residual(a, v, re, im)
+            res = _residual_rows(a, v[None], [(re, im)])[0]
             if res <= tol:
                 return dd.complex_like(v)
             best_res = min(best_res, res)
@@ -993,30 +1019,115 @@ def _deflate_against(v, vectors, accepted, lam, val, sep, real_case):
     return v
 
 
-def _eig_residual(a, v, re, im):
-    # a is real, so a CDD v's two parts take one real product each
-    av = CDD(a @ v.re, a @ v.im) if isinstance(v, CDD) else a @ v
-    if _f(im) == 0.0:
-        lam_v = v * re
+def _first_steps(a, vectors, shifts, starts, tol):
+    """Step 0 of _inverse_iteration for members of one _first_solves
+    chunk at once, none of which _deflate_against could act on.
+
+    ``shifts`` holds (index, re, im) of one kind, each with a first solve
+    in ``starts``.  Every row of the chunk runs the IEEE operations its
+    own step 0 would: the finite check, both normalisations and the
+    residual against a.  Each member whose residual meets ``tol`` goes
+    into its column of ``vectors``; returns their indices and leaves the
+    rest to _inverse_iteration.
+    """
+    x = dd.stack([starts[idx][2] for idx, _, _ in shifts])
+    live = np.flatnonzero(_finite_rows(x))
+    nv = _row_norms(x[live])
+    # a zero or overflowing norm, like a restart, is _inverse_iteration's
+    keep = np.isfinite(dd.approx(nv)) & (dd.approx(nv) != 0.0)
+    live, nv = live[keep], nv[keep]
+    v = x[live] * (1.0 / nv)[:, None]
+    nv2 = _row_norms(v)
+    keep = dd.approx(nv2) >= 1e-6
+    live, v, nv2 = live[keep], v[keep], nv2[keep]
+    if not len(live):
+        return []
+    v = v * (1.0 / nv2)[:, None]
+    res = _residual_rows(a, v, [shifts[j][1:] for j in live])
+    ok = res <= tol
+    done = [shifts[j][0] for j in live[ok]]
+    vectors[:, done] = v[ok].T
+    for idx in done:
+        del starts[idx]
+    return done
+
+
+def _finite_rows(x):
+    """dd.isfinite_all of each row of x."""
+    parts = (x.re, x.im) if isinstance(x, CDD) else (x,)
+    return np.logical_and.reduce(
+        [np.isfinite(p.hi if isinstance(p, DD) else p).all(axis=-1)
+         for p in parts])
+
+
+def _row_norms(x):
+    """dd.norm2 of each row of x, with the bytes of the call on that row
+    alone."""
+    if isinstance(x, CDD):
+        return dd.sqrt((x.re * x.re + x.im * x.im).sum(axis=-1))
+    if isinstance(x, DD):
+        return dd.sqrt((x * x).sum(axis=-1))
+    # BLAS sums one row in another order than a reduction over rows
+    return np.array([np.linalg.norm(r) for r in x])
+
+
+# DD products (rows x n x n) of one block of _row_products: every row at
+# once for n <= 16, 4 rows at n = 81.  The product's kernels hold about
+# a dozen float64 temporaries of the block's size, 0.2 MiB each at
+# 4 x 81 x 81, so the block stays far below the stacked LU's memory
+_BLOCK_ELEMS = 1 << 15
+
+
+def _row_products(a, x):
+    """a @ x_j for each row x_j of x, with the bytes of that product
+    alone: DD rows go in blocks of _BLOCK_ELEMS products, binary64 rows
+    one BLAS product each."""
+    if isinstance(x, CDD):
+        # a is real: each part takes its own real products
+        return CDD(_row_products(a, x.re), _row_products(a, x.im))
+    if not isinstance(x, DD):
+        return np.array([a @ r for r in x])
+    step = max(1, _BLOCK_ELEMS // a.size)
+    out = dd.zeros((len(x), a.shape[0]))
+    for j in range(0, len(x), step):
+        xj = x[j:j + step]
+        p = DD._raw(a.hi[None], a.lo[None]) * \
+            DD._raw(xj.hi[:, None, :], xj.lo[:, None, :])
+        out[j:j + step] = p.sum(axis=-1)
+    return out
+
+
+def _residual_rows(a, v, vals):
+    """||a v_j - lambda_j v_j|| as a float for each row v_j of v, with
+    (re, im) of lambda_j in ``vals``: v is real for real eigenvalues and
+    complex for complex ones."""
+    if dd.is_complexkind(v):
+        lam = dd.stack([_make_scalar_complex(a, re, im) for re, im in vals])
     else:
-        lam_v = v * _make_scalar_complex(a, re, im)
-    return _f(dd.norm2(av - lam_v))
+        lam = dd.stack([re for re, _ in vals])
+    return dd.approx(_row_norms(_row_products(a, v) - v * lam[:, None]))
 
 
-def _phase_fix(v):
-    """Unit norm; first significant component made real positive."""
-    nv = dd.norm2(v)
-    if _f(nv) == 0.0:
-        return v
-    v = v * (1.0 / nv)
+def _phase_fix(w):
+    """Each row of w at unit norm, with its first significant component
+    made real positive; a zero row stays as it is."""
+    nv = _row_norms(w)
+    live = np.flatnonzero(dd.approx(nv) != 0.0)
+    v = w[live] * (1.0 / nv[live])[:, None]
     mags = np.abs(dd.approx(v))
-    top = mags.max()
-    cands = np.nonzero(mags > math.sqrt(dd.eps_of(v)) * top)[0]
-    i = int(cands[0]) if len(cands) else int(np.argmax(mags))
-    ph = _phase_of(v[i])
-    if ph is None:
-        return v
-    return v * _conj_scalar(ph)
+    big = mags > math.sqrt(dd.eps_of(v)) * mags.max(axis=-1)[:, None]
+    first = np.where(big.any(axis=-1), big.argmax(axis=-1),
+                     mags.argmax(axis=-1))
+    alpha = v[np.arange(len(live)), first]
+    # abs of a binary64 complex array rounds otherwise than abs of each
+    # entry; hypot rounds as the latter
+    mod = abs(alpha) if dd.is_extended(alpha) else \
+        np.hypot(alpha.real, alpha.imag)
+    turn = np.flatnonzero(dd.approx(mod) != 0.0)
+    ph = alpha[turn] / mod[turn]
+    v[turn] = v[turn] * dd.conj(ph)[:, None]
+    w[live] = v
+    return w
 
 
 # ----------------------------------------------------------------- norms

@@ -16,9 +16,11 @@ from krybound.bounds import (BoundSeries, EigenData, bound_curve,
                              cluster_assign, cluster_poly_bound,
                              decompose_rhs, first_order_estimate,
                              vandermonde_min, weighted_norm)
-from krybound.errors import InapplicableError, RangeError
+from krybound.errors import InapplicableError, NumericalFailureError, RangeError
 from krybound.gmres import GmresOptions, gmres, matrix_operator
-from krybound.linalg import random_orthogonal
+from krybound.generators import exp_decay_matrix
+from krybound.linalg import eig_nonsymmetric, lstsq, random_orthogonal
+from krybound.nrsor import nrsor_apply, nrsor_config, preconditioned_matrix
 
 
 def _fl(x):
@@ -114,6 +116,86 @@ def test_decompose_extended_keeps_tiny_weights():
     mags = sorted(float(x) for x in dd.approx(abs(e.weights)))
     assert sum(abs(m - 1e-20) < 1e-27 for m in mags) == 1
     assert abs(mags[-1] - 1.0) < 1e-28
+
+
+def _complex_frame_decompose(a, r0):
+    """decompose_rhs's weights, lambdas and retained count with the
+    weights taken from lstsq on the complex eigenvector frame."""
+    eo = eig_nonsymmetric(a)
+    mods = np.abs(dd.approx(eo.values))
+    keep = [i for i in range(len(mods)) if mods[i] > 1e-12 * mods.max()]
+    v, lam = eo.vectors[:, keep], eo.values[keep]
+    c = lstsq(v, dd.complex_like(r0)).x
+    lam, v, c = bounds._merge_duplicates(lam, v, c)
+    cm = np.abs(dd.approx(c))
+    tol = (1e-30 if dd.is_extended(a) else 1e-12) * float(np.linalg.norm(cm))
+    retained = [i for i in range(len(cm)) if cm[i] > tol]
+    return len(retained), lam[retained], c[retained]
+
+
+def _exp_decay_operator(n):
+    # BA-GMRES's operator on exp-decay and its rhs: most of its
+    # eigenvalues come in conjugate pairs
+    inst = exp_decay_matrix(n)
+    cfg = nrsor_config(inst.a)
+    return preconditioned_matrix(inst.a, cfg), nrsor_apply(inst.a, cfg, inst.b)
+
+
+def _criterion5_system(n, seed):
+    g = np.random.default_rng(seed)
+    lam = np.sort(g.uniform(0.5, 2.0, n))
+    v = g.standard_normal((n, n)) + 4.0 * np.eye(n)
+    b = g.standard_normal(n)
+    return v @ np.diag(lam) @ np.linalg.inv(v), b / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind,rtol", [("f64", 1e-12), ("dd", 1e-29)])
+@pytest.mark.parametrize("system", ["criterion5", "exp_decay_20"])
+def test_decompose_real_frame_matches_complex_frame(system, kind, rtol):
+    if system == "criterion5":
+        a, r0 = _criterion5_system(10, seed=7)
+    else:
+        a, r0 = _exp_decay_operator(20)
+    if kind == "dd":
+        a, r0 = dd.asdd(a), dd.asdd(r0)
+    e = decompose_rhs(a, r0)
+    d, lam, c = _complex_frame_decompose(a, r0)
+    assert e.d == d
+    assert dd.approx(e.lambdas).tobytes() == dd.approx(lam).tobytes()
+    got, want = dd.approx(e.weights), dd.approx(c)
+    # both solves are backward stable: they differ by up to the frame's
+    # condition number times roundoff
+    kappa = 1.0 if system == "criterion5" else e.vector_condition
+    assert np.abs(got - want).max() <= rtol * kappa * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind,tol", [("f64", 1e-12), ("dd", 1e-27)])
+def test_decompose_complex_rhs_reconstructs(kind, tol):
+    # conjugate pairs and a complex r0 through the one real QR
+    a, _ = _exp_decay_operator(12)
+    g = np.random.default_rng(3)
+    r0 = g.standard_normal(12) + 1j * g.standard_normal(12)
+    if kind == "dd":
+        a, r0 = dd.asdd(a), dd.ascdd(r0)
+    e = decompose_rhs(a, r0)
+    assert np.abs(dd.approx(e.lambdas).imag).max() > 0.0
+    resid = dd.norm2(e.vectors @ e.weights - r0)
+    assert float(dd.approx(resid)) <= tol * float(dd.approx(dd.norm2(r0)))
+
+
+def test_decompose_rejects_a_column_without_exact_conjugate(monkeypatch):
+    a, r0 = _exp_decay_operator(12)
+
+    def nudged(x):
+        # one non-real vector off its partner's conjugate by one ulp
+        eo = eig_nonsymmetric(x)
+        j = int(np.flatnonzero(dd.approx(eo.values).imag < 0.0)[0])
+        eo.vectors[0, j] = np.nextafter(eo.vectors[0, j].real, 2.0) + \
+            1j * eo.vectors[0, j].imag
+        return eo
+    monkeypatch.setattr(bounds, "eig_nonsymmetric", nudged)
+    with pytest.raises(NumericalFailureError, match="conjugate"):
+        decompose_rhs(a, r0)
 
 
 # -------------------------------------------------------- weighted norm

@@ -326,6 +326,19 @@ def test_bound_cap_message_names_the_ways_out(tmp_path, capsys, monkeypatch):
     assert "--precision" not in err
 
 
+def test_bound_cap_refuses_before_building_the_operator(tmp_path, capsys,
+                                                      monkeypatch):
+    # BA-GMRES's operator has the order of A's columns; the cap is
+    # checked on it before any sweep builds the operator
+    def refuse(*args):
+        raise AssertionError("the operator was built")
+    monkeypatch.setattr(cli, "preconditioned_matrix", refuse)
+    assert run(["bound", "--gen", "exp-decay:300", "--precision", "extended",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    assert "operator size 300 exceeds the extended eigensolver cap (256)" \
+        in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- reproduce
 
 def test_reproduce_greenbaum_passes(capsys):

@@ -337,6 +337,100 @@ def test_eig_stacked_vectors_match_one_at_a_time(make, monkeypatch):
     assert sum(sizes) == len(calls)
 
 
+def _criterion5_system(n, seed):
+    # diagonalizable A = V diag(lambda) V^-1 with real, separated
+    # eigenvalues, drawn as acceptance criterion 5 draws them
+    g = np.random.default_rng(seed)
+    lam = np.sort(g.uniform(0.5, 2.0, n))
+    v = g.standard_normal((n, n)) + 4.0 * np.eye(n)
+    return v @ np.diag(lam) @ np.linalg.inv(v)
+
+
+def _exp_decay_operator(n):
+    # BA-GMRES's operator on exp-decay: 16 of its 20 eigenvalues come in
+    # conjugate pairs
+    a = exp_decay_matrix(n).a
+    return preconditioned_matrix(a, nrsor_config(a))
+
+
+def _triple_one():
+    # eigenvalue 1 three times, not on the diagonal: Francis gives three
+    # images within sep, and the later two are deflated against the first
+    q = random_orthogonal(5, seed=3)
+    return q @ np.diag([1.0, 1.0, 3.0, 2.0, 1.0]) @ q.T
+
+
+def _vectors_one_at_a_time(a):
+    """eig_nonsymmetric's vectors with each eigenvalue's inverse
+    iteration run alone from its own _first_solves start, then each
+    vector mapped back, phased and copied to its conjugate alone."""
+    h, reflectors = linalg._hessenberg(a)
+    vals = linalg._sort_eigvals(linalg._francis_qr(h))
+    n = a.shape[0]
+    eps = dd.eps_of(a)
+    norm_a = float(np.linalg.norm(_img(a)))
+    tol = 1e3 * eps * norm_a
+    sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
+    images = [complex(float(_img(re)), float(_img(im))) for re, im in vals]
+    partners = linalg._conjugate_partners(images, eps, norm_a)
+    vectors = dd.zeros_like(a, (n, n), field="complex")
+    accepted = []
+    for idx, (re, im) in enumerate(vals):
+        if partners[idx] is not None:
+            vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
+        else:
+            start = linalg._first_solves(h, [(idx, re, im)], 0, norm_a)[idx]
+            vectors[:, idx] = linalg._inverse_iteration(
+                h, re, im, idx, vectors, accepted, tol, sep, norm_a, start)
+        accepted.append((images[idx], vals[idx], idx))
+    linalg._apply_q(reflectors, vectors)
+    for idx in range(n):
+        if partners[idx] is not None:
+            vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
+            continue
+        v = vectors[:, idx]
+        nv = dd.norm2(v)
+        if float(_img(nv)) != 0.0:
+            v = v * (1.0 / nv)
+            mags = np.abs(_img(v))
+            big = np.nonzero(mags > np.sqrt(eps) * mags.max())[0]
+            alpha = v[int(big[0]) if len(big) else int(np.argmax(mags))]
+            mod = abs(alpha)
+            if float(_img(mod)) != 0.0:
+                v = v * dd.conj(alpha / mod)
+        vectors[:, idx] = v
+    return vectors
+
+
+@pytest.mark.parametrize("make,alone", [
+    (lambda: dd.asdd(_criterion5_system(9, seed=5)), 0),
+    (lambda: _criterion5_system(9, seed=5), 0),
+    (lambda: dd.asdd(_exp_decay_operator(20)), 1),
+    (lambda: dd.asdd(np.diag([1.0, 1.0, 3.0])), 3),
+    (lambda: np.diag([1.0, 1.0, 3.0]), 3),
+    (lambda: dd.asdd(np.diag([1.0, 1.0 + 1e-12, 3.0])), 3),
+    (lambda: np.diag([1.0, 1.0 + 1e-12, 3.0]), 3),
+    (lambda: _triple_one(), 2)],
+    ids=["criterion5_dd", "criterion5_f64", "exp_decay_20_dd",
+         "diag_113_dd", "diag_113_f64", "diag_close_dd", "diag_close_f64",
+         "triple_one_f64"])
+def test_eig_vectors_at_once_match_one_at_a_time(make, alone, monkeypatch):
+    a = make()
+    want = _vectors_one_at_a_time(a)
+    calls = []
+    run_alone = linalg._inverse_iteration
+    monkeypatch.setattr(linalg, "_inverse_iteration",
+                        lambda *args: calls.append(args[3]) or
+                        run_alone(*args))
+    got = eig_nonsymmetric(a).vectors
+    assert _bits(got) == _bits(want)
+    # an exactly represented eigenvalue (each of a diagonal's, and 1 for
+    # the exp-decay operator) leaves a zero pivot and no first solve, so
+    # its member runs alone, as does one an earlier equal eigenvalue
+    # could deflate
+    assert len(calls) == alone
+
+
 def _magnitude(x):
     # |re| + |im| of the binary64 image, as lu_factor compares pivots
     z = complex(dd.approx(x))

@@ -9,7 +9,7 @@ produces exactly that curve.
 
 import numpy as np
 
-from krybound.bounds import bound_curve, decompose_rhs
+from krybound.bounds import analyse, bound_curve
 from krybound.generators import PrescribedCurve, greenbaum_construct
 from krybound.gmres import GmresOptions, gmres, matrix_operator
 
@@ -26,7 +26,7 @@ for row in trace.rows:
     print(f"  k={row.k}  {float(row.residual_norm):.6e}")
 
 # the bound needs the eigen-decomposition of the right-hand side
-e = decompose_rhs(inst.a, inst.b)
+e = analyse(inst.a, inst.b)
 series = bound_curve(e, 2)
 print(f"\nweighted eigenvector frame norm: {float(series.prefactor):.4e}")
 print(f"eigenvector condition number:    {float(e.vector_condition):.4e}")

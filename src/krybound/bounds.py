@@ -25,10 +25,11 @@ from .errors import InapplicableError, NumericalFailureError, RangeError
 from .gmres import GmresOptions, TraceRow, _engine
 from .linalg import (condition_number_2, eig_nonsymmetric, lstsq,
                      spectral_norm)
+from .nrsor import nrsor_apply, preconditioned_matrix
 
 __all__ = [
-    "EigenData", "decompose_rhs", "weighted_norm", "vandermonde_min",
-    "BoundSeries", "BoundPoint", "bound_curve", "ClusterAssignment",
+    "EigenData", "analyse", "decompose_rhs", "weighted_norm", "bound_curve",
+    "vandermonde_min", "BoundSeries", "BoundPoint", "ClusterAssignment",
     "cluster_assign", "cluster_poly_bound", "first_order_estimate",
 ]
 
@@ -78,6 +79,16 @@ class EigenData:
         if self._frame is None:
             self._frame = weighted_norm(self)
         return self._frame
+
+
+def analyse(a, b, ncfg=None):
+    """Eigen data of the operator the solver iterates with: a and r0 = b
+    for GMRES (ncfg None); for BA-GMRES with the NR-SOR set-up ncfg,
+    I - H^l and w0 = B b."""
+    if ncfg is None:
+        return decompose_rhs(dd.dense(a), b)
+    return decompose_rhs(preconditioned_matrix(a, ncfg),
+                         nrsor_apply(a, ncfg, b))
 
 
 def decompose_rhs(op_matrix, r0):
@@ -392,11 +403,14 @@ def cluster_assign(lambdas, radius=None, s=None, centers=None):
     radius: single-linkage components under distance 2*radius, centers
     at member means.  s: greedy farthest-point seeding of s centers,
     then nearest assignment and recentering at means.  centers: taken
-    verbatim, nearest assignment, never recentered.
+    verbatim, nearest assignment, never recentered.  A radius must be
+    >= 0; radius 0 joins exact ties only.
     """
     modes = sum(x is not None for x in (radius, s, centers))
     if modes != 1:
         raise ValueError("specify exactly one of radius, s, centers")
+    if radius is not None and not float(radius) >= 0.0:
+        raise ValueError(f"cluster radius must be >= 0, got {radius}")
     lam = _to_cdd_vector(lambdas)
     d = lam.shape[0]
     img = dd.approx(lam)

@@ -21,15 +21,14 @@ import time
 from dataclasses import dataclass
 
 from . import dd, linalg, traceio
-from .bounds import (bound_curve, cluster_assign, cluster_poly_bound,
-                     decompose_rhs, first_order_estimate)
+from .bounds import (analyse, bound_curve, cluster_assign,
+                     cluster_poly_bound, first_order_estimate)
 from .errors import InapplicableError, KryboundError
 from .generators import (GREENBAUM_CURVE, exp_decay_matrix,
                          greenbaum_construct, load_matrix_market,
                          stair_matrix, write_matrix_market)
 from .gmres import GmresOptions, gmres, matrix_operator
-from .nrsor import nrsor_apply, nrsor_ba_gmres, nrsor_config, \
-    preconditioned_matrix
+from .nrsor import nrsor_ba_gmres, nrsor_config
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -82,6 +81,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.out_format!r}")
         if self.centers is not None:
             _parse_centers(self.centers)
+        if self.cluster_eps is not None and not self.cluster_eps >= 0.0:
+            raise ValueError(
+                f"--cluster-eps must be >= 0, got {self.cluster_eps}")
         if self.cluster_eps is not None and self.centers is not None:
             raise ValueError("give at most one of --cluster-eps, --centers")
         if self.bound_mode != "theorem1" and self.cluster_eps is None \
@@ -178,18 +180,17 @@ def _trace_metadata(cfg, label, extra=None):
     return meta
 
 
-def _run_solver(cfg, a, b, ncfg=None):
-    # ncfg: the NR-SOR set-up, when the caller has built it already
+def _run_solver(cfg, a, b):
+    """The trace, and the NR-SOR set-up it ran with (None for GMRES)."""
     maxit = cfg.maxit if cfg.maxit is not None else a.shape[1]
     opts = GmresOptions(rtol=cfg.rtol, max_iterations=maxit)
     if cfg.solver == "gmres":
         if a.shape[0] != a.shape[1]:
             raise ValueError(
                 f"gmres needs a square matrix, got {a.shape}; use ba-gmres")
-        return gmres(matrix_operator(a), b, opts=opts)
-    if ncfg is None:
-        ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
-    return nrsor_ba_gmres(a, ncfg, b, opts=opts)
+        return gmres(matrix_operator(a), b, opts=opts), None
+    ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
+    return nrsor_ba_gmres(a, ncfg, b, opts=opts), ncfg
 
 
 def _exit_code(trace, cfg):
@@ -241,7 +242,7 @@ def cmd_gen(cfg):
 def cmd_solve(cfg):
     t0 = time.perf_counter()
     a, b, label = _build_problem(cfg)
-    trace = _run_solver(cfg, a, b)
+    trace, _ = _run_solver(cfg, a, b)
     records = traceio.records_from_solver(trace.rows)
     meta = _trace_metadata(cfg, label, {"reason": trace.reason})
     out = _default_out(cfg)
@@ -253,15 +254,6 @@ def cmd_solve(cfg):
           f"normal {_fmt(last.normal_residual_norm)} -> {out} "
           f"({time.perf_counter() - t0:.2f} s)")
     return _exit_code(trace, cfg)
-
-
-def _bound_operator(cfg, a, b):
-    """The matrix the bound analyses, the rhs it decomposes, and the
-    NR-SOR set-up the solver runs with."""
-    if cfg.solver == "gmres":
-        return dd.dense(a), b, None
-    ncfg = nrsor_config(a, omega=cfg.omega, inner_steps=cfg.inner_steps)
-    return preconditioned_matrix(a, ncfg), nrsor_apply(a, ncfg, b), ncfg
 
 
 def _cluster_for(cfg, e):
@@ -286,10 +278,9 @@ def cmd_bound(cfg):
         raise ValueError(
             f"operator size {n_op} exceeds the {cfg.precision} eigensolver "
             f"cap ({cap}); rerun with {ways}")
-    op, w0, ncfg = _bound_operator(cfg, a, b)
-    trace = _run_solver(cfg, a, b, ncfg)
+    trace, ncfg = _run_solver(cfg, a, b)
     records = traceio.records_from_solver(trace.rows)
-    e = decompose_rhs(op, w0)
+    e = analyse(a, b, ncfg)
     k_max = trace.iterations
     if cfg.bound_mode == "theorem1":
         series = bound_curve(e, k_max)

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from krybound import bounds, dd
-from krybound.bounds import (BoundSeries, EigenData, bound_curve,
+from krybound.bounds import (BoundSeries, EigenData, analyse, bound_curve,
                              cluster_assign, cluster_poly_bound,
                              decompose_rhs, first_order_estimate,
                              vandermonde_min, weighted_norm)
 from krybound.errors import InapplicableError, NumericalFailureError, RangeError
 from krybound.gmres import GmresOptions, gmres, matrix_operator
-from krybound.generators import exp_decay_matrix
+from krybound.generators import (GREENBAUM_CURVE, exp_decay_matrix,
+                                 greenbaum_construct, stair_matrix)
 from krybound.linalg import eig_nonsymmetric, lstsq, random_orthogonal
 from krybound.nrsor import nrsor_apply, nrsor_config, preconditioned_matrix
 
@@ -196,6 +197,76 @@ def test_decompose_rejects_a_column_without_exact_conjugate(monkeypatch):
     monkeypatch.setattr(bounds, "eig_nonsymmetric", nudged)
     with pytest.raises(NumericalFailureError, match="conjugate"):
         decompose_rhs(a, r0)
+
+
+# -------------------------------------------------------------- analyse
+
+def _bytes(x):
+    if isinstance(x, dd.CDD):
+        return _bytes(x.re) + _bytes(x.im)
+    if isinstance(x, dd.DD):
+        return x.hi.tobytes() + x.lo.tobytes()
+    return np.asarray(x).tobytes()
+
+
+def _sparse_columns(m, n, seed):
+    # at most 4 nonzeros a column, so dd.asmatrix keeps the triples
+    g = np.random.default_rng(seed)
+    a = np.zeros((m, n))
+    for j in range(n):
+        rows = np.concatenate(([j], g.choice(np.arange(n, m), 3,
+                                              replace=False)))
+        a[rows, j] = g.uniform(0.5, 2.0, 4)
+    return a, g.standard_normal(m)
+
+
+def _sparse_square(n, seed):
+    # distinct diagonal plus a small superdiagonal: 2n - 1 nonzeros
+    g = np.random.default_rng(seed)
+    a = np.diag(1.0 + np.arange(n) / n)
+    a[np.arange(n - 1), np.arange(1, n)] = 0.01 * g.choice([-1.0, 1.0],
+                                                           n - 1)
+    return a, g.standard_normal(n)
+
+
+def _analyse_case(name):
+    """(a, b, ncfg) of a system, and its eigen data spelled out by hand."""
+    if name == "stair-f64-l3":
+        inst = stair_matrix(seed=0)
+        a, b = inst.a, inst.b
+        cfg = nrsor_config(a, 1.0, 3)
+    elif name == "exp-decay-dd-l1":
+        inst = exp_decay_matrix(20, seed=0)
+        a, b = dd.asmatrix(inst.a), dd.asdd(inst.b)
+        cfg = nrsor_config(a, 1.0, 1)
+    elif name == "sparse-dd-ba":
+        a, b = _sparse_columns(64, 16, seed=4)
+        a, b = dd.asmatrix(a), dd.asdd(b)
+        cfg = nrsor_config(a, 1.2, 2)
+    elif name == "sparse-dd-plain":
+        a, b = _sparse_square(32, seed=5)
+        a, b = dd.asmatrix(a), dd.asdd(b)
+        return a, b, None, decompose_rhs(dd.dense(a), b)
+    else:
+        inst = greenbaum_construct(GREENBAUM_CURVE)
+        return inst.a, inst.b, None, decompose_rhs(inst.a, inst.b)
+    return a, b, cfg, decompose_rhs(preconditioned_matrix(a, cfg),
+                                    nrsor_apply(a, cfg, b))
+
+
+@pytest.mark.parametrize("name", ["stair-f64-l3", "exp-decay-dd-l1",
+                                  "sparse-dd-ba", "sparse-dd-plain",
+                                  "greenbaum-plain"])
+def test_analyse_is_the_hand_written_chain(name):
+    a, b, cfg, want = _analyse_case(name)
+    if name.startswith("sparse"):
+        assert isinstance(a, dd.SparseDD)
+    got = analyse(a, b, cfg)
+    assert got.d == want.d
+    for field in ("lambdas", "vectors", "weights", "residual",
+                  "frame_norm"):
+        assert _bytes(getattr(got, field)) == _bytes(getattr(want, field)), \
+            field
 
 
 # -------------------------------------------------------- weighted norm
@@ -434,6 +505,17 @@ def test_cluster_assign_validates_requests():
         cluster_assign(lam, s=2, radius=0.1)
     with pytest.raises(InapplicableError):
         cluster_assign(lam, centers=[0.0, 1.0])
+    for radius in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            cluster_assign(lam, radius=radius)
+
+
+def test_cluster_assign_radius_zero_joins_exact_ties_only():
+    lam = np.array([1.0, 1.0, 1.0 + 1e-15, 2.0], dtype=complex)
+    ca = cluster_assign(lam, radius=0.0)
+    assert ca.centers.shape[0] == 3
+    assert ca.center_of[0] == ca.center_of[1] != ca.center_of[2]
+    assert ca.epsilon == 0.0
 
 
 def test_cluster_poly_bound_zero_when_centers_hit_spectrum():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from krybound import cli, dd
+from krybound import bounds, cli, dd
 from krybound.cli import main
 from krybound.generators import load_matrix_market, write_matrix_market
 from krybound.nrsor import nrsor_config
@@ -332,11 +332,33 @@ def test_bound_cap_refuses_before_building_the_operator(tmp_path, capsys,
     # checked on it before any sweep builds the operator
     def refuse(*args):
         raise AssertionError("the operator was built")
-    monkeypatch.setattr(cli, "preconditioned_matrix", refuse)
+    monkeypatch.setattr(bounds, "preconditioned_matrix", refuse)
     assert run(["bound", "--gen", "exp-decay:300", "--precision", "extended",
                 "--out", str(tmp_path / "b.csv")]) == 1
     assert "operator size 300 exceeds the extended eigensolver cap (256)" \
         in capsys.readouterr().err
+
+
+def test_bound_gmres_on_a_rectangular_matrix_names_ba_gmres(tmp_path,
+                                                            capsys):
+    # the solver runs, and refuses, before the eigen data are formed
+    assert run(["bound", "--gen", "stair", "--solver", "gmres",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "gmres needs a square matrix, got (100, 20); use ba-gmres" in err
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_bound_rejects_a_negative_or_nan_cluster_eps(tmp_path, capsys, eps):
+    assert run(["bound", "--gen", "greenbaum", "--bound-mode", "cluster",
+                "--cluster-eps", eps, "--out", str(tmp_path / "b.csv")]) == 1
+    assert "--cluster-eps must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bound_cluster_eps_zero_is_valid(tmp_path):
+    assert run(["bound", "--gen", "greenbaum", "--bound-mode", "cluster",
+                "--cluster-eps", "0", "--out", str(tmp_path / "b.csv")]) == 0
 
 
 # ------------------------------------------------------------- reproduce

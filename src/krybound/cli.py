@@ -157,11 +157,12 @@ def _build_problem(cfg):
         else:
             inst = greenbaum_construct(GREENBAUM_CURVE)
         label = cfg.generator
-    a, b = inst.a, inst.b
     if cfg.precision == "extended":
-        # a sparse input keeps only its nonzeros
-        a, b = dd.asmatrix(a), dd.asdd(b)
-    return a, b, label
+        # a file's matrix goes in as its triples, so a sparse one is
+        # never a dense array
+        a = inst.triples if cfg.mtx is not None else inst.a
+        return dd.asmatrix(a), dd.asdd(inst.b), label
+    return inst.a, inst.b, label
 
 
 def _trace_metadata(cfg, label, extra=None):

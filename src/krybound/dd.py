@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidMatrixError
 
 __all__ = [
-    "DD", "CDD", "SparseDD", "EPS", "EPS64",
+    "DD", "CDD", "SparseDD", "Triples", "EPS", "EPS64",
     "asdd", "ascdd", "asmatrix", "dense", "zeros", "czeros", "ones",
     "from_str", "to_str", "format_float",
     "norm2", "vdot", "approx", "conj", "zeros_like",
@@ -712,10 +712,36 @@ class SparseDD:
         return out
 
 
+class Triples:
+    """A real binary64 matrix as its (row, column, value) triples in
+    row-major order, its +0.0 entries left out: -0.0, NaN and the
+    infinities keep their places.  What the Matrix Market reader gives;
+    asmatrix takes it as it takes the dense array."""
+
+    __slots__ = ("shape", "rows", "cols", "values")
+
+    def __init__(self, shape, rows, cols, values):
+        self.shape = tuple(shape)
+        self.rows, self.cols, self.values = rows, cols, values
+
+    def toarray(self):
+        """The dense matrix, a C-contiguous float64 array."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
 def asmatrix(a):
-    """The DD image of a real binary64 matrix: its nonzeros as a
-    SparseDD when at most 1/_SPARSE_FRACTION of its entries are nonzero,
-    else the dense DD array."""
+    """The DD image of a real binary64 matrix, a dense array or Triples:
+    its nonzeros as a SparseDD when at most 1/_SPARSE_FRACTION of its
+    entries are nonzero, else the dense DD array."""
+    if isinstance(a, Triples):
+        # -0.0 counts as zero, as in count_nonzero and from_dense
+        nz = np.flatnonzero(a.values)
+        if 0 < len(nz) * _SPARSE_FRACTION <= math.prod(a.shape):
+            return SparseDD(a.shape, a.rows[nz], a.cols[nz],
+                            DD._raw(a.values[nz], np.zeros(len(nz))))
+        a = a.toarray()
     a = np.asarray(a)
     if 0 < np.count_nonzero(a) * _SPARSE_FRACTION <= a.size:
         return SparseDD.from_dense(a)

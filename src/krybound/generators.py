@@ -9,6 +9,7 @@ solver runs there.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -218,39 +219,64 @@ def _char_poly_coefficients(eigs):
 
 # --------------------------------------------------------- Matrix Market
 
+class MarketInstance(ProblemInstance):
+    """A problem read from a Matrix Market file.  ``triples`` is its
+    matrix as read, a dd.Triples; ``a``, the dense binary64 matrix, is
+    built on first use, so a run that takes the triples never holds it."""
+
+    def __init__(self, triples, b, metadata):
+        self.triples, self.b, self.metadata = triples, b, metadata
+
+    @functools.cached_property
+    def a(self):
+        return self.triples.toarray()
+
+
 def load_matrix_market(path, rhs_path=None):
-    """Densify a real Matrix Market file; coordinate or array layout,
-    general, symmetric, or skew-symmetric storage.
+    """A real Matrix Market file as a MarketInstance; coordinate or array
+    layout, general, symmetric, or skew-symmetric storage.
 
     The right-hand side is the single column of the array file rhs_path
-    if one is given, else the row sums (a consistent system).
+    if one is given, else the row sums (a consistent system): each row's
+    entries added left to right from +0.0 in binary64, a fixed order that
+    no BLAS thread count changes.  The same b serves both precisions.
     """
-    a = _read_mm(path)
+    t = _read_mm(path)
+    m = t.shape[0]
     if rhs_path is not None:
-        b = _read_mm(rhs_path)
-        if b.ndim == 2:
-            if b.shape[1] != 1:
-                raise ParseError(
-                    f"rhs file must be a single column, got {b.shape}")
-            b = b[:, 0]
-        if b.shape[0] != a.shape[0]:
+        r = _read_mm(rhs_path)
+        if r.shape[1] != 1:
             raise ParseError(
-                f"rhs length {b.shape[0]} does not match {a.shape[0]} rows")
+                f"rhs file must be a single column, got {r.shape}")
+        if r.shape[0] != m:
+            raise ParseError(
+                f"rhs length {r.shape[0]} does not match {m} rows")
+        b = r.toarray()[:, 0]
     else:
-        b = a @ np.ones(a.shape[1])
-    return ProblemInstance(a, b, {
+        b = np.zeros(m)
+        # np.add.at adds unbuffered, in index order; the triples are
+        # row-major, so each row's sum runs left to right.  inf - inf
+        # and overflow give their IEEE results
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.add.at(b, t.rows, t.values)
+    return MarketInstance(t, b, {
         "name": os.path.splitext(os.path.basename(path))[0],
         "path": str(path),
-        "shape": list(a.shape),
+        "shape": list(t.shape),
     })
 
 
+# the writer's line for +0.0: the reader takes it for +0.0 unparsed
+_ZERO = f"{0.0:.17e}".encode("ascii")
+
+
 def _read_mm(path):
-    with open(path, "r", encoding="ascii") as fh:
+    # the file's matrix as dd.Triples
+    with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
             raise ParseError("empty file", line=1)
-        head = first.strip().split()
+        head = _text(first).split()
         if len(head) != 5 or head[0] != "%%MatrixMarket" or \
                 head[1].lower() != "matrix":
             raise ParseError("expected '%%MatrixMarket matrix ...' header",
@@ -268,140 +294,147 @@ def _read_mm(path):
         for text in fh:
             no += 1
             text = text.strip()
-            if text and not text.startswith("%"):
-                size = text.split()
+            if text and not text.startswith(b"%"):
+                size = _text(text).split()
                 break
         if size is None:
             raise ParseError("missing size line", line=no)
-
+        shape, nnz = _size(size, layout, sym, no)
         if layout == "coordinate":
-            return _read_coordinate(fh, size, sym, no)
-        return _read_array(fh, size, sym, no)
+            rows, cols, vals = _read_coordinate(fh, shape, nnz, sym, no)
+        else:
+            rows, cols, vals = _read_array(fh, shape, sym, no)
+    # row-major, without the +0.0 entries
+    keep = (vals != 0.0) | np.signbit(vals)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    return dd.Triples(shape, rows[order], cols[order], vals[order])
+
+
+def _size(size, layout, sym, no):
+    # the shape and, for the coordinate layout, the entry count
+    want = 3 if layout == "coordinate" else 2
+    if len(size) != want:
+        raise ParseError(
+            "coordinate size line needs 'rows cols entries'"
+            if want == 3 else "array size line needs 'rows cols'", line=no)
+    try:
+        vals = [int(x) for x in size]
+    except ValueError:
+        raise ParseError("size entries must be integers", line=no)
+    if min(vals) < 0:
+        raise ParseError(f"size entries must not be negative, got "
+                         f"{' '.join(size)}", line=no)
+    m, n = vals[:2]
+    if sym != "general" and m != n:
+        raise ParseError(f"{sym} {layout} matrix must be square, got "
+                         f"{m} x {n}", line=no)
+    return (m, n), vals[2] if want == 3 else None
 
 
 def _chunks(fh):
-    # the rest of the file in lists of lines of about 1 MiB, so a large
-    # file is never held whole
-    return iter(lambda: fh.readlines(1 << 20), [])
+    # the rest of the file in lists of lines (bytes, newline cut off) of
+    # about 1 MiB, each read as one block cut after its last newline, so
+    # a large file is never held whole
+    tail = b""
+    for data in iter(lambda: fh.read(1 << 20), b""):
+        data = tail + data
+        cut = data.rfind(b"\n") + 1
+        tail = data[cut:]
+        if cut:
+            yield data[:cut - 1].split(b"\n")
+    if tail:
+        yield [tail]
 
 
-def _read_coordinate(fh, size, sym, size_line):
-    if len(size) != 3:
-        raise ParseError("coordinate size line needs 'rows cols entries'",
-                         line=size_line)
-    try:
-        m, n, nnz = (int(x) for x in size)
-    except ValueError:
-        raise ParseError("size entries must be integers", line=size_line)
-    a = np.zeros((m, n))
+def _read_coordinate(fh, shape, nnz, sym, size_line):
+    # each place's values and mirrors added to +0.0 in file order, the
+    # float arithmetic of `a[i, j] += v` on a zero matrix
+    m, n = shape
+    sums = {}
     seen = 0
     no = size_line
     for lines in _chunks(fh):
         for no, text in enumerate(lines, no + 1):
             text = text.strip()
-            if not text or text.startswith("%"):
+            if not text or text.startswith(b"%"):
                 continue
             parts = text.split()
             if len(parts) != 3:
                 raise ParseError(
                     f"expected 'i j value', got {len(parts)} fields", line=no)
             try:
-                i, j = int(parts[0]), int(parts[1])
+                i, j = int(parts[0]) - 1, int(parts[1]) - 1
                 v = float(parts[2])
             except ValueError:
-                raise ParseError(f"cannot parse entry '{text}'", line=no)
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise ParseError(f"index ({i}, {j}) outside {m} x {n}",
+                raise ParseError(f"cannot parse entry '{_text(text)}'",
                                  line=no)
-            a[i - 1, j - 1] += v
+            if not (0 <= i < m and 0 <= j < n):
+                raise ParseError(f"index ({i + 1}, {j + 1}) outside "
+                                 f"{m} x {n}", line=no)
+            sums[i, j] = sums.get((i, j), 0.0) + v
             if sym == "symmetric" and i != j:
-                a[j - 1, i - 1] += v
+                sums[j, i] = sums.get((j, i), 0.0) + v
             elif sym == "skew-symmetric":
                 if i == j:
                     raise ParseError("skew-symmetric diagonal entry", line=no)
-                a[j - 1, i - 1] -= v
+                sums[j, i] = sums.get((j, i), 0.0) - v
             seen += 1
     if seen != nnz:
         raise ParseError(
             f"header promised {nnz} entries but file has {seen}", line=no)
-    return a
+    places = np.array(list(sums), dtype=np.intp).reshape(-1, 2)
+    return places[:, 0], places[:, 1], np.fromiter(sums.values(), float,
+                                                   len(sums))
 
 
-def _read_array(fh, size, sym, size_line):
-    if len(size) != 2:
-        raise ParseError("array size line needs 'rows cols'", line=size_line)
-    try:
-        m, n = (int(x) for x in size)
-    except ValueError:
-        raise ParseError("size entries must be integers", line=size_line)
-    no = size_line
-    if sym == "general":
-        # the file lists the columns in turn; they go straight into a
-        # row-major array, the layout the generators build, so that
-        # binary64 sums over a loaded matrix add in the same order
-        a = np.empty((m, n))
-        seen = 0
-        for vals, no in _array_chunks(fh, no):
-            _put_columns(a, seen, vals[:max(m * n - seen, 0)])
-            seen += len(vals)
-        if seen != m * n:
-            raise ParseError(f"expected {m * n} values, got {seen}", line=no)
-        return a
-    if m != n:
-        raise ParseError("symmetric array matrix must be square",
-                         line=size_line)
-    parts = []
-    for vals, no in _array_chunks(fh, no):
-        parts.append(vals)
-    vals = np.concatenate(parts) if parts else np.zeros(0)
+def _read_array(fh, shape, sym, size_line):
+    # the column-major body's values with their places, and the mirrors
+    # of a triangle's values: v (symmetric) or -v (skew-symmetric)
+    m, n = shape
     strict = sym == "skew-symmetric"
-    want = m * (m - 1) // 2 if strict else m * (m + 1) // 2
-    if len(vals) != want:
-        raise ParseError(
-            f"expected {want} triangle values, got {len(vals)}", line=no)
-    a = np.zeros((m, n))
-    it = iter(vals)
-    for j in range(n):
-        for i in range(j + 1 if strict else j, m):
-            v = next(it)
-            a[i, j] = v
-            if i != j:
-                a[j, i] = -v if strict else v
-    return a
-
-
-def _array_chunks(fh, no):
-    # the values of an array file's body a chunk at a time, each with
-    # the number of the chunk's last line
+    # the number of values each column lists
+    lengths = np.full(n, m) if sym == "general" else \
+        m - np.arange(n) - strict
+    want = int(lengths.sum())
+    places, vals = [], []
+    seen = 0
+    no = size_line
     for lines in _chunks(fh):
-        try:
-            # one value per line: float() takes the surrounding whitespace
-            vals = np.fromiter(map(float, lines), float, len(lines))
-        except ValueError:
-            vals = np.array(_scan_values(lines, no + 1))
+        got = _array_values(lines, no + 1)
+        # +0.0 is left out, except in a skew triangle: its mirror is -0.0
+        keep = np.flatnonzero((got != 0.0) | np.signbit(got) | strict)
+        places.append(seen + keep)
+        vals.append(got[keep])
+        seen += len(got)
         no += len(lines)
-        yield vals, no
+    if seen != want:
+        what = "values" if sym == "general" else "triangle values"
+        raise ParseError(f"expected {want} {what}, got {seen}", line=no)
+    k = np.concatenate(places) if places else np.zeros(0, dtype=np.intp)
+    v = np.concatenate(vals) if vals else np.zeros(0)
+    starts = np.cumsum(lengths) - lengths
+    j = np.searchsorted(starts, k, side="right") - 1
+    i = k - starts[j]
+    if sym == "general":
+        return i, j, v
+    i += j + strict
+    off = i != j
+    return (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]),
+            np.concatenate([v, -v[off] if strict else v[off]]))
 
 
-def _put_columns(a, seen, vals):
-    # writes vals, entries seen.. of a in column-major order: whole
-    # columns by one transposing block copy, a column split between
-    # chunks by slices
-    if not len(vals):
-        return
-    at = a.T
-    m = at.shape[1]
-    j, i = divmod(seen, m)
-    if i:
-        head = vals[:m - i]
-        at[j, i:i + len(head)] = head
-        vals = vals[len(head):]
-        j += 1
-    whole = len(vals) // m
-    at[j:j + whole] = vals[:whole * m].reshape(whole, m)
-    rest = vals[whole * m:]
-    if len(rest):
-        at[j + whole, :len(rest)] = rest
+def _array_values(lines, first):
+    # one value per line: the writer's zero line is +0.0 unparsed and
+    # every other line goes to float(), which takes the whitespace
+    # around a value; anything else falls back to the line-by-line scan
+    vals = np.zeros(len(lines))
+    put = [k for k, text in enumerate(lines) if text != _ZERO]
+    try:
+        vals[put] = [float(lines[k]) for k in put]
+    except ValueError:
+        vals = np.array(_scan_values(lines, first), dtype=float)
+    return vals
 
 
 def _scan_values(lines, first):
@@ -410,13 +443,18 @@ def _scan_values(lines, first):
     vals = []
     for no, text in enumerate(lines, first):
         text = text.strip()
-        if not text or text.startswith("%"):
+        if not text or text.startswith(b"%"):
             continue
         try:
             vals.append(float(text))
         except ValueError:
-            raise ParseError(f"cannot parse value '{text}'", line=no)
+            raise ParseError(f"cannot parse value '{_text(text)}'",
+                             line=no)
     return vals
+
+
+def _text(line):
+    return line.decode("ascii", "replace")
 
 
 def write_matrix_market(path, a):

@@ -316,9 +316,10 @@ def _target_maragal():
                  "(set the variable to a directory holding the .mtx file)")
         return rep
     inst = load_matrix_market(path)
-    m, n = inst.a.shape
+    m, n = inst.triples.shape
     rep.check_true("shape", (m, n) == (858, 1682), f"{m}x{n}")
-    ax, bx = dd.asmatrix(inst.a), dd.asdd(inst.b / np.linalg.norm(inst.b))
+    ax = dd.asmatrix(inst.triples)
+    bx = dd.asdd(inst.b / np.linalg.norm(inst.b))
     cfg = nrsor_config(ax, omega=1.0, inner_steps=1)
     trace = nrsor_ba_gmres(ax, cfg, bx,
                            opts=GmresOptions(rtol=1e-26, max_iterations=200))

@@ -2,6 +2,11 @@
 and the reproduce targets' pass/fail contract."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,12 @@ def _sparse_matrix(shape, seed=0):
     return a
 
 
+def _dense_dd(triples):
+    # what extended runs on a file's matrix held before the sparse form:
+    # the dense DD array
+    return dd.asdd(triples.toarray())
+
+
 @pytest.mark.parametrize("verb,solver,shape", [
     ("solve", "ba-gmres", (100, 200)), ("bound", "ba-gmres", (40, 40)),
     ("solve", "gmres", (40, 40)), ("bound", "gmres", (40, 40))])
@@ -89,7 +100,7 @@ def test_extended_sparse_mtx_keeps_the_dense_trace(tmp_path, monkeypatch,
                         lambda a: held.append(asmatrix(a)) or held[-1])
     codes = [run(args + ["--out", str(paths[0])])]
     assert [type(a) for a in held] == [dd.SparseDD]
-    monkeypatch.setattr(dd, "asmatrix", dd.asdd)
+    monkeypatch.setattr(dd, "asmatrix", _dense_dd)
     codes.append(run(args + ["--out", str(paths[1])]))
     assert codes[0] == codes[1] == 2
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -105,9 +116,49 @@ def test_extended_sparse_mtx_nan_rhs_is_the_dense_error(tmp_path, monkeypatch,
     args = ["solve", "--mtx", str(mtx), "--precision", "extended",
             "--out", str(tmp_path / "t.csv")]
     got = run(args), capsys.readouterr().err
-    monkeypatch.setattr(dd, "asmatrix", dd.asdd)
+    monkeypatch.setattr(dd, "asmatrix", _dense_dd)
     want = run(args), capsys.readouterr().err
     assert got == want == (1, "error: non-finite initial residual\n")
+
+
+def test_row_sum_rhs_is_the_same_under_any_blas_thread_count(tmp_path):
+    # with no rhs file b is summed without BLAS: on a matrix whose BLAS
+    # row sums differ between one and two threads, the extended traces
+    # are the same bytes
+    mtx = tmp_path / "w.mtx"
+    write_matrix_market(str(mtx), _sparse_matrix((858, 1682)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "krybound.cli", "solve", "--mtx", str(mtx),
+             "--precision", "extended", "--maxit", "4", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_extended_mtx_build_holds_no_dense_matrix(tmp_path):
+    # the file's matrix goes from its lines to a SparseDD: the peak of the
+    # whole build stays below one dense binary64 m x n array
+    shape = (1000, 2000)
+    mtx = tmp_path / "w.mtx"
+    write_matrix_market(str(mtx), _sparse_matrix(shape))
+    cfg = cli.ExperimentConfig("solve", mtx=str(mtx), precision="extended")
+    tracemalloc.start()
+    try:
+        a, b, _ = cli._build_problem(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(a, dd.SparseDD) and b.shape == (shape[0],)
+    assert peak < 8 * shape[0] * shape[1], peak
 
 
 # ----------------------------------------------------------------- solve

@@ -373,6 +373,31 @@ def test_asmatrix_takes_the_sparse_form_at_one_sixteenth():
     assert dd.dense(op) is not op and dd.dense(a) is a
 
 
+def _triples(a):
+    # what the Matrix Market reader gives: every entry but +0.0
+    rows, cols = np.nonzero((a != 0.0) | np.signbit(a) | np.isnan(a))
+    return dd.Triples(a.shape, rows, cols, a[rows, cols])
+
+
+def test_asmatrix_takes_triples_as_their_dense_array():
+    # the same 1/16 rule, a signed zero not counted, and the same fields
+    a = np.zeros((8, 16))
+    a[0, :8] = 1.0
+    a[1, 0] = -0.0
+    op = dd.asmatrix(_triples(a))
+    want = dd.SparseDD.from_dense(a)
+    assert isinstance(op, dd.SparseDD) and op.shape == want.shape
+    for got, ref in ((op.rows, want.rows), (op.cols, want.cols),
+                     (op.values.hi, want.values.hi),
+                     (op.values.lo, want.values.lo)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    a[1, 1] = 2.0
+    for x in (a, np.zeros((8, 16)), np.zeros((3, 0))):
+        got = dd.asmatrix(_triples(x))
+        assert isinstance(got, DD) and _bits(got) == _bits(dd.asdd(x))
+    assert _triples(a).toarray().flags.c_contiguous
+
+
 def test_tree_sum_is_deterministic_and_exact_for_ints():
     x = DD(np.arange(1000, dtype=float))
     assert float(x.sum()) == 999 * 1000 / 2

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from krybound import dd
 from krybound.errors import ConstructionError, ParseError
 from krybound.generators import (PrescribedCurve, exp_decay_matrix,
                                  greenbaum_construct, load_matrix_market,
@@ -384,3 +385,187 @@ def test_mm_parse_errors_carry_line_numbers(tmp_path, text, line, fragment):
     with pytest.raises(ParseError, match=fragment) as err:
         load_matrix_market(path)
     assert f"line {line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    # a mirrored entry would fall outside a non-square matrix
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n2 1 1.0\n",
+     "symmetric coordinate matrix must be square, got 2 x 3"),
+    ("%%MatrixMarket matrix coordinate real skew-symmetric\n3 2 0\n",
+     "skew-symmetric coordinate matrix must be square, got 3 x 2"),
+    ("%%MatrixMarket matrix array real symmetric\n2 3\n1.0\n",
+     "symmetric array matrix must be square"),
+    ("%%MatrixMarket matrix coordinate real general\n-2 2 0\n",
+     "must not be negative, got -2 2 0"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+     "must not be negative, got 2 2 -1"),
+    ("%%MatrixMarket matrix array real general\n2 -3\n",
+     "must not be negative, got 2 -3"),
+], ids=["symmetric-coordinate", "skew-coordinate", "symmetric-array",
+        "negative-rows", "negative-entries", "negative-cols"])
+def test_mm_size_line_errors_name_the_size_line(tmp_path, text, fragment):
+    path = _write(tmp_path, "bad.mtx", "\n% a comment first\n".join(
+        text.split("\n", 1)))
+    with pytest.raises(ParseError, match=fragment) as err:
+        load_matrix_market(path)
+    assert "line 3:" in str(err.value)
+
+
+def _dense_reference(text):
+    # the matrix a file stands for, entry by entry: a[i, j] += v in file
+    # order for the coordinate layout, a[i, j] = v down the columns for
+    # the array layout, each with its mirror
+    head, *body = text.splitlines()
+    layout, sym = head.split()[2], head.split()[4]
+    body = [t for t in body if t.strip() and not t.lstrip().startswith("%")]
+    m, n = (int(x) for x in body[0].split()[:2])
+    a = np.zeros((m, n))
+    if layout == "coordinate":
+        for t in body[1:]:
+            i, j, v = int(t.split()[0]) - 1, int(t.split()[1]) - 1, \
+                float(t.split()[2])
+            a[i, j] += v
+            if sym == "symmetric" and i != j:
+                a[j, i] += v
+            elif sym == "skew-symmetric":
+                a[j, i] -= v
+        return a
+    vals = iter(float(t) for t in body[1:])
+    for j in range(n):
+        start = 0 if sym == "general" else j + (sym == "skew-symmetric")
+        for i in range(start, m):
+            v = next(vals)
+            a[i, j] = v
+            if sym != "general" and i != j:
+                a[j, i] = -v if sym == "skew-symmetric" else v
+    return a
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _fields(op):
+    return (op.shape, _bits(op.rows), _bits(op.cols), _bits(op.values.hi),
+            _bits(op.values.lo))
+
+
+_SPECIAL = ("0.0", "-0.0", "nan", "-nan", "inf", "-inf", "1e308", "2.5",
+            "-1.25", "0.1", f"{0.0:.17e}", f"{-0.0:.17e}")
+
+
+def _coordinate_text(sym, rng):
+    # 20 x 20, 24 entries on 12 places: every place given twice
+    places = rng.integers(1, 21, (12, 2))
+    if sym == "skew-symmetric":
+        places[places[:, 0] == places[:, 1], 1] %= 20
+        places[places[:, 0] == places[:, 1], 1] += 1
+    lines = [f"{i} {j} {rng.choice(_SPECIAL)}"
+             for i, j in np.concatenate([places, places[::-1]])]
+    return (f"%%MatrixMarket matrix coordinate real {sym}\n20 20 24\n" +
+            "\n".join(lines) + "\n")
+
+
+def _array_text(sym, rng):
+    # 20 x 20 with at most 12 of its listed values other than the
+    # writer's zero line; -0.0 mirrors a skew triangle's +0.0
+    count = {"general": 400, "symmetric": 210, "skew-symmetric": 190}[sym]
+    vals = [f"{0.0:.17e}"] * count
+    for k in rng.integers(0, count, 12):
+        vals[k] = rng.choice(_SPECIAL)
+    return (f"%%MatrixMarket matrix array real {sym}\n20 20\n" +
+            "".join(f"{v}\n" for v in vals))
+
+
+@pytest.mark.parametrize("layout", ["coordinate", "array"])
+@pytest.mark.parametrize("sym", ["general", "symmetric", "skew-symmetric"])
+def test_mm_triples_are_the_dense_matrix_bit_for_bit(tmp_path, layout, sym):
+    # duplicates, mirrors, -0.0, NaNs of both signs and infinities: the
+    # SparseDD of the triples is from_dense of the dense matrix field
+    # for field, and the binary64 matrix keeps every bit, -0.0 included
+    make = _coordinate_text if layout == "coordinate" else _array_text
+    for seed in range(4):
+        text = make(sym, np.random.default_rng(seed))
+        want = _dense_reference(text)
+        inst = load_matrix_market(_write(tmp_path, "t.mtx", text))
+        op = dd.asmatrix(inst.triples)
+        assert isinstance(op, dd.SparseDD)
+        assert _fields(op) == _fields(dd.SparseDD.from_dense(want))
+        assert inst.a.flags.c_contiguous
+        assert _bits(inst.a) == _bits(want)
+        assert inst.metadata["shape"] == [20, 20]
+
+
+def test_mm_wide_file_triples_span_several_blocks(tmp_path):
+    # 858 x 1682 at 1% density is 1.4 M lines, about 33 read blocks
+    rng = np.random.default_rng(8)
+    a = np.zeros((858, 1682))
+    a.flat[rng.integers(0, a.size, a.size // 100)] = rng.standard_normal(
+        a.size // 100)
+    a[[0, 3, 857], [1681, 5, 0]] = -0.0, np.nan, np.inf
+    path = str(tmp_path / "w.mtx")
+    write_matrix_market(path, a)
+    inst = load_matrix_market(path)
+    assert _fields(dd.asmatrix(inst.triples)) == \
+        _fields(dd.SparseDD.from_dense(a))
+    assert inst.a.flags.c_contiguous and _bits(inst.a) == _bits(a)
+
+
+def test_mm_other_zero_spellings_parse(tmp_path):
+    spellings = ["0", "-0.0", "0.0e0", "+0.0", "0.00000000000000000E+00",
+                 f"{-0.0:.17e}", f"{0.0:.17e}", " 0.0 "]
+    path = _write(tmp_path, "z.mtx",
+                  f"%%MatrixMarket matrix array real general\n8 1\n" +
+                  "".join(f"{v}\n" for v in spellings))
+    inst = load_matrix_market(path)
+    want = np.array([float(v) for v in spellings])
+    assert _bits(inst.a[:, 0].copy()) == _bits(want)
+    # only the -0.0 entries are kept
+    assert inst.triples.rows.tolist() == [1, 5]
+    assert np.signbit(inst.triples.values).all()
+
+
+def test_mm_two_values_on_a_line_name_the_line(tmp_path):
+    # past the first read block, in a body of writer's zero lines
+    lines = [f"{0.0:.17e}\n"] * 80000
+    lines[70000] = "1.0 2.0\n"
+    path = _write(tmp_path, "two.mtx",
+                  "%%MatrixMarket matrix array real general\n80000 1\n" +
+                  "".join(lines))
+    with pytest.raises(ParseError, match="cannot parse value '1.0 2.0'") \
+            as err:
+        load_matrix_market(path)
+    assert "line 70003:" in str(err.value)
+
+
+@pytest.mark.parametrize("layout", ["coordinate", "array"])
+def test_mm_row_sums_add_left_to_right(tmp_path, layout):
+    # the rhs without a file is each row summed left to right from +0.0,
+    # the infinities and NaNs giving their IEEE results (math.fsum
+    # raises on the first two rows)
+    a = np.array([[np.inf, 0.0, -np.inf, 0.0],
+                  [1e308, 1e308, -1e308, 0.0],
+                  [np.nan, 1.0, 0.0, 0.0],
+                  [0.1, 0.2, 0.3, 0.0],
+                  [1.0, 1e-16, 1e-16, -0.0],
+                  [-0.0, 0.0, 0.0, -0.0],
+                  [-np.inf, 2.0, 0.0, 1.0]])
+    if layout == "array":
+        path = str(tmp_path / "r.mtx")
+        write_matrix_market(path, a)
+    else:
+        i, j = np.nonzero((a != 0.0) | np.isnan(a))
+        path = _write(tmp_path, "r.mtx",
+                      f"%%MatrixMarket matrix coordinate real general\n"
+                      f"7 4 {len(i)}\n" + "".join(
+                          f"{r + 1} {c + 1} {float(a[r, c])!r}\n"
+                          for r, c in zip(i, j)))
+    want = []
+    for row in a.tolist():
+        s = 0.0
+        for x in row:
+            s += x
+        want.append(s)
+    got = load_matrix_market(path).b
+    assert _bits(got) == _bits(np.array(want))
+    assert got[3] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)

@@ -23,8 +23,8 @@ from . import dd
 from .dd import CDD, DD
 from .errors import InapplicableError, NumericalFailureError, RangeError
 from .gmres import GmresOptions, TraceRow, _engine
-from .linalg import (condition_number_2, eig_nonsymmetric, lstsq,
-                     spectral_norm)
+from .linalg import (_conjugate_partners, _exact_keys, condition_number_2,
+                     eig_nonsymmetric, lstsq, spectral_norm)
 from .nrsor import nrsor_apply, preconditioned_matrix
 
 __all__ = [
@@ -101,13 +101,13 @@ def decompose_rhs(op_matrix, r0):
     the expansion is exactly the projection onto their span and the QR
     is real.  A pair's weights are (alpha - i beta)/2 on v and
     (alpha + i beta)/2 on its conjugate, for the weights alpha and beta
-    of Re v and Im v; a complex r0 goes through the same real QR.
-    eig_nonsymmetric gives each pair exactly conjugate eigenvalues and
-    vectors; a non-real column without such a partner raises
-    NumericalFailureError.  Exactly equal eigenvalues are folded into
-    one pair whose vector is the weighted combination, and weights
-    below 1e-30 (extended) or 1e-12 (binary64) of the weight norm are
-    dropped.  A right-hand side outside the span is a contract
+    of Re v and Im v; a complex r0 goes through the same real QR.  The
+    pairs are eig_nonsymmetric's (_conjugate_partners), so a repeated
+    pair gives two column pairs; a non-real eigenvalue without a
+    partner raises NumericalFailureError.  Exactly equal eigenvalues
+    are folded into one pair whose vector is the weighted combination,
+    and weights below 1e-30 (extended) or 1e-12 (binary64) of the weight
+    norm are dropped.  A right-hand side outside the span is a contract
     violation and raises RangeError.
     """
     eo = eig_nonsymmetric(op_matrix)
@@ -145,29 +145,23 @@ def decompose_rhs(op_matrix, r0):
 
 
 def _conjugate_columns(lam, re, im):
-    """Columns of real eigenvalues, those with Im lambda > 0, and for each
-    of the latter its partner: the first unclaimed column whose
-    eigenvalue and vector (re + i im) are its exact conjugates."""
+    """Columns of real eigenvalues, those with Im lambda > 0, and the
+    latter's partners (_conjugate_partners), whose vectors must be the
+    exact conjugates of theirs."""
     img = dd.approx(lam)
     real = [i for i in range(len(img)) if img[i].imag == 0.0]
-    upper = [i for i in range(len(img)) if img[i].imag > 0.0]
-    free = [i for i in range(len(img)) if img[i].imag < 0.0]
-    lower = []
-    for i in upper:
-        mate = next((j for j in free if bool(lam[i] == dd.conj(lam[j])) and
-                     bool(((re[:, i] == re[:, j]) &
-                           (im[:, i] == -im[:, j])).all())), None)
-        if mate is None:
-            raise NumericalFailureError(
-                f"eigenvalue {complex(img[i])} has no exactly conjugate "
-                f"eigenpair: the real frame cannot hold its vector")
-        free.remove(mate)
-        lower.append(mate)
-    if free or dd.approx(im[:, real]).any():
+    pairs = sorted((i, j) if img[i].imag > 0.0 else (j, i)
+                   for i, j in enumerate(_conjugate_partners(lam))
+                   if j is not None)
+    upper, lower = [i for i, _ in pairs], [j for _, j in pairs]
+    if len(real) + 2 * len(pairs) < len(img) or \
+            dd.approx(im[:, real]).any() or \
+            not bool(((re[:, upper] == re[:, lower]) &
+                      (im[:, upper] == -im[:, lower])).all()):
         raise NumericalFailureError(
             "an eigenvector the real frame cannot hold: a non-real "
-            "eigenvalue without a conjugate partner, or a real one with a "
-            "complex vector")
+            "eigenvalue without an exactly conjugate eigenpair, or a real "
+            "one with a complex vector")
     return real, upper, lower
 
 
@@ -193,27 +187,15 @@ def _frame_weights(y, d, real, upper, lower):
 
 
 def _merge_duplicates(lam, v, c):
-    d = v.shape[1]
-    groups: list = []
-    assigned = [-1] * d
-    for i in range(d):
-        if assigned[i] >= 0:
-            continue
-        members = [i]
-        assigned[i] = len(groups)
-        for j in range(i + 1, d):
-            if assigned[j] >= 0:
-                continue
-            if _exactly_equal(lam, i, j):
-                members.append(j)
-                assigned[j] = len(groups)
-        groups.append(members)
-    if all(len(g) == 1 for g in groups):
+    groups: dict = {}     # exact eigenvalue -> its columns, in order
+    for i, key in enumerate(_exact_keys(lam)):
+        groups.setdefault(key, []).append(i)
+    if len(groups) == v.shape[1]:
         return lam, v, c
     new_lam = dd.zeros_like(lam, (len(groups),))
     new_v = dd.zeros_like(v, (v.shape[0], len(groups)))
     new_c = dd.zeros_like(c, (len(groups),))
-    for g, members in enumerate(groups):
+    for g, members in enumerate(groups.values()):
         if len(members) == 1:
             i = members[0]
             new_lam[g] = lam[i]
@@ -238,13 +220,6 @@ def _merge_duplicates(lam, v, c):
     return new_lam, new_v, new_c
 
 
-def _exactly_equal(lam, i, j):
-    a, b = lam[i], lam[j]
-    if isinstance(a, CDD):
-        return bool((a.re == b.re) & (a.im == b.im))
-    return complex(a) == complex(b)
-
-
 # --------------------------------------------------------------- norms
 
 def weighted_norm(e):
@@ -262,7 +237,8 @@ def vandermonde_min(lambdas, k_max):
     all-ones vector, so one run of the solver's engine gives the whole
     curve (Vandermonde with Arnoldi; Brubeck, Nakatsukasa and
     Trefethen, SIAM Rev. 63, 2021).  The run is real and in extended
-    precision: see _real_diagonal.  Each value is the recomputed norm
+    precision: see _real_diagonal, which pairs conjugates exactly as
+    eig_nonsymmetric does.  Each value is the recomputed norm
     of the residual the engine's iterate attains, plus a margin for the
     rounding of that norm, so it does not fall below the iterate's true
     residual; after convergence or breakdown the remaining k keep the
@@ -320,8 +296,9 @@ def _real_diagonal(lambdas):
 
     Each conjugate pair a +- ib, with start entries (1, 1), becomes the
     block [[a, b], [-b, a]] with entries (sqrt 2, 0): a unitary
-    similarity, so every polynomial norm is kept.  A complex point whose
-    exact conjugate is missing gets one, which can only raise the
+    similarity, so every polynomial norm is kept.  Points pair as in
+    eig_nonsymmetric (_conjugate_partners); a complex point without a
+    partner gets its conjugate added, which can only raise the
     minimum.  Returns alpha, beta, partner and the start vector, with
     diag(lambda) v = alpha * v + beta * v[partner], and the number of
     distinct points.
@@ -332,15 +309,10 @@ def _real_diagonal(lambdas):
         # p(0) = 1 there at every k: no minimum falls below its weight
         raise InapplicableError("a point at zero bounds nothing")
     src, first = [], []
-    balance: dict = {}    # (a, |b|) -> count of b > 0 minus count of b < 0
-    for i in range(lam.shape[0]):
-        s = np.sign(im.hi[i])
-        key = (re.hi[i], re.lo[i], s * im.hi[i], s * im.lo[i])
-        before = balance.get(key, 0.0)
-        balance[key] = before + s
-        if s == 0.0:
+    for i, mate in enumerate(_conjugate_partners(lam)):
+        if im.hi[i] == 0.0:
             src.append(i)
-        elif before * s >= 0.0:       # no earlier block awaits this conjugate
+        elif mate is None:            # a block's first point
             first.append(len(src))
             src += [i, i]
     first = np.array(first, dtype=int)
@@ -351,7 +323,8 @@ def _real_diagonal(lambdas):
     start = dd.ones((len(src),))
     start[first] = dd.sqrt(dd.asdd(2.0))
     start[first + 1] = 0.0
-    degree = sum(2 if key[2] else 1 for key in balance)
+    points = set(_exact_keys(lam))
+    degree = len(points | {(rh, rl, -ih, -il) for rh, rl, ih, il in points})
     return re[src], abs(im[src]) * sign, partner, start, degree
 
 

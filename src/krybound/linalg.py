@@ -371,6 +371,9 @@ def solve_triangular(t, b):
 
 @dataclass
 class EigenResult:
+    """Each non-real value has one partner, its exact conjugate, found
+    by _conjugate_partners; their columns of ``vectors`` are exact
+    conjugates too."""
     values: object    # complex 1-d (complex128 or CDD), canonically sorted
     vectors: object   # unit columns; first significant component real > 0
 
@@ -390,6 +393,10 @@ def eig_nonsymmetric(a):
     tolerance raises NumericalFailureError.  Runs in the input's
     precision, which is the point of hand-rolling it.
 
+    The later member of each conjugate pair (_conjugate_partners: exact,
+    no tolerance) gets the exact conjugate of the earlier one's vector,
+    so a repeated pair keeps independent vectors.
+
     Attempt 0 of inverse iteration (the shifted LU, the seeded start
     vector, the first solve) runs as stacked lu_factor/lu_solve calls,
     real and complex shifts apart, in chunks of ``_STACK_ELEMS``
@@ -405,8 +412,9 @@ def eig_nonsymmetric(a):
     vector is bit-identical to running each eigenvalue alone.
     """
     n, n2 = a.shape
-    if n != n2:
-        raise DimensionMismatchError("eig_nonsymmetric needs a square matrix")
+    if n != n2 or n == 0:
+        raise DimensionMismatchError(
+            f"eig_nonsymmetric needs a nonempty square matrix, got {a.shape}")
     if n > EIG_CAP:
         raise DimensionMismatchError(f"matrix order {n} exceeds cap {EIG_CAP}")
     if dd.is_complexkind(a):
@@ -416,7 +424,7 @@ def eig_nonsymmetric(a):
     h, reflectors = _hessenberg(a)
     vals = _sort_eigvals(_francis_qr(h))
     values = dd.stack([_make_scalar_complex(a, re, im) for re, im in vals])
-    vectors = _eig_vectors(a, h, reflectors, vals)
+    vectors = _eig_vectors(a, h, reflectors, vals, _conjugate_partners(values))
     return EigenResult(values, vectors)
 
 
@@ -778,17 +786,17 @@ def _sort_eigvals(vals):
     return sorted(vals, key=key)
 
 
-def _eig_vectors(a, h, reflectors, vals):
+def _eig_vectors(a, h, reflectors, vals, partners):
     """Unit eigenvectors of a for vals, by inverse iteration on its
     Hessenberg form h, mapped back by Q, given the canonical phase, and
-    checked against a itself."""
+    checked against a itself; the column of an eigenvalue with a
+    partner is the exact conjugate of the partner's."""
     n = a.shape[0]
     eps = dd.eps_of(a)
     norm_a = float(np.linalg.norm(dd.approx(a)))
     tol = 1e3 * eps * norm_a
     sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
     images = [complex(_f(re), _f(im)) for re, im in vals]
-    partners = _conjugate_partners(images, eps, norm_a)
     # _deflate_against acts on a member only when an earlier eigenvalue's
     # image lies within sep of its own; such a member runs alone
     crowded = [any(abs(lam_j - lam) <= sep for lam_j in images[:idx])
@@ -859,18 +867,27 @@ def _eig_vectors(a, h, reflectors, vals):
 _STACK_ELEMS = 1 << 17
 
 
-def _conjugate_partners(images, eps, scale):
-    """For each eigenvalue, the last earlier non-real one it is the
-    conjugate of (its vector is then copied), else None."""
+def _exact_keys(values):
+    """Each entry of a complex 1-d array as (re.hi, re.lo, im.hi, im.lo),
+    lo = 0 in binary64: equal keys are exactly equal values."""
+    z = values if isinstance(values, CDD) else dd.ascdd(values)
+    return list(zip(*(p.tolist() for p in (z.re.hi, z.re.lo, z.im.hi,
+                                           z.im.lo))))
+
+
+def _conjugate_partners(values):
+    """For each entry of a complex 1-d array, the first earlier non-real
+    entry that is its exact conjugate and not yet paired, else None.
+    Francis QR emits each non-real pair from one 2x2 block as exact
+    conjugates (Golub and Van Loan, sec. 7.5; LAPACK xGEEV), so pairing
+    needs no tolerance."""
+    waiting: dict = {}    # key -> earlier non-real entries not yet paired
     partners = []
-    for idx, lam in enumerate(images):
-        best = None
-        if lam.imag != 0.0:
-            for col, lam_j in enumerate(images[:idx]):
-                if lam_j.imag != 0.0 and abs(np.conj(lam_j) - lam) <= \
-                        1e4 * eps * max(scale, abs(lam)):
-                    best = col
-        partners.append(best)
+    for idx, (rh, rl, ih, il) in enumerate(_exact_keys(values)):
+        mates = waiting.get((rh, rl, -ih, -il)) if ih else None
+        partners.append(mates.pop(0) if mates else None)
+        if ih and partners[-1] is None:
+            waiting.setdefault((rh, rl, ih, il), []).append(idx)
     return partners
 
 

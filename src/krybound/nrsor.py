@@ -39,13 +39,16 @@ def nrsor_config(a, omega=1.0, inner_steps=1):
     """Validate parameters, schedule the columns by level and precompute
     squared column norms once.
 
-    a is a dense array or a dd.SparseDD; either gives the same tables
-    and norms, byte for byte.
+    a is a real dense array or a dd.SparseDD; either gives the same
+    tables and norms, byte for byte.  A complex a raises
+    InvalidMatrixError.
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
     if inner_steps < 1:
         raise ValueError(f"inner_steps must be >= 1, got {inner_steps}")
+    if dd.is_complexkind(a):
+        raise InvalidMatrixError("NR-SOR needs a real matrix, got complex")
     n = a.shape[1]
     if n == 0:
         raise InvalidMatrixError("matrix has no columns")

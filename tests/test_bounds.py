@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from krybound import bounds, dd
+from krybound import bounds, dd, linalg
 from krybound.bounds import (BoundSeries, EigenData, analyse, bound_curve,
                              cluster_assign, cluster_poly_bound,
                              decompose_rhs, first_order_estimate,
@@ -197,6 +197,68 @@ def test_decompose_rejects_a_column_without_exact_conjugate(monkeypatch):
     monkeypatch.setattr(bounds, "eig_nonsymmetric", nudged)
     with pytest.raises(NumericalFailureError, match="conjugate"):
         decompose_rhs(a, r0)
+
+
+def _rotation_blocks(im2=0.3):
+    # blockdiag(R(.5, .3), R(.5, im2), 2) with R(a, b) = [[a, b], [-b, a]]:
+    # the pair .5 +- .3i twice when im2 = .3
+    a = np.zeros((5, 5))
+    a[:2, :2] = [[0.5, 0.3], [-0.3, 0.5]]
+    a[2:4, 2:4] = [[0.5, im2], [-im2, 0.5]]
+    a[4, 4] = 2.0
+    return a
+
+
+def _pairs_1e29_apart():
+    # the second pair's imaginary part .3 + 1e-29: both pairs share one
+    # binary64 image
+    a = dd.asdd(_rotation_blocks())
+    im2 = dd.asdd(0.3) + 1e-29
+    a[2, 3], a[3, 2] = im2, -im2
+    return a
+
+
+def _rotated_pairs(delta):
+    # a normal matrix with two pairs delta apart and perfectly
+    # conditioned eigenvectors
+    q = random_orthogonal(5, seed=3)
+    return q @ _rotation_blocks(0.3 + delta) @ q.T
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _rotation_blocks(), lambda: dd.asdd(_rotation_blocks()),
+    _pairs_1e29_apart, lambda: _rotated_pairs(0.0),
+    lambda: _rotated_pairs(1e-12), lambda: _exp_decay_operator(12)[0]],
+    ids=["twin_pairs_f64", "twin_pairs_dd", "pairs_1e-29_apart_dd",
+         "rotated_twin_pairs_f64", "rotated_pairs_1e-12_apart_f64",
+         "exp_decay_12_f64"])
+def test_repeated_conjugate_pairs_keep_independent_vectors(make):
+    # each non-real eigenvalue gets its own exact conjugate as partner,
+    # so a repeated or nearly repeated pair keeps two independent vector
+    # pairs and decompose_rhs can expand any rhs over them
+    a = make()
+    n = a.shape[0]
+    eo = eig_nonsymmetric(a)
+    v, lam = eo.vectors, eo.values
+    assert np.linalg.matrix_rank(dd.approx(v)) == n
+    tol = 1e3 * dd.eps_of(a) * float(np.linalg.norm(dd.approx(a)))
+    ac = dd.complex_like(a)
+    for j in range(n):
+        res = dd.norm2(ac @ v[:, j] - v[:, j] * lam[j])
+        assert _fl(res) <= tol
+    partners = linalg._conjugate_partners(lam)
+    paired = [(j, p) for j, p in enumerate(partners) if p is not None]
+    assert 2 * len(paired) == int(np.count_nonzero(dd.approx(lam).imag))
+    for j, p in paired:
+        assert _bytes(lam[j]) == _bytes(dd.conj(lam[p]))
+        assert _bytes(v[:, j]) == _bytes(dd.conj(v[:, p]))
+    b = np.arange(1.0, n + 1.0)
+    if dd.is_extended(a):
+        b, rtol = dd.asdd(b), 1e-27
+    else:
+        rtol = 1e-12
+    e = decompose_rhs(a, b)
+    assert _fl(dd.norm2(e.vectors @ e.weights - b)) <= rtol * _fl(dd.norm2(b))
 
 
 # -------------------------------------------------------------- analyse
@@ -387,6 +449,19 @@ def test_vandermonde_non_closed_set_gets_conjugates():
     for k in (1, 2):
         assert img[k - 1] >= _power_basis_min(given, k)
     assert img[2] > 1e-3        # three points, but five after closing
+
+
+def test_vandermonde_pairs_points_first_come():
+    # a repeated pair in any order is two blocks, and an unpaired third
+    # copy gets its conjugate added: every order gives the same curve
+    x = 0.5 + 0.3j
+    ref = vandermonde_min(np.array([x, x.conjugate(), x, x.conjugate()]), 3)
+    for given in ([x, x, x.conjugate(), x.conjugate()],
+                  [x.conjugate(), x, x.conjugate(), x],
+                  [x, x, x.conjugate()]):
+        curve = vandermonde_min(np.array(given), 3)
+        assert np.array_equal(curve.hi, ref.hi)
+        assert np.array_equal(curve.lo, ref.lo)
 
 
 def test_vandermonde_rejects_k_max_below_one_and_a_zero_point():

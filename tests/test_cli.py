@@ -259,6 +259,19 @@ def test_matrix_without_columns_is_a_named_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: matrix has no columns\n"
 
 
+def test_bound_on_an_empty_matrix_is_a_named_error(tmp_path, capsys):
+    mtx = tmp_path / "Z.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n0 0\n")
+    for precision in ("f64", "extended"):
+        code = run(["bound", "--mtx", str(mtx), "--solver", "gmres",
+                    "--maxit", "1", "--precision", precision,
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: eig_nonsymmetric needs a nonempty square matrix, got " \
+            "(0, 0)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--gen", "stair", "--precision", "bogus"],
     ["solve", "--gen", "stair", "--no-such-option"],

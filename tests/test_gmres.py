@@ -692,6 +692,14 @@ def test_matrix_without_columns_rejected():
             nrsor_config(a)
 
 
+def test_complex_matrix_rejected():
+    # the sweep would drop the imaginary parts
+    a = np.array([[1.0, 2j], [0.5, 1.0]])
+    for x in (a, dd.ascdd(a)):
+        with pytest.raises(InvalidMatrixError, match="complex"):
+            nrsor_config(x)
+
+
 @pytest.mark.parametrize("shape", [(9, 1), (1, 6)])
 def test_sweep_single_column_and_single_row(shape):
     a0 = _rand(shape, seed=47)

@@ -372,7 +372,8 @@ def _vectors_one_at_a_time(a):
     tol = 1e3 * eps * norm_a
     sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
     images = [complex(float(_img(re)), float(_img(im))) for re, im in vals]
-    partners = linalg._conjugate_partners(images, eps, norm_a)
+    partners = linalg._conjugate_partners(dd.stack(
+        [linalg._make_scalar_complex(a, re, im) for re, im in vals]))
     vectors = dd.zeros_like(a, (n, n), field="complex")
     accepted = []
     for idx, (re, im) in enumerate(vals):
@@ -977,6 +978,26 @@ def test_eig_complex_pairs_are_exact_conjugates():
     for j, lam in enumerate(vals):
         v = out.vectors[:, j]
         assert np.linalg.norm(a @ v - lam * v) <= 1e-12
+
+
+def test_conjugate_partners_are_exact_and_first_come():
+    x = 0.5 + 0.3j
+    vals = np.array([x.conjugate(), x.conjugate(), x, x, 2.0, 2.0,
+                     x.conjugate(), -0.0 - 0.3j, 0.0 + 0.3j])
+    assert linalg._conjugate_partners(vals) == \
+        [None, None, 0, 1, None, None, None, None, 7]
+    # the low parts count: an image match is not a conjugate
+    y = dd.ascdd(np.array([x.conjugate(), x]))
+    y.im.lo[1] = 1e-30
+    assert linalg._conjugate_partners(y) == [None, None]
+    y.im.lo[0] = -1e-30
+    assert linalg._conjugate_partners(y) == [None, 0]
+
+
+def test_eig_rejects_an_empty_matrix():
+    for a in (np.zeros((0, 0)), dd.zeros((0, 0))):
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            eig_nonsymmetric(a)
 
 
 def test_eig_repeated_eigenvalue_full_eigenspace():

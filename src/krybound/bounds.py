@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from . import dd
 from .dd import CDD, DD
 from .errors import InapplicableError, NumericalFailureError, RangeError
 from .gmres import GmresOptions, TraceRow, _engine
-from .linalg import (_conjugate_partners, _exact_keys, condition_number_2,
-                     eig_nonsymmetric, lstsq, spectral_norm)
+from .linalg import (_conjugate_partners, _exact_keys, _require_real,
+                     condition_number_2, eig_nonsymmetric, lstsq,
+                     spectral_norm)
 from .nrsor import nrsor_apply, preconditioned_matrix
 
 __all__ = [
@@ -55,30 +57,30 @@ def _to_cdd_vector(lam):
 
 @dataclass
 class EigenData:
+    """r0 = V c over the retained eigenpairs, as a real frame.  Column i
+    belongs to lambdas[i]: c_i v_i for a real eigenvalue; for a
+    conjugate pair (earlier member i, later member j, as
+    _conjugate_partners pairs them) sqrt 2 Re(c_i v_i) in column i and
+    sqrt 2 Im(c_i v_i) in column j.  [z, conj z] is [sqrt 2 Re z,
+    sqrt 2 Im z] times a unitary matrix, so the frame has the singular
+    values of V diag(c), and frame / scales those of V."""
     d: int
     lambdas: object           # complex, pairwise distinct after merging
-    vectors: object           # n x d, unit columns
-    weights: object           # complex c_i with r0 ~ sum c_i v_i
+    frame: object             # real n x d
+    scales: object            # |c_i| for unit v_i, all positive
     residual: object          # ||r0 - V c||, the unexplained part
-    _kappa: object = field(default=None, repr=False)
-    _frame: object = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def vector_condition(self):
-        # kappa_2 of the retained frame; deferred because the SVD dwarfs
-        # every other cost at extended precision and the curve bounds
-        # never read it
-        if self._kappa is None:
-            self._kappa = condition_number_2(self.vectors)
-        return self._kappa
+        # kappa_2(V); on demand because the SVD dwarfs every other cost
+        # at extended precision and the curve bounds never read it
+        return condition_number_2(self.frame / self.scales)
 
-    @property
+    @cached_property
     def frame_norm(self):
-        # the prefactor of every bound, a certified upper bound on the
-        # frame's sigma_max; one Gram check serves all k
-        if self._frame is None:
-            self._frame = weighted_norm(self)
-        return self._frame
+        # the prefactor of every bound, a certified upper bound on
+        # ||V diag(c)||_2; one Gram check serves all k
+        return weighted_norm(self)
 
 
 def analyse(a, b, ncfg=None):
@@ -92,77 +94,74 @@ def analyse(a, b, ncfg=None):
 
 
 def decompose_rhs(op_matrix, r0):
-    """Expand r0 over eigenvectors of op_matrix with nonzero eigenvalues.
+    """Expand the real r0 over eigenvectors of op_matrix with nonzero
+    eigenvalues, as EigenData's real frame.
 
     Eigenpairs whose |lambda| falls below 1e-12 relative to the largest
     are discarded.  The weights come from a least-squares solve against
     the real frame of the rest: each real eigenvector, then Re v and
-    Im v for the member of each conjugate pair with Im lambda > 0, so
+    Im v for the earlier member of each conjugate pair (see _frame), so
     the expansion is exactly the projection onto their span and the QR
-    is real.  A pair's weights are (alpha - i beta)/2 on v and
-    (alpha + i beta)/2 on its conjugate, for the weights alpha and beta
-    of Re v and Im v; a complex r0 goes through the same real QR.  The
-    pairs are eig_nonsymmetric's (_conjugate_partners), so a repeated
-    pair gives two column pairs; a non-real eigenvalue without a
-    partner raises NumericalFailureError.  Exactly equal eigenvalues
-    are folded into one pair whose vector is the weighted combination,
-    and weights below 1e-30 (extended) or 1e-12 (binary64) of the weight
-    norm are dropped.  A right-hand side outside the span is a contract
-    violation and raises RangeError.
+    is real.  The pairs are eig_nonsymmetric's (_conjugate_partners), so
+    a repeated pair gives two column pairs; a non-real eigenvalue
+    without a partner raises NumericalFailureError.  Exactly equal
+    eigenvalues are folded into one, whose column is the sum of theirs;
+    then eigenvalues with |c_i| at most 1e-30 (extended) or 1e-12
+    (binary64) of ||c|| = ||frame||_F are dropped, which drops a group
+    whose columns cancel.  A right-hand side outside the span is a
+    contract violation and raises RangeError; a complex r0 raises
+    DimensionMismatchError.
     """
+    _require_real("decompose_rhs", r0)
     eo = eig_nonsymmetric(op_matrix)
-    n = op_matrix.shape[0]
-    vals_img = dd.approx(eo.values)
-    mods = np.abs(vals_img)
-    top = mods.max(initial=0.0)
-    if top == 0.0:
+    mods = np.abs(dd.approx(eo.values))
+    if not mods.any():
         raise RangeError("operator has no nonzero eigenvalues")
-    keep = [i for i in range(n) if mods[i] > 1e-12 * top]
-    if not keep:
-        raise RangeError("no eigenvalues survive the zero threshold")
-    v = eo.vectors[:, keep]
-    lam = eo.values[keep]
+    keep = np.flatnonzero(mods > 1e-12 * mods.max())
+    v, lam = eo.vectors[:, keep], eo.values[keep]
     re, im = (v.re, v.im) if isinstance(v, CDD) else (v.real, v.imag)
-    real, upper, lower = _conjugate_columns(lam, re, im)
-    sol = lstsq(_join_columns(re[:, real + upper], im[:, upper]), r0)
-    c = _frame_weights(sol.x, len(keep), real, upper, lower)
+    real, first, later = _conjugate_columns(lam)
+    if len(real) + 2 * len(later) < len(lam) or \
+            dd.approx(im[:, real]).any() or \
+            not bool(((re[:, first] == re[:, later]) &
+                      (im[:, first] == -im[:, later])).all()):
+        raise NumericalFailureError(
+            "an eigenvector the real frame cannot hold: a non-real "
+            "eigenvalue without an exactly conjugate eigenpair, or a real "
+            "one with a complex vector")
+    sol = lstsq(_join_columns(re[:, real + first], im[:, first]), r0)
     scale = _f(dd.norm2(r0))
     unexplained = _f(sol.residual_norm)
     if unexplained > 1e-6 * scale:
         raise RangeError(
             f"right-hand side has a component of norm {unexplained:.3e} "
             f"outside the nonzero-eigenvalue span (rhs norm {scale:.3e})")
-    lam, v, c = _merge_duplicates(lam, v, c)
+    lam, frame = _merge_duplicates(
+        lam, _frame(sol.x, re, im, real, first, later))
+    # |c_i| = ||c_i v_i||: a real eigenvalue's column norm, and for a
+    # pair the root mean square of its two, as ||sqrt 2 Re z||^2 +
+    # ||sqrt 2 Im z||^2 = 2 ||z||^2
+    sq = (frame * frame).sum(axis=0)
+    _, first, later = _conjugate_columns(lam)
+    sq[first] = sq[later] = (sq[first] + sq[later]) * 0.5
+    scales = dd.sqrt(sq)
     # binary64 eigenvector noise shows up as weights near 1e-14
-    c_tol = 1e-30 if dd.is_extended(v) else 1e-12
-    cnorm = _f(dd.norm2(c))
-    cm = np.abs(dd.approx(c))
-    retained = [i for i in range(len(cm)) if cm[i] > c_tol * cnorm]
-    if not retained:
+    c_tol = 1e-30 if dd.is_extended(frame) else 1e-12
+    retained = np.flatnonzero(dd.approx(scales)
+                              > c_tol * _f(dd.norm2(scales)))
+    if not len(retained):
         raise RangeError("all expansion weights fall below the threshold")
-    return EigenData(len(retained), lam[retained], v[:, retained],
-                     c[retained], sol.residual_norm)
+    return EigenData(len(retained), lam[retained], frame[:, retained],
+                     scales[retained], sol.residual_norm)
 
 
-def _conjugate_columns(lam, re, im):
-    """Columns of real eigenvalues, those with Im lambda > 0, and the
-    latter's partners (_conjugate_partners), whose vectors must be the
-    exact conjugates of theirs."""
-    img = dd.approx(lam)
-    real = [i for i in range(len(img)) if img[i].imag == 0.0]
-    pairs = sorted((i, j) if img[i].imag > 0.0 else (j, i)
-                   for i, j in enumerate(_conjugate_partners(lam))
-                   if j is not None)
-    upper, lower = [i for i, _ in pairs], [j for _, j in pairs]
-    if len(real) + 2 * len(pairs) < len(img) or \
-            dd.approx(im[:, real]).any() or \
-            not bool(((re[:, upper] == re[:, lower]) &
-                      (im[:, upper] == -im[:, lower])).all()):
-        raise NumericalFailureError(
-            "an eigenvector the real frame cannot hold: a non-real "
-            "eigenvalue without an exactly conjugate eigenpair, or a real "
-            "one with a complex vector")
-    return real, upper, lower
+def _conjugate_columns(lam):
+    """Columns of real eigenvalues, and of each conjugate pair's earlier
+    and later member (_conjugate_partners), in order of the later."""
+    real = np.flatnonzero(dd.approx(lam).imag == 0.0).tolist()
+    partners = _conjugate_partners(lam)
+    later = [j for j, i in enumerate(partners) if i is not None]
+    return real, [partners[j] for j in later], later
 
 
 def _join_columns(x, y):
@@ -171,60 +170,45 @@ def _join_columns(x, y):
     return np.hstack([x, y])
 
 
-def _frame_weights(y, d, real, upper, lower):
-    """The complex weights on the d eigenvector columns from the real
-    frame's weights y: y[j] on column real[j], and for pair p the
-    weights of Re v and Im v at len(real) + p and len(real + upper) + p.
-    """
-    c = dd.zeros_like(y, (d,), field="complex")
-    nr, m = len(real), len(real) + len(upper)
-    c[real] = y[:nr]
-    # multiplying by 1j and halving are exact
-    alpha, ibeta = y[nr:m], y[m:] * 1j
-    c[upper] = (alpha - ibeta) * 0.5
-    c[lower] = (alpha + ibeta) * 0.5
-    return c
+def _frame(y, re, im, real, first, later):
+    """EigenData's frame from the least-squares weights y: y[k] v on
+    column real[k].  Pair p's weights alpha = y[len(real) + p] and
+    beta = y[len(real + first) + p] of Re v and Im v, for the earlier
+    member's v, make its weight c = (alpha - i beta)/2, so column
+    first[p] is sqrt 2 Re(c v) = (alpha Re v + beta Im v)/sqrt 2 and
+    column later[p] sqrt 2 Im(c v) = (alpha Im v - beta Re v)/sqrt 2."""
+    nr, m = len(real), len(real) + len(first)
+    root_half = dd.sqrt(dd.asdd(0.5)) if dd.is_extended(y) \
+        else math.sqrt(0.5)
+    alpha, beta = y[nr:m] * root_half, y[m:] * root_half
+    u, w = re[:, first], im[:, first]
+    frame = dd.zeros_like(re)
+    frame[:, real] = re[:, real] * y[:nr]
+    frame[:, first] = u * alpha + w * beta
+    frame[:, later] = w * alpha - u * beta
+    return frame
 
 
-def _merge_duplicates(lam, v, c):
+def _merge_duplicates(lam, frame):
+    """One eigenvalue per exact value, whose column is the sum of its
+    members' columns: the sum of their c_i v_i, or of those parts."""
     groups: dict = {}     # exact eigenvalue -> its columns, in order
     for i, key in enumerate(_exact_keys(lam)):
         groups.setdefault(key, []).append(i)
-    if len(groups) == v.shape[1]:
-        return lam, v, c
-    new_lam = dd.zeros_like(lam, (len(groups),))
-    new_v = dd.zeros_like(v, (v.shape[0], len(groups)))
-    new_c = dd.zeros_like(c, (len(groups),))
+    if len(groups) == len(lam):
+        return lam, frame
+    merged = dd.zeros_like(frame, (frame.shape[0], len(groups)))
     for g, members in enumerate(groups.values()):
-        if len(members) == 1:
-            i = members[0]
-            new_lam[g] = lam[i]
-            new_v[:, g] = v[:, i]
-            new_c[g] = c[i]
-            continue
-        w = v[:, members[0]] * c[members[0]]
-        acc = lam[members[0]]
-        for i in members[1:]:
-            w = w + v[:, i] * c[i]
-            acc = acc + lam[i]
-        nw = dd.norm2(w)
-        if _f(nw) == 0.0:
-            # components cancelled; keep a zero weight on the first vector
-            new_lam[g] = lam[members[0]]
-            new_v[:, g] = v[:, members[0]]
-            new_c[g] = 0.0
-            continue
-        new_lam[g] = acc * (1.0 / len(members))
-        new_v[:, g] = w * (1.0 / nw)
-        new_c[g] = nw
-    return new_lam, new_v, new_c
+        merged[:, g] = frame[:, members].sum(axis=1)
+    return lam[[members[0] for members in groups.values()]], merged
 
 
 # --------------------------------------------------------------- norms
 
 def weighted_norm(e):
-    """Spectral norm of the frame whose columns are c_i v_i."""
-    return spectral_norm(e.vectors * e.weights)
+    """Certified upper bound on ||V diag(c)||_2, taken on the real frame,
+    which has the same singular values."""
+    return spectral_norm(e.frame)
 
 
 # --------------------------------------------------------- Vandermonde

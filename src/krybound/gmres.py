@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dd
 from .errors import DimensionMismatchError, NumericalFailureError
-from .linalg import solve_triangular
+from .linalg import _require_real, solve_triangular
 
 __all__ = [
     "OperatorHandle", "matrix_operator", "GmresOptions", "TraceRow",
@@ -79,11 +79,12 @@ def gmres(op, rhs, opts=None):
     The minimized quantity and the reported residual coincide here, so
     the preconditioned column of the trace just repeats the residual.
     """
+    m, n = op.dims
+    if m != n or n == 0:
+        raise DimensionMismatchError(
+            f"gmres needs a nonempty square operator, got dims {op.dims}")
     opts = opts or GmresOptions()
     opts.validate()
-    m, n = op.dims
-    if m != n:
-        raise DimensionMismatchError("gmres needs a square operator")
     if rhs.shape != (n,):
         raise DimensionMismatchError(f"rhs shape {rhs.shape} vs n={n}")
 
@@ -97,7 +98,8 @@ def gmres(op, rhs, opts=None):
         return [row(rhs - op.apply(x), e) for x, e in zip(xs, estimates)]
 
     # the one product with the zero start vector is also what rejects
-    # an opaque operator's complex field
+    # an opaque operator's complex field: _rotation's Givens rotations
+    # are real-only
     r0 = rhs - op.apply(dd.zeros_like(rhs, (n,)))
     _require_real("gmres", r0)
     return _engine(op.apply, r0, row(r0), opts, recompute)
@@ -139,14 +141,6 @@ def ba_gmres(a, precond, b, opts=None):
 
 def _f(x):
     return float(dd.approx(x))
-
-
-def _require_real(name, *arrays):
-    # _rotation's Givens rotations are real-only
-    if any(dd.is_complexkind(x) for x in arrays):
-        raise DimensionMismatchError(
-            f"{name} takes a real operator and right-hand side; "
-            f"got complex input")
 
 
 def _engine(apply_op, w0, row0, opts, recompute):

@@ -1,5 +1,9 @@
 """Dense kernels generic over precision (binary64 arrays or DD/CDD).
 
+The kernels are real-only and raise DimensionMismatchError on complex
+input, except the LU and triangular solves, which inverse iteration
+runs with complex shifts; the eigensolver's outputs are complex.
+
 Everything here is written against the small shared dialect of numpy
 ndarrays and the double-double array classes: elementwise operators,
 slicing, `@`, and the dispatch helpers in :mod:`krybound.dd`.  Pivot and
@@ -59,18 +63,10 @@ def _copy_scalar(s):
     return s.copy() if isinstance(s, (DD, CDD)) else s
 
 
-def _phase_of(alpha):
-    """alpha/|alpha| for a scalar; None where alpha == 0 (treat as 1)."""
-    a = abs(alpha)
-    if _f(a) == 0.0:
-        return None
-    return alpha / a
-
-
-def _conj_scalar(x):
-    if isinstance(x, (DD, CDD)):
-        return x.conj()
-    return np.conj(x)
+def _require_real(name, *arrays):
+    if any(dd.is_complexkind(x) for x in arrays):
+        raise DimensionMismatchError(
+            f"{name} takes real input; got complex input")
 
 
 # ----------------------------------------------------------------- QR
@@ -78,18 +74,19 @@ def _conj_scalar(x):
 @dataclass
 class QRFactorization:
     reflectors: list      # v_j acting on rows j:, None for identity steps
-    vnorm2: list          # v_j^H v_j (real scalar, working precision)
+    vnorm2: list          # v_j^T v_j (working precision)
     r: object             # m x n upper triangular
     perm: np.ndarray      # column permutation: A[:, perm] = Q @ R
     scale: float          # |R[0,0]| image, threshold base for rank cuts
 
 
 def householder_qr(a, pivot=False):
-    """QR by Householder reflections H = I - 2 v v^H / (v^H v).
+    """QR by Householder reflections H = I - 2 v v^T / (v^T v).
 
-    Real or complex input in either precision; with ``pivot`` columns
-    are brought forward greedily by largest remaining norm.
+    Real input in either precision; with ``pivot`` columns are brought
+    forward greedily by largest remaining norm.
     """
+    _require_real("householder_qr", a)
     r = a.copy()
     m, n = r.shape
     k = min(m, n)
@@ -110,7 +107,7 @@ def householder_qr(a, pivot=False):
         if v is None:
             continue
         if j + 1 < n:
-            w = dd.conj(v) @ r[j:, j + 1:]
+            w = v @ r[j:, j + 1:]
             r[j:, j + 1:] = r[j:, j + 1:] - _outer(v, w) * (2.0 / vn)
         r[j, j] = beta
         if j + 1 < m:
@@ -120,22 +117,17 @@ def householder_qr(a, pivot=False):
 
 
 def _reflector(x):
-    """Householder vector for x, which it overwrites: (v, v^H v, beta)
-    with H x = beta e_1, or three Nones when x or v is zero.
-
-    beta takes the sign opposite to x[0] for real x and the phase
-    opposite to x[0] for complex x, so forming v never cancels.
+    """Householder vector for the real x, which it overwrites:
+    (v, v^T v, beta) with H x = beta e_1, or three Nones when x or v is
+    zero.  beta takes the sign opposite to x[0], so forming v never
+    cancels.
     """
     normx = dd.norm2(x)
     if _f(normx) == 0.0:
         return None, None, None
-    if dd.is_complexkind(x):
-        ph = _phase_of(x[0])
-        beta = -normx if ph is None else -(ph * normx)
-    else:
-        beta = -normx if _f(x[0]) >= 0.0 else normx
+    beta = -normx if _f(x[0]) >= 0.0 else normx
     x[0] = x[0] - beta
-    vn = _re_part(dd.vdot(x, x))
+    vn = dd.vdot(x, x)
     if _f(vn) == 0.0:
         return None, None, None
     return x, vn, beta
@@ -148,7 +140,7 @@ def _swap_cols(a, i, j):
 
 
 def apply_q_adjoint(qr, b):
-    """Q^H b (reflectors applied forward)."""
+    """Q^T b (reflectors applied forward)."""
     y = b.copy()
     for j, v in enumerate(qr.reflectors):
         if v is None:
@@ -167,7 +159,7 @@ def form_q(qr, m):
         v = qr.reflectors[j]
         if v is None:
             continue
-        w = dd.conj(v) @ x[j:, :]
+        w = v @ x[j:, :]
         x[j:, :] = x[j:, :] - _outer(v, w) * (2.0 / qr.vnorm2[j])
     return x
 
@@ -184,12 +176,13 @@ class LstsqResult:
 def lstsq(a, b):
     """Minimize ||a y - b||_2 by column-pivoted Householder QR.
 
-    Pivots below eps^(2/3) * |R[0,0]| are truncated for the rank
-    decision; the residual is the attained one.
+    Real input only.  Pivots below eps^(2/3) * |R[0,0]| are truncated
+    for the rank decision; the residual is the attained one.
     """
     m, n = a.shape
     if b.shape != (m,):
         raise DimensionMismatchError(f"lstsq: {a.shape} with rhs {b.shape}")
+    _require_real("lstsq", b)
     qr = householder_qr(a, pivot=True)
     y = apply_q_adjoint(qr, b)
     eps = dd.eps_of(a)
@@ -209,38 +202,31 @@ def lstsq(a, b):
 # ----------------------------------------------------------------- SVD
 
 def jacobi_svd(a):
-    """Singular values of a by one-sided Jacobi, real or complex, either
-    precision: a real 1-d array in descending order.
+    """Singular values of the real a by one-sided Jacobi, in either
+    precision: a 1-d array in descending order.
 
     Rotations proceed until every column pair is orthogonal to working
     precision, for at most 64 sweeps.
     """
+    _require_real("jacobi_svd", a)
     m, n = a.shape
     if m < n:
-        return jacobi_svd(dd.conj(a).T)
+        return jacobi_svd(a.T)
     w = a.copy()
     eps = dd.eps_of(a)
-    cplx = dd.is_complexkind(a)
     for _ in range(64):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                app = _re_part(dd.vdot(w[:, p], w[:, p]))
-                aqq = _re_part(dd.vdot(w[:, q], w[:, q]))
+                app = dd.vdot(w[:, p], w[:, p])
+                aqq = dd.vdot(w[:, q], w[:, q])
                 apq = dd.vdot(w[:, p], w[:, q])
                 mag = _f(abs(apq))
                 if mag <= eps * math.sqrt(max(_f(app), 0.0)
                                           * max(_f(aqq), 0.0)):
                     continue
                 rotated = True
-                if cplx:
-                    ph = _phase_of(apq)
-                    if ph is not None:
-                        w[:, q] = w[:, q] * _conj_scalar(ph)
-                    g = abs(apq)
-                else:
-                    g = apq
-                tau = (aqq - app) / (g * 2.0)
+                tau = (aqq - app) / (apq * 2.0)
                 at = abs(tau)
                 t = 1.0 / (at + dd.sqrt(at * at + 1.0))
                 if _f(tau) < 0.0:
@@ -417,8 +403,7 @@ def eig_nonsymmetric(a):
             f"eig_nonsymmetric needs a nonempty square matrix, got {a.shape}")
     if n > EIG_CAP:
         raise DimensionMismatchError(f"matrix order {n} exceeds cap {EIG_CAP}")
-    if dd.is_complexkind(a):
-        raise DimensionMismatchError("eig_nonsymmetric takes real input")
+    _require_real("eig_nonsymmetric", a)
     if not dd.isfinite_all(a):
         raise NumericalFailureError("non-finite entries in eigensolver input")
     h, reflectors = _hessenberg(a)
@@ -1159,13 +1144,12 @@ def _gamma(k):
 
 
 def spectral_norm(a):
-    """A certified upper bound on sigma_max(a), from binary64 work.
+    """A certified upper bound on sigma_max of the real a, from binary64
+    work.
 
-    Let M be the binary64 image of a (its high parts), for complex a
-    the real form [[Re, -Im], [Im, Re]] (same singular values, each
-    doubled), transposed if wide and scaled by a power of 2 so that
-    max |m_ij| lies in [1/2, 1).  M is m x d with d <= m, and u is the
-    binary64 unit roundoff.
+    Let M be the binary64 image of a (its high parts), transposed if
+    wide and scaled by a power of 2 so that max |m_ij| lies in [1/2, 1).
+    M is m x d with d <= m, and u is the binary64 unit roundoff.
 
     - G = fl(M^T M) has |G - M^T M| <= gamma_m |M|^T |M|, so
       lambda_max(M^T M) <= lambda_max(G) + gamma_m ||M||_F^2.
@@ -1181,7 +1165,7 @@ def spectral_norm(a):
       most 4 times; then NumericalFailureError.
 
     The result is the square root of the sum, rounded up, times the
-    scale.  DD/CDD input adds u ||M||_F for the error of its binary64
+    scale.  DD input adds u ||M||_F for the error of its binary64
     image and returns a 0-d DD; binary64 input returns a float.
     Underflow in the scaling, the products and the Cholesky adds at
     most d (m + d + 2) 2^-1074, which the rounding up covers since
@@ -1192,10 +1176,9 @@ def spectral_norm(a):
     A zero or empty matrix gives 0; a non-finite entry raises
     NumericalFailureError.
     """
+    _require_real("spectral_norm", a)
     extended = dd.is_extended(a)
     mf = dd.approx(a)
-    if np.iscomplexobj(mf):
-        mf = np.block([[mf.real, -mf.imag], [mf.imag, mf.real]])
     if mf.shape[0] < mf.shape[1]:
         mf = mf.T
     m, d = mf.shape
@@ -1255,7 +1238,8 @@ def _cholesky(x):
 
 
 def condition_number_2(a):
-    """sigma_max / sigma_min from the one-sided Jacobi SVD."""
+    """sigma_max / sigma_min of the real a, from the one-sided Jacobi
+    SVD."""
     s = jacobi_svd(a)
     lo = _f(s[-1])
     if lo == 0.0:

@@ -16,7 +16,8 @@ from krybound.bounds import (BoundSeries, EigenData, analyse, bound_curve,
                              cluster_assign, cluster_poly_bound,
                              decompose_rhs, first_order_estimate,
                              vandermonde_min, weighted_norm)
-from krybound.errors import InapplicableError, NumericalFailureError, RangeError
+from krybound.errors import (DimensionMismatchError, InapplicableError,
+                             NumericalFailureError, RangeError)
 from krybound.gmres import GmresOptions, gmres, matrix_operator
 from krybound.generators import (GREENBAUM_CURVE, exp_decay_matrix,
                                  greenbaum_construct, stair_matrix)
@@ -29,10 +30,24 @@ def _fl(x):
 
 
 def _eigendata_from(vectors, lambdas, weights):
-    v = np.asarray(vectors, dtype=complex)
-    lam = np.asarray(lambdas, dtype=complex)
-    c = np.asarray(weights, dtype=complex)
-    return EigenData(v.shape[1], lam, v, c, 0.0, 1.0)
+    # the real frame c_i v_i of real vectors and weights
+    v = np.asarray(vectors, dtype=float)
+    c = np.asarray(weights, dtype=float)
+    return EigenData(v.shape[1], np.asarray(lambdas, dtype=complex), v * c,
+                     np.abs(c), 0.0)
+
+
+def _expansion(e):
+    """V c rebuilt from the real frame: a real eigenvalue's column, plus
+    c v + conj(c v) = 2 Re(c v) = sqrt 2 times the earlier column of
+    each pair."""
+    partners = linalg._conjugate_partners(e.lambdas)
+    first = [i for i in partners if i is not None]
+    later = [j for j, i in enumerate(partners) if i is not None]
+    w = dd.zeros_like(e.frame, (e.d,)) + 1.0
+    w[first] = dd.sqrt(w[first] * 2.0)
+    w[later] = 0.0
+    return e.frame @ w
 
 
 # ------------------------------------------------------------ decompose
@@ -44,9 +59,8 @@ def test_decompose_identity_merges_to_single_pair():
     e = decompose_rhs(a, r0)
     assert e.d == 1
     assert abs(complex(dd.approx(e.lambdas)[0]) - 1.0) < 1e-12
-    assert abs(abs(complex(dd.approx(e.weights)[0])) - 1.0) < 1e-12
-    v = dd.approx(e.vectors)[:, 0]
-    assert abs(abs(v[0]) - 1.0) < 1e-10
+    assert abs(_fl(e.scales[0]) - 1.0) < 1e-12
+    assert abs(abs(dd.approx(e.frame)[0, 0]) - 1.0) < 1e-10
 
 
 def test_decompose_recovers_manufactured_expansion():
@@ -59,11 +73,10 @@ def test_decompose_recovers_manufactured_expansion():
     r0 = q @ w
     e = decompose_rhs(a, r0)
     assert e.d == n
-    got = sorted(np.abs(dd.approx(e.weights)))
+    got = sorted(dd.approx(e.scales))
     want = sorted(np.abs(w))
     assert np.allclose(got, want, atol=1e-8)
-    recon = dd.approx(e.vectors) @ dd.approx(e.weights)
-    assert np.linalg.norm(recon - r0) < 1e-8
+    assert np.linalg.norm(_expansion(e) - r0) < 1e-8
     # eigenvector frame of a normal matrix is orthonormal
     assert e.vector_condition < 1.0 + 1e-6
 
@@ -90,8 +103,7 @@ def test_decompose_exact_duplicate_eigenvalues_merge():
     e = decompose_rhs(a, r0)
     assert e.d == 1
     assert abs(complex(dd.approx(e.lambdas)[0]) - 1.0) < 1e-12
-    recon = dd.approx(e.vectors) @ dd.approx(e.weights)
-    assert np.linalg.norm(recon - r0.astype(complex)) < 1e-10
+    assert np.linalg.norm(_expansion(e) - r0) < 1e-10
 
 
 def test_decompose_keeps_close_distinct_eigenvalues_apart():
@@ -102,8 +114,7 @@ def test_decompose_keeps_close_distinct_eigenvalues_apart():
     assert e.d == 3
     vals = sorted(dd.approx(e.lambdas).real)
     assert vals[:2] == [1.0, 1.0 + 1e-12]
-    recon = dd.approx(e.vectors) @ dd.approx(e.weights)
-    assert np.linalg.norm(recon - r0.astype(complex)) < 1e-10
+    assert np.linalg.norm(_expansion(e) - r0) < 1e-10
 
 
 def test_decompose_extended_keeps_tiny_weights():
@@ -114,24 +125,43 @@ def test_decompose_extended_keeps_tiny_weights():
     # binary64 would truncate the 1e-20 weight at 1e-12; extended keeps
     # it (the zero weight comes out as eigenvector noise near 1e-29)
     e = decompose_rhs(a, r0)
-    mags = sorted(float(x) for x in dd.approx(abs(e.weights)))
+    mags = sorted(float(x) for x in dd.approx(e.scales))
     assert sum(abs(m - 1e-20) < 1e-27 for m in mags) == 1
     assert abs(mags[-1] - 1.0) < 1e-28
 
 
 def _complex_frame_decompose(a, r0):
-    """decompose_rhs's weights, lambdas and retained count with the
-    weights taken from lstsq on the complex eigenvector frame."""
+    """decompose_rhs by the complex frame, independent of the real one:
+    the retained count and lambdas, the binary64 image of the unit
+    eigenvector frame V, and the weights |c| in extended precision.
+
+    c solves V c = r0 as the real least-squares problem [[Re V, -Im V],
+    [Im V, Re V]] [Re c; Im c] = [r0; 0] in extended precision, from
+    the eigenvectors of a in a's precision; exact repeats become the
+    unit vector and norm of their sum of c_i v_i."""
     eo = eig_nonsymmetric(a)
     mods = np.abs(dd.approx(eo.values))
     keep = [i for i in range(len(mods)) if mods[i] > 1e-12 * mods.max()]
-    v, lam = eo.vectors[:, keep], eo.values[keep]
-    c = lstsq(v, dd.complex_like(r0)).x
-    lam, v, c = bounds._merge_duplicates(lam, v, c)
-    cm = np.abs(dd.approx(c))
-    tol = (1e-30 if dd.is_extended(a) else 1e-12) * float(np.linalg.norm(cm))
-    retained = [i for i in range(len(cm)) if cm[i] > tol]
-    return len(retained), lam[retained], c[retained]
+    v, lam = dd.ascdd(eo.vectors[:, keep]), eo.values[keep]
+    n, d = v.shape
+    re, im = v.re, v.im
+    real_form = dd.DD._raw(np.block([[re.hi, -im.hi], [im.hi, re.hi]]),
+                           np.block([[re.lo, -im.lo], [im.lo, re.lo]]))
+    rhs = dd.zeros((2 * n,))
+    rhs[:n] = r0
+    x = lstsq(real_form, rhs).x
+    cv = v * dd.CDD(x[:d], x[d:])
+    groups: dict = {}
+    for i, key in enumerate(linalg._exact_keys(lam)):
+        groups.setdefault(key, []).append(i)
+    heads = [members[0] for members in groups.values()]
+    w = dd.stack([cv[:, members].sum(axis=1)
+                  for members in groups.values()]).T
+    c = dd.sqrt((w.re * w.re + w.im * w.im).sum(axis=0))
+    tol = (1e-30 if dd.is_extended(a) else 1e-12) * _fl(dd.norm2(c))
+    kept = np.flatnonzero(dd.approx(c) > tol)
+    return (len(kept), lam[[heads[i] for i in kept]],
+            dd.approx(w)[:, kept] / dd.approx(c)[kept], c[kept])
 
 
 def _exp_decay_operator(n):
@@ -150,38 +180,97 @@ def _criterion5_system(n, seed):
     return v @ np.diag(lam) @ np.linalg.inv(v), b / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("kind,rtol", [("f64", 1e-12), ("dd", 1e-29)])
-@pytest.mark.parametrize("system", ["criterion5", "exp_decay_20"])
-def test_decompose_real_frame_matches_complex_frame(system, kind, rtol):
+def _gate_systems(system):
     if system == "criterion5":
-        a, r0 = _criterion5_system(10, seed=7)
-    else:
-        a, r0 = _exp_decay_operator(20)
+        return [_criterion5_system(n, seed)
+                for n, seed in ((10, 7), (2, 5), (4, 1), (7, 11), (12, 3))]
+    if system == "exp_decay_20":
+        return [_exp_decay_operator(20)]
+    return [(_rotation_blocks(), np.arange(1.0, 6.0))]
+
+
+@pytest.mark.parametrize("kind,rtol", [("f64", 1e-12), ("dd", 1e-29)])
+@pytest.mark.parametrize("system", ["criterion5", "exp_decay_20",
+                                    "repeated_pair"])
+def test_decompose_real_frame_matches_complex_frame(system, kind, rtol):
+    for a, r0 in _gate_systems(system):
+        if kind == "dd":
+            a, r0 = dd.asdd(a), dd.asdd(r0)
+        e = decompose_rhs(a, r0)
+        d, lam, v, c = _complex_frame_decompose(a, r0)
+        assert e.d == d
+        assert dd.approx(e.lambdas).tobytes() == dd.approx(lam).tobytes()
+        kappa = np.linalg.cond(v)
+        assert abs(e.vector_condition - kappa) <= 1e-8 * kappa
+        # the weights of a backward stable solve are off by up to
+        # kappa(V) eps; below that, the certificate holds exactly
+        sigma = np.linalg.svd(v * dd.approx(c), compute_uv=False)[0]
+        got = _fl(e.frame_norm)
+        assert sigma * (1.0 - kappa * dd.eps_of(a)) <= got
+        assert got <= sigma * (1.0 + 1e-12)
+        assert dd.approx(abs(e.scales - c)).max() <= \
+            rtol * kappa * dd.approx(c).max()
+
+
+@pytest.mark.parametrize("kind", ["dd", "f64"])
+def test_decompose_rejects_complex_rhs(kind):
+    # no solver makes a complex r0: gmres and ba_gmres reject complex input
+    a, _ = _exp_decay_operator(12)
+    r0 = np.arange(12.0) + 1j
+    if kind == "dd":
+        a, r0 = dd.asdd(a), dd.ascdd(r0)
+    with pytest.raises(DimensionMismatchError, match="decompose_rhs"):
+        decompose_rhs(a, r0)
+
+
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_merge_sums_the_columns_of_a_repeated_real_eigenvalue(kind):
+    a, r0 = np.diag([2.0, 2.0, 3.0]), np.array([0.6, 0.8, 1.0])
+    if kind == "dd":
+        a, r0 = dd.asdd(a), dd.asdd(r0)
+    eo = eig_nonsymmetric(a)
+    e = decompose_rhs(a, r0)
+    assert e.d == 2
+    twos = np.flatnonzero(dd.approx(eo.values).real == 2.0)
+    v = dd.approx(eo.vectors).real[:, twos]
+    weights = np.linalg.lstsq(v, dd.approx(r0), rcond=None)[0]
+    col = int(np.flatnonzero(dd.approx(e.lambdas).real == 2.0)[0])
+    # one column: the sum of the members' c_i v_i, here (0.6, 0.8, 0)
+    assert np.allclose(dd.approx(e.frame)[:, col], v @ weights, atol=1e-12)
+    assert abs(_fl(e.scales[col]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_merge_keeps_two_columns_for_a_repeated_pair(kind):
+    a, r0 = _rotation_blocks(), np.arange(1.0, 6.0)
     if kind == "dd":
         a, r0 = dd.asdd(a), dd.asdd(r0)
     e = decompose_rhs(a, r0)
-    d, lam, c = _complex_frame_decompose(a, r0)
-    assert e.d == d
-    assert dd.approx(e.lambdas).tobytes() == dd.approx(lam).tobytes()
-    got, want = dd.approx(e.weights), dd.approx(c)
-    # both solves are backward stable: they differ by up to the frame's
-    # condition number times roundoff
-    kappa = 1.0 if system == "criterion5" else e.vector_condition
-    assert np.abs(got - want).max() <= rtol * kappa * np.abs(want).max()
+    lam = dd.approx(e.lambdas)
+    assert e.d == 3 and sorted(lam.imag) == [-0.3, 0.0, 0.3]
+    # the pair's two columns are sqrt 2 Re and sqrt 2 Im of one c v:
+    # equal norms |c| and one |c|^2 between them
+    pair = np.flatnonzero(lam.imag != 0.0)
+    f = dd.approx(e.frame)[:, pair]
+    scales = dd.approx(e.scales)[pair]
+    assert scales[0] == scales[1]
+    assert abs(np.sum(f * f) - 2.0 * scales[0] ** 2) <= 1e-12 * scales[0] ** 2
+    assert np.linalg.norm(dd.approx(_expansion(e)) - np.arange(1.0, 6.0)) \
+        <= 1e-12
 
 
-@pytest.mark.parametrize("kind,tol", [("f64", 1e-12), ("dd", 1e-27)])
-def test_decompose_complex_rhs_reconstructs(kind, tol):
-    # conjugate pairs and a complex r0 through the one real QR
-    a, _ = _exp_decay_operator(12)
-    g = np.random.default_rng(3)
-    r0 = g.standard_normal(12) + 1j * g.standard_normal(12)
-    if kind == "dd":
-        a, r0 = dd.asdd(a), dd.ascdd(r0)
-    e = decompose_rhs(a, r0)
-    assert np.abs(dd.approx(e.lambdas).imag).max() > 0.0
-    resid = dd.norm2(e.vectors @ e.weights - r0)
-    assert float(dd.approx(resid)) <= tol * float(dd.approx(dd.norm2(r0)))
+def test_merge_drops_a_repeated_eigenvalue_whose_vectors_cancel():
+    # r0 = e3 gives the two vectors of 2 weights that sum to zero: the
+    # retention rule alone drops the merged column
+    e = decompose_rhs(np.diag([2.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0]))
+    assert e.d == 1
+    assert dd.approx(e.lambdas).tolist() == [3.0]
+    # in extended precision the vector of 3 carries noise near 1e-28 on
+    # e1 and e2, above the 1e-30 cut, so the merged column keeps that
+    e = decompose_rhs(dd.asdd(np.diag([2.0, 2.0, 3.0])),
+                      dd.asdd(np.array([0.0, 0.0, 1.0])))
+    assert dd.approx(e.lambdas).tolist() == [3.0, 2.0]
+    assert _fl(e.scales[1]) < 1e-27
 
 
 def test_decompose_rejects_a_column_without_exact_conjugate(monkeypatch):
@@ -258,7 +347,7 @@ def test_repeated_conjugate_pairs_keep_independent_vectors(make):
     else:
         rtol = 1e-12
     e = decompose_rhs(a, b)
-    assert _fl(dd.norm2(e.vectors @ e.weights - b)) <= rtol * _fl(dd.norm2(b))
+    assert _fl(dd.norm2(_expansion(e) - b)) <= rtol * _fl(dd.norm2(b))
 
 
 # -------------------------------------------------------------- analyse
@@ -325,8 +414,7 @@ def test_analyse_is_the_hand_written_chain(name):
         assert isinstance(a, dd.SparseDD)
     got = analyse(a, b, cfg)
     assert got.d == want.d
-    for field in ("lambdas", "vectors", "weights", "residual",
-                  "frame_norm"):
+    for field in ("lambdas", "frame", "scales", "residual", "frame_norm"):
         assert _bytes(getattr(got, field)) == _bytes(getattr(want, field)), \
             field
 
@@ -341,7 +429,7 @@ def test_weighted_norm_orthonormal_frame_is_max_weight():
 
 
 def test_weighted_norm_single_vector_is_weight_magnitude():
-    v = np.zeros((4, 1), dtype=complex)
+    v = np.zeros((4, 1))
     v[2, 0] = 1.0
     e = _eigendata_from(v, [1.0], [2.0])
     assert abs(_fl(weighted_norm(e)) - 2.0) < 1e-12
@@ -604,9 +692,7 @@ def test_cluster_poly_bound_zero_when_centers_hit_spectrum():
 
 def test_cluster_poly_bound_k1_single_cluster_closed_form():
     lam = np.array([1.0 + 1e-3, 1.0 - 2e-3, 1.0 + 3e-3], dtype=complex)
-    v = np.eye(3, dtype=complex)
-    c = np.array([1.0, 1.0, 1.0])
-    e = _eigendata_from(v, lam, c)
+    e = _eigendata_from(np.eye(3), lam, np.ones(3))
     ca = cluster_assign(lam, centers=[1.0])
     got = _fl(cluster_poly_bound(e, ca, 1))
     want = np.linalg.norm(lam - 1.0)       # f(z) = z - 1, unit prefactor

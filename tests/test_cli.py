@@ -259,7 +259,11 @@ def test_matrix_without_columns_is_a_named_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: matrix has no columns\n"
 
 
+_EMPTY_OPERATOR = "error: gmres needs a nonempty square operator, got dims (0, 0)\n"
+
+
 def test_bound_on_an_empty_matrix_is_a_named_error(tmp_path, capsys):
+    # bound runs the solver first, and gmres names the empty operator
     mtx = tmp_path / "Z.mtx"
     mtx.write_text("%%MatrixMarket matrix array real general\n0 0\n")
     for precision in ("f64", "extended"):
@@ -267,9 +271,23 @@ def test_bound_on_an_empty_matrix_is_a_named_error(tmp_path, capsys):
                     "--maxit", "1", "--precision", precision,
                     "--out", str(tmp_path / "t.csv")])
         assert code == 1
-        assert capsys.readouterr().err == \
-            "error: eig_nonsymmetric needs a nonempty square matrix, got " \
-            "(0, 0)\n"
+        assert capsys.readouterr().err == _EMPTY_OPERATOR
+
+
+@pytest.mark.parametrize("maxit", [["--maxit", "4"], []])
+@pytest.mark.parametrize("precision", ["f64", "extended"])
+def test_gmres_solve_on_an_empty_matrix_is_a_named_error(tmp_path, capsys,
+                                                         precision, maxit):
+    # without --maxit the cap would be n = 0; the empty operator is
+    # named before the options are checked
+    mtx = tmp_path / "Z.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n0 0\n")
+    out = tmp_path / "t.csv"
+    code = run(["solve", "--mtx", str(mtx), "--solver", "gmres", *maxit,
+                "--precision", precision, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == _EMPTY_OPERATOR
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

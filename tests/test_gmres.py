@@ -246,6 +246,15 @@ def test_complex_input_rejected_by_name():
                 call()
 
 
+def test_empty_operator_rejected_before_the_options():
+    # an iteration cap of n = 0 is invalid too, but the operator is named
+    for b in (np.zeros(0), dd.zeros((0,))):
+        for opts in (GmresOptions(max_iterations=4),
+                     GmresOptions(max_iterations=0)):
+            with pytest.raises(DimensionMismatchError, match="nonempty"):
+                gmres(matrix_operator(np.zeros((0, 0))), b, opts)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         GmresOptions(rtol=1.5).validate()

@@ -1,8 +1,9 @@
 """Dense kernels generic over precision (binary64 arrays or DD/CDD).
 
 The kernels are real-only and raise DimensionMismatchError on complex
-input, except the LU and triangular solves, which inverse iteration
-runs with complex shifts; the eigensolver's outputs are complex.
+input, except the LU and triangular solves, which the eigensolver's
+back-substitution runs for each non-real pair; the eigensolver's
+outputs are complex.
 
 Everything here is written against the small shared dialect of numpy
 ndarrays and the double-double array classes: elementwise operators,
@@ -177,7 +178,13 @@ def lstsq(a, b):
     """Minimize ||a y - b||_2 by column-pivoted Householder QR.
 
     Real input only.  Pivots below eps^(2/3) * |R[0,0]| are truncated
-    for the rank decision; the residual is the attained one.
+    for the rank decision; the residual is the attained one.  Binary64
+    input takes one step of refinement, the residual b - a y formed in
+    extended precision and solved by the same QR (Bjorck, Numerical
+    Methods for Least Squares Problems, sec. 2.9).  For b in the range
+    of a, as decompose_rhs's right-hand side is, y then carries about
+    eps, not cond(a) eps, relative error; a large residual keeps its
+    cond(a)^2 eps term.
     """
     m, n = a.shape
     if b.shape != (m,):
@@ -196,6 +203,10 @@ def lstsq(a, b):
     z = solve_triangular(qr.r[:rank, :rank], y[:rank])
     x = dd.zeros_like(b, (n,))
     x[qr.perm[:rank]] = z
+    if not dd.is_extended(a):
+        r = dd.approx(dd.asdd(b) - dd.asdd(a) @ dd.asdd(x))
+        x[qr.perm[:rank]] = z + solve_triangular(
+            qr.r[:rank, :rank], apply_q_adjoint(qr, r)[:rank])
     return LstsqResult(x, dd.norm2(y[rank:]), rank)
 
 
@@ -254,12 +265,10 @@ def lu_factor(a):
     and subtracts a multiple of row k from row k+1 alone.  Returns
     ``(lu, piv)``: U in the upper triangle of ``lu`` (the input's shape)
     with step k's multiplier at ``lu[..., k+1, k]``, and the swap flags
-    ``piv`` ((n-1,) or (s, n-1)).  A nonzero of the binary64 image below
-    the subdiagonal raises DimensionMismatchError.  A 2-D input raises
-    SingularMatrixError on an exactly zero pivot; in a stack, a member
-    with one keeps that zero on the diagonal of U, every member is
-    factored bit for bit as if alone, and lu_solve cannot use that
-    member.
+    ``piv`` ((n-1,) or (s, n-1)).  Every member of a stack is factored
+    bit for bit as if alone.  A nonzero of the binary64 image below the
+    subdiagonal raises DimensionMismatchError, and an exactly zero pivot
+    in any member SingularMatrixError.
     """
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
@@ -277,9 +286,12 @@ def lu_factor(a):
         col = dd.approx(lu[..., k:k + 2, k])
         mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
             else np.abs(col)
-        zero = ~mags.any(axis=-1)
-        if zero.any() and lu.ndim == 2:
-            raise SingularMatrixError(f"zero pivot at elimination step {k}")
+        live = mags.any(axis=-1)
+        if not live.all():
+            member = "" if live.ndim == 0 else \
+                f" of stack member {int(np.argmin(live))}"
+            raise SingularMatrixError(
+                f"zero pivot at elimination step {k}{member}")
         if k == n - 1:
             break
         swap = np.argmax(mags, axis=-1) == 1
@@ -287,13 +299,7 @@ def lu_factor(a):
         if swap.any():
             at = _swapping(swap)
             lu[at, [k, k + 1], k:] = lu[at, [k + 1, k], k:]
-        pivot = lu[..., k, k]
-        if zero.any():
-            # the entry below is exactly zero too: dividing it by 1
-            # leaves it so, and U keeps its zero
-            pivot = pivot.copy()
-            pivot[zero] = 1.0
-        low = lu[..., k + 1, k] / pivot
+        low = lu[..., k + 1, k] / lu[..., k, k]
         lu[..., k + 1, k] = low
         lu[..., k + 1, k + 1:] = lu[..., k + 1, k + 1:] - \
             low[..., None] * lu[..., k, k + 1:]
@@ -359,7 +365,8 @@ def solve_triangular(t, b):
 class EigenResult:
     """Each non-real value has one partner, its exact conjugate, found
     by _conjugate_partners; their columns of ``vectors`` are exact
-    conjugates too."""
+    conjugates too.  Every vector comes from the real Schur form by one
+    back-substitution."""
     values: object    # complex 1-d (complex128 or CDD), canonically sorted
     vectors: object   # unit columns; first significant component real > 0
 
@@ -367,35 +374,26 @@ class EigenResult:
 def eig_nonsymmetric(a):
     """Eigenpairs of a real square matrix of order at most ``EIG_CAP``.
 
-    The values come from the Hessenberg form H = Q^T a Q by implicit
-    multishift QR (_francis_qr): each sweep chases a chain of bulges, one
-    bulge on an active window of fewer than 30 rows.  The vectors come
-    from inverse iteration on H (real or complex as the value demands),
-    with deflation against already-accepted eigenvalues equal to within
-    working precision; a shifted H is upper Hessenberg, so lu_factor
-    pivots between adjacent rows and each LU costs O(n^2).  They are
-    then mapped back by Q's reflectors, given
-    the canonical phase and checked against a itself: a residual over
-    tolerance raises NumericalFailureError.  Runs in the input's
-    precision, which is the point of hand-rolling it.
+    The Hessenberg form H = Q^T a Q goes to the real Schur form
+    H = Z T Z^T by implicit multishift QR (_francis_qr), which gives the
+    values: each sweep chases a chain of bulges, one bulge on an active
+    window of fewer than 30 rows.  Each vector is x with (T - lambda I)
+    x = 0, fixed on lambda's diagonal block and zero below it, found by
+    back-substitution (_schur_solves; LAPACK xTREVC, Golub and Van Loan,
+    sec. 7.6), then mapped back as Q Z x, given the canonical phase and
+    checked against a itself: a residual over tolerance raises
+    NumericalFailureError.  Runs in the input's precision, which is the
+    point of hand-rolling it.
 
     The later member of each conjugate pair (_conjugate_partners: exact,
     no tolerance) gets the exact conjugate of the earlier one's vector,
     so a repeated pair keeps independent vectors.
 
-    Attempt 0 of inverse iteration (the shifted LU, the seeded start
-    vector, the first solve) runs as stacked lu_factor/lu_solve calls,
-    real and complex shifts apart, in chunks of ``_STACK_ELEMS``
-    elements; vectors copied from a conjugate partner skip it.  Step 0
-    (both normalisations and the residual against H) then runs on the
-    whole chunk at once, and accepts every member within tolerance.
-    Only a member with no first solve, a residual over tolerance, or an
-    earlier eigenvalue close enough to deflate against goes on alone.
-    After the map back, the phase and the check against a run once on
-    all the vectors.  Each array operation runs per entry the IEEE
-    operations of the one-vector call (a 0-d DD operation runs them on
-    Python floats), with the same operand order and tree sums, so every
-    vector is bit-identical to running each eigenvalue alone.
+    The back-substitutions run as stacked lu_factor/lu_solve calls, real
+    and complex values apart, in chunks of ``_STACK_ELEMS`` elements;
+    vectors copied from a conjugate partner skip them.  A stacked LU
+    factors and solves each member bit for bit as if alone, so every
+    vector is the same however the values are chunked.
     """
     n, n2 = a.shape
     if n != n2 or n == 0:
@@ -407,9 +405,15 @@ def eig_nonsymmetric(a):
     if not dd.isfinite_all(a):
         raise NumericalFailureError("non-finite entries in eigensolver input")
     h, reflectors = _hessenberg(a)
-    vals = _sort_eigvals(_francis_qr(h))
-    values = dd.stack([_make_scalar_complex(a, re, im) for re, im in vals])
-    vectors = _eig_vectors(a, h, reflectors, vals, _conjugate_partners(values))
+    # the rows of [Z; H], Z = I: QR takes H to T and Z to the Schur vectors
+    w = dd.zeros_like(a, (2 * n, n))
+    d = np.arange(n)
+    w[d, d] = 1.0
+    w[n:] = h
+    vals = _sort_eigvals(_francis_qr(w))
+    values = dd.stack([_make_scalar_complex(a, re, im) for re, im, _ in vals])
+    vectors = _eig_vectors(a, w[n:], w[:n], reflectors, vals, values,
+                           _conjugate_partners(values))
     return EigenResult(values, vectors)
 
 
@@ -424,7 +428,7 @@ def _hessenberg(a):
         v, vn, beta = _reflector(h[k + 1:, k].copy())
         if v is None:
             continue
-        _reflect(h, v, vn, slice(k + 1, n), slice(k, n), slice(0, n))
+        _reflect(h, v, vn, slice(k + 1, n), slice(k, n), h)
         h[k + 1, k] = beta
         if k + 2 < n:
             h[k + 2:, k] = dd.zeros_like(h, (n - k - 2,))
@@ -450,10 +454,16 @@ def _zero_of(x):
     return dd.zeros(()) if dd.is_extended(x) else 0.0
 
 
-def _francis_qr(h):
-    """Implicit multishift QR on an upper Hessenberg matrix.
+def _francis_qr(w):
+    """Implicit multishift QR on an upper Hessenberg matrix H, in place.
 
-    Returns eigenvalues as (re, im) pairs of working-precision scalars.
+    ``w`` holds the rows of [Z; H]: H is its trailing square, and Z its
+    m leading rows (m = 0 for the values alone).  H ends as the real
+    Schur form T, quasi upper triangular with a 2 x 2 diagonal block for
+    each non-real pair, and Z as Z P, where P is the product of every
+    reflector, so that with Z = I, H = P T P^T.  Returns the eigenvalues
+    as (re, im, p) with re and im working-precision scalars and p the
+    first row of the value's diagonal block.
 
     Every sweep is a chain sweep (_chain_sweep): the shifts of
     ``_chain_shifts`` chase one bulge per shift pair down the active
@@ -462,20 +472,23 @@ def _francis_qr(h):
     fewer than 30 rows chases one bulge, the double-shift sweep.  The
     10th sweep on one window without a deflation, and every 11th after
     it (the 21st, 32nd, ...), chases one bulge with an exceptional
-    shift, and so does a sweep whose shifts cannot be had.
+    shift, and so does a sweep whose shifts cannot be had.  A 2 x 2
+    block whose values are real is split by one reflector
+    (_split_block), so that each real value has a 1 x 1 block.
 
-    Only the eigenvalues are wanted, so a sweep on the active window
-    updates nothing outside it (LAPACK xLAHQR and xLAQR5 with WANTT
-    false; Golub and Van Loan, Matrix Computations, 4th ed., sec.
-    7.5).  The rows above the window and the columns to its right
-    would only be read again to update themselves: a column's left
-    update reads only that column, a row's right update only that row,
-    and the deflation scan reads only diagonal blocks and the zeros it
-    set.  So every eigenvalue keeps the bits that full-width updates
-    give it.
+    Each update runs over the full width (LAPACK xLAHQR and xLAQR5 with
+    WANTT and WANTZ true; Golub and Van Loan, Matrix Computations, 4th
+    ed., sec. 7.5): a sweep's left update runs on to the last column,
+    and its right update covers the rows above the window and the rows
+    of Z.  None of that is read again by a later eigenvalue: a column's
+    left update reads only that column, a row's right update only that
+    row, and the deflation scan reads only diagonal blocks and the zeros
+    it set.  So every eigenvalue keeps the bits that updates on the
+    active window alone give it.
     """
-    h = h.copy()
-    n = h.shape[0]
+    n = w.shape[1]
+    m = w.shape[0] - n
+    h = w[m:]
     eps = dd.eps_of(h)
     hnorm = float(np.linalg.norm(dd.approx(h))) or 1.0
     out = []
@@ -489,12 +502,18 @@ def _francis_qr(h):
                 f"QR iteration exceeded {cap} sweeps without deflating")
         lo = _deflate_point(h, hi, eps, hnorm)
         if lo == hi:
-            out.append((_copy_scalar(h[hi, hi]), _zero_of(h)))
+            out.append((_copy_scalar(h[hi, hi]), _zero_of(h), hi))
             hi -= 1
             stall = 0
             continue
         if lo == hi - 1:
-            out.extend(_eig2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi]))
+            (re1, im1), (re2, im2) = _eig2(h[lo, lo], h[lo, hi], h[hi, lo],
+                                           h[hi, hi])
+            if _f(im1) == 0.0:
+                _split_block(h, w[:m + hi + 1], lo, re1, re2)
+                out += [(re1, im1, lo), (re2, im2, hi)]
+            else:
+                out += [(re1, im1, lo), (re2, im2, lo)]
             hi -= 2
             stall = 0
             continue
@@ -507,7 +526,7 @@ def _francis_qr(h):
             s1 = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
             im = s1 * math.sqrt(0.4375)
             shifts = [(s1 * 0.75, im, s1 * 0.75, -im)]
-        _chain_sweep(h, lo, hi, shifts)
+        _chain_sweep(w, lo, hi, shifts)
     return out
 
 
@@ -546,19 +565,51 @@ def _eig2(a, b, c, d):
     return [(l1, _zero_of(mean)), (l2, _zero_of(mean))]
 
 
-def _reflect(h, v, vn, rows, cols, right_rows):
-    """h <- P h P for the reflector P = I - 2 v v^T / vn on ``rows``,
-    from the left on columns ``cols`` and from the right on rows
-    ``right_rows`` only.  Each product is written out on the block it
+def _split_block(h, right, lo, l1, l2):
+    """Make h's 2 x 2 diagonal block at rows lo, lo+1, whose eigenvalues
+    l1 and l2 are real, upper triangular with l1 above l2, by one
+    reflector P whose first column is l1's eigenvector (LAPACK xLANV2
+    does it by a rotation): P from the left on those rows to the last
+    column, and from the right on the rows of ``right``.  The entry
+    below the block becomes an exact zero and the diagonal exactly
+    (l1, l2), a change of the order of the rounding.
+
+    The eigenvector is _block_null's, never zero.
+    """
+    v, vn, _ = _bulge_reflector(*_block_null(h, lo, l1))
+    rows = slice(lo, lo + 2)
+    _reflect(h, _pack(v, h), vn, rows, slice(lo, h.shape[1]), right)
+    h[lo, lo] = l1
+    h[lo + 1, lo + 1] = l2
+    h[lo + 1, lo] = _zero_of(h)
+
+
+def _block_null(t, p, lam):
+    """A null vector (x0, x1) of B - lam I, for B the 2 x 2 block of t at
+    rows p, p+1 and lam one of its values: orthogonal to the larger row
+    of B - lam I, which is never zero, since the QR leaves B's
+    subdiagonal entry nonzero."""
+    a, b = t[p, p], t[p, p + 1]
+    c, d = t[p + 1, p], t[p + 1, p + 1]
+    top = abs(complex(dd.approx(a - lam))) + abs(_f(b))
+    low = abs(_f(c)) + abs(complex(dd.approx(d - lam)))
+    return (b, lam - a) if top >= low else (lam - d, c)
+
+
+def _reflect(h, v, vn, rows, cols, right):
+    """The reflector P = I - 2 v v^T / vn on ``rows``, applied to h from
+    the left on columns ``cols``, then from the right to those columns
+    of ``right``, every row of it (h itself, or a view of rows that
+    shares h's memory).  Each product is written out on the block it
     reads: in DD that is the tree sum ``@`` runs, in binary64 numpy's
     own sum rather than BLAS."""
     t = 2.0 / vn
     blk = h[rows, cols]
     w = _sum_axis(v[:, None] * blk, 0)
     h[rows, cols] = blk - _outer(v, w) * t
-    blk = h[right_rows, rows]
+    blk = right[:, rows]
     w = _sum_axis(blk * v[None, :], 1)
-    h[right_rows, rows] = blk - _outer(w, v) * t
+    right[:, rows] = blk - _outer(w, v) * t
 
 
 def _sum_axis(p, axis):
@@ -666,17 +717,18 @@ def _chain_shifts(h, lo, hi):
         vals = _francis_qr(np.array(dd.approx(h[top:hi + 1, top:hi + 1])))
     except NumericalFailureError:
         return None
-    pairs = [(re, im, re, -im) for re, im in vals if im > 0.0]
-    reals = [re for re, im in vals if im == 0.0]
+    pairs = [(re, im, re, -im) for re, im, _ in vals if im > 0.0]
+    reals = [re for re, im, _ in vals if im == 0.0]
     pairs += [(re1, 0.0, re2, 0.0)
               for re1, re2 in zip(reals[::2], reals[1::2])]
     return pairs
 
 
-def _chain_sweep(h, lo, hi, shifts):
-    """One multishift QR sweep on the window [lo, hi]: a chain of
-    bulges, one per shift pair, chased down 4 rows apart.  With one
-    pair it is the implicit double-shift sweep.
+def _chain_sweep(w, lo, hi, shifts):
+    """One multishift QR sweep on the window [lo, hi] of H, the trailing
+    square of the rows [Z; H] of ``w`` (as in _francis_qr), over the
+    full width: a chain of bulges, one per shift pair, chased down 4
+    rows apart.  With one pair it is the implicit double-shift sweep.
 
     Bulge b enters at chain step 4b, so at step s it works at row k =
     lo + s - 4b.  Between two bulges lies one free row, so no update in
@@ -688,6 +740,9 @@ def _chain_sweep(h, lo, hi, shifts):
     right update (_reflect_chain).  The one bulge that takes its last,
     2-row step at the bottom goes after them through _reflect.
     """
+    n = w.shape[1]
+    m = w.shape[0] - n
+    h = w[m:]
     end = hi + 1
     zero = _zero_of(h)
     for s in range(hi - lo + 4 * (len(shifts) - 1)):
@@ -719,8 +774,8 @@ def _chain_sweep(h, lo, hi, shifts):
             r = slice(ks[0], ks[0] + 3) if nb == 1 else \
                 np.array(ks)[:, None] + np.arange(3)
             _reflect_chain(h, r, vtv[:nb], vtv[nb:],
-                           slice(max(lo, min(ks) - 1), end),
-                           slice(lo, min(max(ks) + 4, end)))
+                           slice(max(lo, min(ks) - 1), n),
+                           w[:m + min(max(ks) + 4, end)])
             for k, beta in zip(ks, betas):
                 if k > lo:
                     # the reflector annihilated these by construction
@@ -732,20 +787,22 @@ def _chain_sweep(h, lo, hi, shifts):
             v, vn, beta = _bulge_reflector(*last)
             if v is not None:
                 _reflect(h, _pack(v, h), vn, slice(hi - 1, end),
-                         slice(hi - 2, end), slice(lo, end))
+                         slice(hi - 2, n), w[:m + end])
                 h[hi - 1, hi - 2] = beta
                 h[hi, hi - 2] = zero
 
 
-def _reflect_chain(h, r, v, tv, cols, right_rows):
-    """One chain step's updates h <- P h P by the reflectors P_b = I -
-    v_b t_b v_b^T on the rows r[b] (an (nb, 3) index array, or a slice
-    when nb = 1), where ``v`` is (nb, 3) and ``tv`` holds t_b v_b, t_b =
-    2 / (v_b^T v_b): from the left on the stacked (nb, 3, W) row blocks
-    over columns ``cols``, then from the right on the (W', nb, 3) column
-    blocks over rows ``right_rows``.
+def _reflect_chain(h, r, v, tv, cols, right):
+    """One chain step's updates by the reflectors P_b = I - v_b t_b
+    v_b^T on the rows r[b] (an (nb, 3) index array, or a slice when nb
+    = 1), where ``v`` is (nb, 3) and ``tv`` holds t_b v_b, t_b = 2 /
+    (v_b^T v_b): from the left on h's stacked (nb, 3, W) row blocks over
+    columns ``cols``, then from the right on the (W', nb, 3) column
+    blocks of ``right``, a view of rows that shares h's memory (as in
+    _reflect).
 
-    ``cols`` and ``right_rows`` are the union of the bulges' own ranges.
+    ``cols`` and the rows of ``right`` are the union of the bulges' own
+    ranges.
     What the union adds to a bulge's own ranges lies at least 2 below
     the diagonal and outside every bulge: exact zeros, updated to exact
     zeros.  Left updates of distinct bulges touch distinct rows, right
@@ -757,9 +814,9 @@ def _reflect_chain(h, r, v, tv, cols, right_rows):
     blk = h[r, cols]
     w = _sum_axis(v[:, :, None] * blk, 1)
     h[r, cols] = blk - tv[:, :, None] * w[:, None, :]
-    blk = h[right_rows, r]
+    blk = right[:, r]
     w = _sum_axis(blk * v[None], 2)
-    h[right_rows, r] = blk - w[:, :, None] * tv[None]
+    right[:, r] = blk - w[:, :, None] * tv[None]
 
 
 def _sort_eigvals(vals):
@@ -771,69 +828,55 @@ def _sort_eigvals(vals):
     return sorted(vals, key=key)
 
 
-def _eig_vectors(a, h, reflectors, vals, partners):
-    """Unit eigenvectors of a for vals, by inverse iteration on its
-    Hessenberg form h, mapped back by Q, given the canonical phase, and
-    checked against a itself; the column of an eigenvalue with a
-    partner is the exact conjugate of the partner's."""
+def _eig_vectors(a, t, z, reflectors, vals, values, partners):
+    """Unit eigenvectors of a for vals, by back-substitution on its real
+    Schur form T (_schur_solves), mapped back by Z and Q, given the
+    canonical phase and checked against a itself; the column of an
+    eigenvalue with a partner is the exact conjugate of the partner's.
+    ``values`` holds vals as one complex array, and ``partners`` its
+    _conjugate_partners."""
     n = a.shape[0]
     eps = dd.eps_of(a)
     norm_a = float(np.linalg.norm(dd.approx(a)))
     tol = 1e3 * eps * norm_a
     sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
-    images = [complex(_f(re), _f(im)) for re, im in vals]
-    # _deflate_against acts on a member only when an earlier eigenvalue's
-    # image lies within sep of its own; such a member runs alone
-    crowded = [any(abs(lam_j - lam) <= sep for lam_j in images[:idx])
-               for idx, lam in enumerate(images)]
-    # attempt 0 of inverse iteration runs stacked, real and complex shifts
-    # apart, one chunk at a time as the loop below reaches it
-    queues = {real: [i for i, lam in enumerate(images)
-                     if partners[i] is None and (lam.imag == 0.0) == real]
-              for real in (True, False)}
-    chunk = max(1, _STACK_ELEMS // (n * n))
-    starts: dict = {}
-    finished: set = set()
-    vectors = dd.zeros_like(a, (n, n), field="complex")
-    accepted: list = []   # (eigenvalue image, (re, im), column)
-    for idx, (re, im) in enumerate(vals):
-        if partners[idx] is not None:
-            vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
-        elif idx not in finished:
-            if idx not in starts:
-                queue = queues[images[idx].imag == 0.0]
-                j = queue.index(idx)
-                shifts = [(i, *vals[i]) for i in queue[j:j + chunk]]
-                starts.update(_first_solves(h, shifts, 0, norm_a))
-                batch = [s for s in shifts if not crowded[s[0]]
-                         and starts[s[0]] is not None]
-                if batch:
-                    finished.update(_first_steps(h, vectors, batch, starts,
-                                                 tol))
-            if idx not in finished:
-                vectors[:, idx] = _inverse_iteration(
-                    h, re, im, idx, vectors, accepted, tol, sep, norm_a,
-                    starts.pop(idx))
-        accepted.append((images[idx], vals[idx], idx))
-    _apply_q(reflectors, vectors)
+    near = np.abs(dd.approx(values[:, None] - values[None, :])) <= sep
     own = [idx for idx in range(n) if partners[idx] is None]
-    rows = _phase_fix(vectors[:, own].T.copy())
+    kinds = {real: [j for j, idx in enumerate(own)
+                    if (_f(vals[idx][1]) == 0.0) == real]
+             for real in (True, False)}
+    rows = dd.zeros_like(a, (len(own), n), field="complex")
+    chunk = max(1, _STACK_ELEMS // (n * n))
+    for sel in kinds.values():
+        for c in range(0, len(sel), chunk):
+            members = [own[j] for j in sel[c:c + chunk]]
+            try:
+                x = _schur_solves(t, vals, members, near)
+            except SingularMatrixError as err:
+                named = [complex(dd.approx(values[i])) for i in members]
+                raise NumericalFailureError(
+                    "back-substitution on the Schur form for the "
+                    f"eigenvalues {named}: {err}") from err
+            # Z is real: a real value's solve and its product stay real
+            rows[sel[c:c + chunk]] = _row_products(z, x)
+    _apply_q(reflectors, rows.T)
+    rows = _phase_fix(rows)
     failed = []
-    for real in (True, False):
-        sel = [j for j, idx in enumerate(own)
-               if (images[idx].imag == 0.0) == real]
+    for real, sel in kinds.items():
         if not sel:
             continue
-        # a real eigenvalue's vector, Q and phase are real: the imaginary
-        # part is exactly zero and needs no product
+        # a real eigenvalue's vector, Z, Q and phase are real: the
+        # imaginary part is exactly zero and needs no product
         res = _residual_rows(a, _re_part(rows[sel]) if real else rows[sel],
-                             [vals[own[j]] for j in sel])
+                             [vals[own[j]][:2] for j in sel])
         failed += [(own[j], r) for j, r in zip(sel, res) if not r <= tol]
     if failed:
         idx, res = min(failed)
         raise NumericalFailureError(
-            f"eigenvector for {images[idx]} mapped back from the "
-            f"Hessenberg form: residual {res:.3e}, tolerance {tol:.3e}")
+            f"eigenvector for {complex(dd.approx(values[idx]))} mapped "
+            f"back from the Schur form: residual {res:.3e}, tolerance "
+            f"{tol:.3e}")
+    vectors = dd.zeros_like(a, (n, n), field="complex")
     vectors[:, own] = rows.T
     for idx in range(n):
         if partners[idx] is not None:
@@ -841,15 +884,67 @@ def _eig_vectors(a, h, reflectors, vals, partners):
     return vectors
 
 
-# elements (shifts x n x n) of one stacked shifted LU: 19 shifts at
-# n=81, 3 at n=201.  A Hessenberg LU step touches one row, so a step's
+# elements (values x n x n) of one stacked back-substitution: 19 values
+# at n=81, 3 at n=201.  A Hessenberg LU step touches one row, so a step's
 # fixed numpy cost is most of its time and a stack shares it.  On
 # eig-bound's operator (n=81, seed 1) the eigenvector stage took, by
-# budget, then the process's peak RSS: 2**16 0.58 s, 41.7 MiB; 2**17
-# 0.38 s, 45.7 MiB; 2**18 0.30 s, 52.5 MiB, every vector bit-identical
-# (2-vCPU x86-64 host, numpy 2.4).  The larger budget would save 0.08 s
+# budget, then the process's peak RSS: 2**16 0.52 s, 41.3 MiB; 2**17
+# 0.34 s, 45.5 MiB; 2**18 0.25 s, 52.6 MiB, every vector bit-identical
+# (2-vCPU x86-64 host, numpy 2.4).  The larger budget would save 0.09 s
 # for 7 MiB of eig-bound's peak memory
 _STACK_ELEMS = 1 << 17
+
+
+def _schur_solves(t, vals, members, near):
+    """Row j: the x with (T - lambda I) x = 0 for lambda = vals[i], i =
+    members[j], on the quasi upper triangular T; the members' values are
+    all real or all non-real.  x is zero below lambda's diagonal block
+    (first row p, from vals[i]) and, on it, the block's null vector
+    (_block_null).  Every row of x above p solves its row of T - lambda I.
+
+    So x solves one system: T - lambda I with each row from p down made
+    an identity row, and the right-hand side zero but for the null
+    vector on the block.  That system is upper Hessenberg, and lu_factor
+    pivots only inside a non-real 2 x 2 block, so it is exactly the
+    quasi-triangular back-substitution; the members go as one stacked
+    lu_factor and lu_solve.
+
+    The one rule for equal eigenvalues: a diagonal block above p with a
+    value mu where ``near[i]`` holds (|mu - lambda| <= sep) becomes
+    identity rows too, with right-hand side zero.  That drops x's
+    component along the block, and the vectors of a repeated eigenvalue
+    come out independent.  It also keeps every pivot of a 1 x 1 block,
+    mu - lambda, nonzero.  Inside a 2 x 2 block the second pivot is the
+    block's determinant over the first: nonzero in exact arithmetic,
+    but not certified in floating point, and an exact zero there raises
+    SingularMatrixError.
+    """
+    n = t.shape[0]
+    real = _f(vals[members[0]][1]) == 0.0
+    base = t if real else dd.complex_like(t)
+    lam = dd.stack([vals[i][0] if real else
+                    _make_scalar_complex(t, *vals[i][:2]) for i in members])
+    shifted = dd.stack([base] * len(members))
+    rhs = dd.zeros_like(base, (len(members), n))
+    ident = np.zeros((len(members), n), dtype=bool)
+    for j, i in enumerate(members):
+        p = vals[i][2]
+        ident[j, p:] = True
+        for k in np.flatnonzero(near[i]):
+            q = vals[k][2]
+            if q < p:
+                ident[j, q:q + (1 if _f(vals[k][1]) == 0.0 else 2)] = True
+        if real:
+            rhs[j, p] = 1.0
+        else:
+            rhs[j, p], rhs[j, p + 1] = _block_null(t, p, lam[j])
+    d = np.arange(n)
+    diag = shifted[:, d, d] - lam[:, None]
+    diag[ident] = 1.0
+    shifted[ident] = 0.0
+    shifted[:, d, d] = diag
+    lu, piv = lu_factor(shifted)
+    return lu_solve(lu, piv, rhs)
 
 
 def _exact_keys(values):
@@ -876,190 +971,10 @@ def _conjugate_partners(values):
     return partners
 
 
-def _like_real(a, x):
-    return dd.asdd(x) if dd.is_extended(a) else np.asarray(x, dtype=float)
-
-
-def _like_complex(a, x):
-    if dd.is_extended(a):
-        return dd.ascdd(np.asarray(x, dtype=complex))
-    return np.asarray(x, dtype=complex)
-
-
 def _make_scalar_complex(a, re, im):
     if dd.is_extended(a):
         return CDD(dd.asdd(re), dd.asdd(im))
     return complex(_f(re), _f(im))
-
-
-def _first_solves(a, shifts, attempt, norm_a):
-    """Start of inverse iteration for several shifts of one kind at once.
-
-    ``shifts`` holds (index, re, im) of eigenvalues that are all real or
-    all complex.  The shifted matrices of this attempt are factored in
-    one stacked lu_factor and solved once from their seeded start vectors
-    in one stacked lu_solve.  Maps each index to (lu, piv, first solve),
-    or to None where that solve would divide by zero.
-    """
-    n = a.shape[0]
-    pert = attempt * 16.0 * dd.eps_of(a) * max(norm_a, 1.0)
-    real_case = _f(shifts[0][2]) == 0.0
-    if real_case:
-        base = a
-        values = [re + pert for _, re, _ in shifts]
-    else:
-        base = dd.complex_like(a)
-        values = [_make_scalar_complex(a, re, im) + pert
-                  for _, re, im in shifts]
-    d = np.arange(n)
-    shifted = dd.stack([base] * len(shifts))
-    shifted[:, d, d] = shifted[:, d, d] - dd.stack(values)[:, None]
-    lu, piv = lu_factor(shifted)
-    ok = _solvable(lu)
-    out = dict.fromkeys(idx for idx, _, _ in shifts)
-    good = [idx for (idx, _, _), g in zip(shifts, ok) if g]
-    if len(good) < len(shifts):
-        lu, piv = lu[ok], piv[ok]
-    if good:
-        v = dd.stack([_start_vector(a, idx, attempt, real_case)
-                      for idx in good])
-        x = lu_solve(lu, piv, v)
-        out.update((idx, (lu[j], piv[j], x[j])) for j, idx in enumerate(good))
-    return out
-
-
-def _solvable(lu):
-    """Members of a stack of LU factors that lu_solve can use.
-
-    Its division raises on an exactly zero pivot and, for CDD, on a pivot
-    whose squared modulus underflows to zero.
-    """
-    d = np.arange(lu.shape[-1])
-    pivots = lu[:, d, d]
-    if isinstance(pivots, CDD):
-        pivots = pivots.abs2()
-    if isinstance(pivots, DD):
-        pivots = pivots.hi
-    return ~np.any(pivots == 0.0, axis=-1)
-
-
-def _start_vector(a, idx, attempt, real_case):
-    n = a.shape[0]
-    rng = seeded_rng(0xE16E0000 + idx * 2654435761 + attempt)
-    v0 = rng.standard_normal(n)
-    if real_case:
-        v = _like_real(a, v0)
-    else:
-        v = _like_complex(a, v0 + 1j * rng.standard_normal(n))
-    return v * (1.0 / dd.norm2(v))
-
-
-def _inverse_iteration(a, re, im, idx, vectors, accepted, tol, sep, norm_a,
-                       start):
-    """Eigenvector for re + i im whose residual meets ``tol``, else
-    NumericalFailureError.  ``start`` is attempt 0's _first_solves
-    result; later attempts perturb the shift and start afresh."""
-    n = a.shape[0]
-    real_case = _f(im) == 0.0
-    lam_img = complex(_f(re), _f(im))
-    best_res = math.inf
-    for attempt in range(3):
-        if attempt:
-            start = _first_solves(a, [(idx, re, im)], attempt, norm_a)[idx]
-        if start is None:
-            continue
-        lu, piv, vn = start
-        for step in range(5):
-            if step:
-                try:
-                    vn = lu_solve(lu, piv, v)
-                except ZeroDivisionError:
-                    break
-            if not dd.isfinite_all(vn):
-                break
-            nv = dd.norm2(vn)
-            if _f(nv) == 0.0:
-                break
-            vn = vn * (1.0 / nv)
-            vn = _deflate_against(vn, vectors, accepted, lam_img, (re, im),
-                                  sep, real_case)
-            nv2 = dd.norm2(vn)
-            if _f(nv2) < 1e-6:
-                v0 = seeded_rng(idx * 31 + 7).standard_normal(n)
-                v = _like_real(a, v0) if real_case else \
-                    _like_complex(a, v0 * 1j + 0.5)
-                v = v * (1.0 / dd.norm2(v))
-                continue
-            v = vn * (1.0 / nv2)
-            res = _residual_rows(a, v[None], [(re, im)])[0]
-            if res <= tol:
-                return dd.complex_like(v)
-            best_res = min(best_res, res)
-    raise NumericalFailureError(
-        f"inverse iteration failed for eigenvalue {lam_img}: "
-        f"best residual {best_res:.3e}, tolerance {tol:.3e}")
-
-
-def _deflate_against(v, vectors, accepted, lam, val, sep, real_case):
-    for lam_j, (re_j, im_j), col in accepted:
-        # distinct extended-precision eigenvalues can share one binary64
-        # image; their vectors need not be orthogonal, so projecting one
-        # out of the other would spoil it
-        if abs(lam_j - lam) > sep or \
-                abs(complex(_f(re_j - val[0]), _f(im_j - val[1]))) > sep:
-            continue
-        u = vectors[:, col]
-        if real_case:
-            ur = u.re if isinstance(u, CDD) else np.real(u)
-            nrm2 = _re_part(dd.vdot(ur, ur))
-            if _f(nrm2) < 0.25:
-                continue
-            coef = dd.vdot(ur, v) / nrm2
-            v = v - ur * coef
-        else:
-            v = v - u * dd.vdot(u, v)
-    return v
-
-
-def _first_steps(a, vectors, shifts, starts, tol):
-    """Step 0 of _inverse_iteration for members of one _first_solves
-    chunk at once, none of which _deflate_against could act on.
-
-    ``shifts`` holds (index, re, im) of one kind, each with a first solve
-    in ``starts``.  Every row of the chunk runs the IEEE operations its
-    own step 0 would: the finite check, both normalisations and the
-    residual against a.  Each member whose residual meets ``tol`` goes
-    into its column of ``vectors``; returns their indices and leaves the
-    rest to _inverse_iteration.
-    """
-    x = dd.stack([starts[idx][2] for idx, _, _ in shifts])
-    live = np.flatnonzero(_finite_rows(x))
-    nv = _row_norms(x[live])
-    # a zero or overflowing norm, like a restart, is _inverse_iteration's
-    keep = np.isfinite(dd.approx(nv)) & (dd.approx(nv) != 0.0)
-    live, nv = live[keep], nv[keep]
-    v = x[live] * (1.0 / nv)[:, None]
-    nv2 = _row_norms(v)
-    keep = dd.approx(nv2) >= 1e-6
-    live, v, nv2 = live[keep], v[keep], nv2[keep]
-    if not len(live):
-        return []
-    v = v * (1.0 / nv2)[:, None]
-    res = _residual_rows(a, v, [shifts[j][1:] for j in live])
-    ok = res <= tol
-    done = [shifts[j][0] for j in live[ok]]
-    vectors[:, done] = v[ok].T
-    for idx in done:
-        del starts[idx]
-    return done
-
-
-def _finite_rows(x):
-    """dd.isfinite_all of each row of x."""
-    parts = (x.re, x.im) if isinstance(x, CDD) else (x,)
-    return np.logical_and.reduce(
-        [np.isfinite(p.hi if isinstance(p, DD) else p).all(axis=-1)
-         for p in parts])
 
 
 def _row_norms(x):

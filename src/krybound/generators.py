@@ -266,8 +266,10 @@ def load_matrix_market(path, rhs_path=None):
     })
 
 
-# the writer's line for +0.0: the reader takes it for +0.0 unparsed
+# the writer's line for +0.0, which the reader takes for +0.0 unparsed,
+# as three 8-byte words at offsets 0, 8 and 15 (23 bytes)
 _ZERO = f"{0.0:.17e}".encode("ascii")
+_ZERO_WORDS = np.frombuffer(_ZERO[:16] + _ZERO[15:], np.uint64)
 
 
 def _read_mm(path):
@@ -333,8 +335,8 @@ def _size(size, layout, sym, no):
 
 
 def _chunks(fh):
-    # the rest of the file in lists of lines (bytes, newline cut off) of
-    # about 1 MiB, each read as one block cut after its last newline, so
+    # the rest of the file in blocks of about 1 MiB, each cut after its
+    # last newline (a newline is added to an unterminated last line), so
     # a large file is never held whole
     tail = b""
     for data in iter(lambda: fh.read(1 << 20), b""):
@@ -342,9 +344,9 @@ def _chunks(fh):
         cut = data.rfind(b"\n") + 1
         tail = data[cut:]
         if cut:
-            yield data[:cut - 1].split(b"\n")
+            yield data[:cut]
     if tail:
-        yield [tail]
+        yield tail + b"\n"
 
 
 def _read_coordinate(fh, shape, nnz, sym, size_line):
@@ -354,8 +356,8 @@ def _read_coordinate(fh, shape, nnz, sym, size_line):
     sums = {}
     seen = 0
     no = size_line
-    for lines in _chunks(fh):
-        for no, text in enumerate(lines, no + 1):
+    for block in _chunks(fh):
+        for no, text in enumerate(block[:-1].split(b"\n"), no + 1):
             text = text.strip()
             if not text or text.startswith(b"%"):
                 continue
@@ -400,14 +402,14 @@ def _read_array(fh, shape, sym, size_line):
     places, vals = [], []
     seen = 0
     no = size_line
-    for lines in _chunks(fh):
-        got = _array_values(lines, no + 1)
+    for block in _chunks(fh):
+        got, lines = _array_values(block, no + 1)
         # +0.0 is left out, except in a skew triangle: its mirror is -0.0
         keep = np.flatnonzero((got != 0.0) | np.signbit(got) | strict)
         places.append(seen + keep)
         vals.append(got[keep])
         seen += len(got)
-        no += len(lines)
+        no += lines
     if seen != want:
         what = "values" if sym == "general" else "triangle values"
         raise ParseError(f"expected {want} {what}, got {seen}", line=no)
@@ -424,17 +426,30 @@ def _read_array(fh, shape, sym, size_line):
             np.concatenate([v, -v[off] if strict else v[off]]))
 
 
-def _array_values(lines, first):
-    # one value per line: the writer's zero line is +0.0 unparsed and
-    # every other line goes to float(), which takes the whitespace
-    # around a value; anything else falls back to the line-by-line scan
-    vals = np.zeros(len(lines))
-    put = [k for k, text in enumerate(lines) if text != _ZERO]
+def _array_values(block, first):
+    # a block's values and its line count, one value per line: the
+    # writer's zero line is +0.0 unparsed, found by comparing three
+    # unaligned 8-byte words at each 23-byte line, and every other line
+    # goes to float(), which takes the whitespace around a value;
+    # anything else falls back to the line-by-line scan
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    vals = np.zeros(len(ends))
+    put = ends - starts != len(_ZERO)       # the lines float() reads
+    at = starts[~put]
+    if len(at):
+        # word k holds bytes k..k+7 of the block
+        words = np.ndarray((len(block) - 7,), np.uint64, block, strides=(1,))
+        put[~put] = (words[at] != _ZERO_WORDS[0]) | \
+            (words[at + 8] != _ZERO_WORDS[1]) | \
+            (words[at + 15] != _ZERO_WORDS[2])
     try:
-        vals[put] = [float(lines[k]) for k in put]
+        vals[put] = [float(block[i:j]) for i, j in
+                     zip(starts[put].tolist(), ends[put].tolist())]
     except ValueError:
-        vals = np.array(_scan_values(lines, first), dtype=float)
-    return vals
+        vals = np.array(_scan_values(block[:-1].split(b"\n"), first),
+                        dtype=float)
+    return vals, len(ends)
 
 
 def _scan_values(lines, first):

@@ -5,10 +5,10 @@ The solver path touches only the nonzeros of A. A sweep visits the
 columns by level (level scheduling; Saad, Iterative Methods for Sparse
 Linear Systems, section 11.6): the columns of a level have pairwise
 disjoint row supports, so they have a zero block in A^T A, their
-updates commute and a level updates all its columns at once. The
-normal-equation matrix A^T A is never formed: the preconditioned
-matrix the bound analyses is the same sweep run on every column of A
-at once.
+updates commute and a level updates all its columns at once, each by
+delta_i = (a_i^T r) * omega / ||a_i||^2 with the factor formed once per
+column. A^T A is never formed: the preconditioned matrix the bound
+analyses is the same sweep run on every column of A at once.
 """
 
 from __future__ import annotations
@@ -29,19 +29,20 @@ __all__ = [
 
 @dataclass
 class NrsorConfig:
+    """A sweep's data: a level steps its column i by (a_i^T r) * factors[i]."""
     omega: float
     inner_steps: int
-    column_norms: object     # ||a_i||^2, one per column, working precision
+    factors: object          # omega/||a_i||^2 per column, working precision
     levels: list             # (rows, values, cols) per level; see _levels
 
 
 def nrsor_config(a, omega=1.0, inner_steps=1):
-    """Validate parameters, schedule the columns by level and precompute
-    squared column norms once.
+    """Validate parameters, schedule the columns by level and form each
+    column's relaxation factor omega / ||a_i||^2 once.
 
     a is a real dense array or a dd.SparseDD; either gives the same
-    tables and norms, byte for byte.  A complex a raises
-    InvalidMatrixError.
+    tables and factors, byte for byte.  A zero column, complex a or no
+    column raises InvalidMatrixError.
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
@@ -71,7 +72,7 @@ def nrsor_config(a, omega=1.0, inner_steps=1):
     dead = [int(i) for i in np.nonzero(dd.approx(norms) == 0.0)[0]]
     if dead:
         raise InvalidMatrixError(f"zero columns at indices {dead}")
-    return NrsorConfig(float(omega), int(inner_steps), norms, levels)
+    return NrsorConfig(float(omega), int(inner_steps), omega / norms, levels)
 
 
 def _levels(shape, col, row, values, column):
@@ -167,15 +168,14 @@ def nrsor_apply(a, cfg, u):
     w = dd.zeros_like(u, (n,) + tail)
     r = dd.zeros_like(u, (m + 1,) + tail)   # r[m] stays zero: padding slot
     r[:m] = u
-    omega = cfg.omega
-    for _ in range(cfg.inner_steps):
+    for sweep in range(cfg.inner_steps):
         for rows, vals, cols in cfg.levels:
-            norms = cfg.column_norms[cols]
+            factors = cfg.factors[cols]
             if tail:
-                vals, norms = vals[..., None], norms[..., None]
+                vals, factors = vals[..., None], factors[..., None]
             g = r[rows]
-            delta = (_dots(vals, g, isinstance(cols, int)) * omega) / norms
-            w[cols] = w[cols] + delta
+            delta = _dots(vals, g, isinstance(cols, int)) * factors
+            w[cols] = w[cols] + delta if sweep else delta
             r[rows] = g - vals * delta
     return w
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from krybound import dd
+from krybound import dd, generators
 from krybound.errors import ConstructionError, ParseError
 from krybound.generators import (PrescribedCurve, exp_decay_matrix,
                                  greenbaum_construct, load_matrix_market,
@@ -523,6 +523,51 @@ def test_mm_other_zero_spellings_parse(tmp_path):
     # only the -0.0 entries are kept
     assert inst.triples.rows.tolist() == [1, 5]
     assert np.signbit(inst.triples.values).all()
+
+
+def _line_scan(block, first):
+    # the reader's line-by-line fallback, run on every block
+    lines = block[:-1].split(b"\n")
+    return (np.array(generators._scan_values(lines, first), dtype=float),
+            len(lines))
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("extras", [False, True])
+def test_mm_array_block_parse_is_the_line_scan(tmp_path, monkeypatch,
+                                               ending, extras):
+    # values 1 to 30 bytes wide, 23-byte lines that differ from the
+    # writer's zero line in one of its three words, -0.0 and NaNs; with
+    # extras, comments, blank lines and no newline after the last value
+    zero = f"{0.0:.17e}"
+    vals = [zero, f"{-0.0:.17e}", "-0.0", "nan", "-nan", "inf", " 2.5 ",
+            "1" + zero[1:], zero[:10] + "1" + zero[11:], zero[:16] + "1" +
+            zero[17:], zero[:-1] + "1"]
+    vals += ["7" * w for w in range(1, 31)] + ["0." + "0" * w
+                                              for w in range(29)]
+    rng = np.random.default_rng(9)
+    body = [vals[k] for k in rng.permutation(3 * len(vals)) % len(vals)]
+    if extras:
+        for k in (0, 40, 41, 150):
+            body[k:k] = ["% a comment", "", "   "]
+    text = ending.join(["%%MatrixMarket matrix array real general",
+                        f"{len(vals)} 3"] + body) + ("" if extras else ending)
+    path = tmp_path / "b.mtx"
+    path.write_bytes(text.encode("ascii"))
+    scans = []
+    scan = generators._scan_values
+    monkeypatch.setattr(generators, "_scan_values",
+                        lambda *args: scans.append(1) or scan(*args))
+    got = load_matrix_market(str(path))
+    assert len(scans) == extras          # the fallback runs on extras only
+    monkeypatch.setattr(generators, "_array_values", _line_scan)
+    want = load_matrix_market(str(path))
+    assert got.triples.shape == want.triples.shape
+    for f in ("rows", "cols", "values"):
+        assert _bits(getattr(got.triples, f)) == \
+            _bits(getattr(want.triples, f)), f
+    assert _bits(got.a) == _bits(want.a)
+    assert np.isnan(got.a).any() and np.signbit(got.a[got.a == 0.0]).any()
 
 
 def test_mm_two_values_on_a_line_name_the_line(tmp_path):

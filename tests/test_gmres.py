@@ -490,15 +490,20 @@ def test_sweep_extended_precision_consistency():
     assert np.allclose(dd.approx(wdd), w64, atol=1e-12)
 
 
-def _reference_sweep(a, omega, steps, u):
-    # the plain NR-SOR map: one column at a time, over every row
+def _reference_sweep(a, omega, steps, u, divide=False):
+    # the plain NR-SOR map: one column at a time, over every row; the
+    # step is vdot * (omega / ||a_i||^2), the sweep's arithmetic, or with
+    # divide the division form (vdot * omega) / ||a_i||^2
     n = a.shape[1]
     w = dd.zeros_like(u, (n,))
     r = u.copy()
     for _ in range(steps):
         for i in range(n):
             col = a[:, i]
-            delta = (dd.vdot(col, r) * omega) / dd.vdot(col, col)
+            if divide:
+                delta = (dd.vdot(col, r) * omega) / dd.vdot(col, col)
+            else:
+                delta = dd.vdot(col, r) * (omega / dd.vdot(col, col))
             w[i] = w[i] + delta
             r = r - col * delta
     return w
@@ -523,9 +528,7 @@ def _sparse_cases():
 @pytest.mark.parametrize("steps", [1, 2, 3])
 @pytest.mark.parametrize("omega", [0.7, 1.0, 1.4])
 def test_sweep_dense_bitwise_matches_column_by_column(omega, steps):
-    inst = exp_decay_matrix(20)
-    cases = [(_rand((12, 7), seed=40), _rand(12, seed=41)), (inst.a, inst.b)]
-    for a0, u0 in cases:
+    for a0, u0 in _sweep_cases()[:2]:
         a, u = dd.asdd(a0), dd.asdd(u0)
         got = nrsor_apply(a, nrsor_config(a, omega, steps), u)
         want = _reference_sweep(a, omega, steps, u)
@@ -549,6 +552,47 @@ def test_sweep_sparse_matches_column_by_column(name):
             want64 = _reference_sweep(a0, omega, steps, u0)
             assert np.linalg.norm(got64 - want64) <= \
                 1e-12 * np.linalg.norm(want64)
+
+
+def _sweep_cases():
+    inst = exp_decay_matrix(20)
+    dense = [(_rand((12, 7), seed=40), _rand(12, seed=41)), (inst.a, inst.b)]
+    return dense + [(a, _rand(a.shape[0], seed=42))
+                    for a in _sparse_cases().values()]
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("omega", [0.7, 1.0, 1.4])
+def test_sweep_matches_the_division_form(omega, steps):
+    # the factor omega / ||a_i||^2 moves the step of the division form
+    # (vdot * omega) / ||a_i||^2 only at working precision
+    for a0, u0 in _sweep_cases():
+        a, u = dd.asdd(a0), dd.asdd(u0)
+        got = nrsor_apply(a, nrsor_config(a, omega, steps), u)
+        want = _reference_sweep(a, omega, steps, u, divide=True)
+        assert _f(dd.norm2(got - want)) <= 1e-30 * _f(dd.norm2(want))
+        got64 = nrsor_apply(a0, nrsor_config(a0, omega, steps), u0)
+        want64 = _reference_sweep(a0, omega, steps, u0, divide=True)
+        assert np.linalg.norm(got64 - want64) <= \
+            1e-14 * np.linalg.norm(want64)
+
+
+@pytest.mark.parametrize("precision", ["extended", "f64"])
+@pytest.mark.parametrize("name", ["dense", "sparse"])
+def test_sweep_scales_exactly_with_a(name, precision):
+    # A 2^k gives 2^-k w bit for bit: the factor scales by 2^-2k, far
+    # from overflow in Dekker's split (about 2^996) and from subnormals
+    a0 = exp_decay_matrix(20).a if name == "dense" \
+        else _sparse_cases()["random"]
+    wrap = dd.asdd if precision == "extended" else np.asarray
+    u = wrap(_rand(a0.shape[0], seed=51))
+    for steps in (1, 3):
+        a = wrap(a0)
+        w = nrsor_apply(a, nrsor_config(a, 1.2, steps), u)
+        for k in (200, -200, 450, -450):
+            ak = wrap(a0 * 2.0 ** k)
+            wk = nrsor_apply(ak, nrsor_config(ak, 1.2, steps), u)
+            assert _bits(wk) == _bits(w * 2.0 ** -k), f"k={k} l={steps}"
 
 
 def test_levels_are_earliest_disjoint_and_hold_the_nonzeros():
@@ -650,7 +694,7 @@ def _same_levels(got, want):
 @pytest.mark.parametrize("name", ["random", "mixed", "band", "disjoint",
                                   "dense", "one-column", "one-row"])
 def test_config_from_the_operator_is_the_dense_config(name):
-    # the same level tables and column norms, bit for bit, and so the
+    # the same level tables and relaxation factors, bit for bit, and so the
     # same preconditioned matrix; "dense" has a full column per level,
     # "mixed" one full column among tables
     cases = dict(_sparse_cases(), dense=exp_decay_matrix(9).a,
@@ -661,7 +705,7 @@ def test_config_from_the_operator_is_the_dense_config(name):
         want = nrsor_config(dd.asdd(a0), omega, steps)
         op = dd.SparseDD.from_dense(a0)
         got = nrsor_config(op, omega, steps)
-        assert _bits(got.column_norms) == _bits(want.column_norms)
+        assert _bits(got.factors) == _bits(want.factors)
         _same_levels(got.levels, want.levels)
         assert _bits(preconditioned_matrix(op, got)) == \
             _bits(preconditioned_matrix(dd.asdd(a0), want))

@@ -61,7 +61,8 @@ class EigenData:
     belongs to lambdas[i]: c_i v_i for a real eigenvalue; for a
     conjugate pair (earlier member i, later member j, as
     _conjugate_partners pairs them) sqrt 2 Re(c_i v_i) in column i and
-    sqrt 2 Im(c_i v_i) in column j.  [z, conj z] is [sqrt 2 Re z,
+    sqrt 2 Im(c_i v_i) in column j: the packed layout of
+    eig_nonsymmetric's vectors, weighted.  [z, conj z] is [sqrt 2 Re z,
     sqrt 2 Im z] times a unitary matrix, so the frame has the singular
     values of V diag(c), and frame / scales those of V."""
     d: int
@@ -99,45 +100,37 @@ def decompose_rhs(op_matrix, r0):
 
     Eigenpairs whose |lambda| falls below 1e-12 relative to the largest
     are discarded.  The weights come from a least-squares solve against
-    the real frame of the rest: each real eigenvector, then Re v and
-    Im v for the earlier member of each conjugate pair (see _frame), so
-    the expansion is exactly the projection onto their span and the QR
-    is real.  The pairs are eig_nonsymmetric's (_conjugate_partners), so
-    a repeated pair gives two column pairs; a non-real eigenvalue
-    without a partner raises NumericalFailureError.  Exactly equal
-    eigenvalues are folded into one, whose column is the sum of theirs;
-    then eigenvalues with |c_i| at most 1e-30 (extended) or 1e-12
-    (binary64) of ||c|| = ||frame||_F are dropped, which drops a group
-    whose columns cancel.  A right-hand side outside the span is a
-    contract violation and raises RangeError; a complex r0 raises
-    DimensionMismatchError.
+    eig_nonsymmetric's real columns of the rest: each real eigenvector,
+    then Re v and Im v for the earlier member of each conjugate pair
+    (see _frame), so the expansion is exactly the projection onto their
+    span and the QR is real.  The pairs are eig_nonsymmetric's
+    (_conjugate_partners), so a repeated pair gives two column pairs.
+    Exactly equal eigenvalues are folded into one, whose column is the
+    sum of theirs; then eigenvalues with |c_i| at most 1e-30 (extended)
+    or 1e-12 (binary64) of ||c|| = ||frame||_F are dropped, which drops
+    a group whose columns cancel.  A right-hand side outside the span is
+    a contract violation and raises RangeError; a complex r0 raises
+    DimensionMismatchError, and a non-finite one NumericalFailureError.
     """
     _require_real("decompose_rhs", r0)
+    if not dd.isfinite_all(r0):
+        raise NumericalFailureError(
+            "decompose_rhs: non-finite entries in the right-hand side")
     eo = eig_nonsymmetric(op_matrix)
     mods = np.abs(dd.approx(eo.values))
     if not mods.any():
         raise RangeError("operator has no nonzero eigenvalues")
     keep = np.flatnonzero(mods > 1e-12 * mods.max())
     v, lam = eo.vectors[:, keep], eo.values[keep]
-    re, im = (v.re, v.im) if isinstance(v, CDD) else (v.real, v.imag)
     real, first, later = _conjugate_columns(lam)
-    if len(real) + 2 * len(later) < len(lam) or \
-            dd.approx(im[:, real]).any() or \
-            not bool(((re[:, first] == re[:, later]) &
-                      (im[:, first] == -im[:, later])).all()):
-        raise NumericalFailureError(
-            "an eigenvector the real frame cannot hold: a non-real "
-            "eigenvalue without an exactly conjugate eigenpair, or a real "
-            "one with a complex vector")
-    sol = lstsq(_join_columns(re[:, real + first], im[:, first]), r0)
+    sol = lstsq(v[:, real + first + later], r0)
     scale = _f(dd.norm2(r0))
     unexplained = _f(sol.residual_norm)
     if unexplained > 1e-6 * scale:
         raise RangeError(
             f"right-hand side has a component of norm {unexplained:.3e} "
             f"outside the nonzero-eigenvalue span (rhs norm {scale:.3e})")
-    lam, frame = _merge_duplicates(
-        lam, _frame(sol.x, re, im, real, first, later))
+    lam, frame = _merge_duplicates(lam, _frame(sol.x, v, real, first, later))
     # |c_i| = ||c_i v_i||: a real eigenvalue's column norm, and for a
     # pair the root mean square of its two, as ||sqrt 2 Re z||^2 +
     # ||sqrt 2 Im z||^2 = 2 ||z||^2
@@ -164,26 +157,21 @@ def _conjugate_columns(lam):
     return real, [partners[j] for j in later], later
 
 
-def _join_columns(x, y):
-    if isinstance(x, DD):
-        return DD._raw(np.hstack([x.hi, y.hi]), np.hstack([x.lo, y.lo]))
-    return np.hstack([x, y])
-
-
-def _frame(y, re, im, real, first, later):
-    """EigenData's frame from the least-squares weights y: y[k] v on
-    column real[k].  Pair p's weights alpha = y[len(real) + p] and
-    beta = y[len(real + first) + p] of Re v and Im v, for the earlier
-    member's v, make its weight c = (alpha - i beta)/2, so column
-    first[p] is sqrt 2 Re(c v) = (alpha Re v + beta Im v)/sqrt 2 and
-    column later[p] sqrt 2 Im(c v) = (alpha Im v - beta Re v)/sqrt 2."""
+def _frame(y, v, real, first, later):
+    """EigenData's frame from the least-squares weights y on the packed
+    vectors v: y[k] v on column real[k].  Pair p's weights alpha =
+    y[len(real) + p] and beta = y[len(real + first) + p] of Re v and
+    Im v, for the earlier member's v, make its weight c = (alpha - i
+    beta)/2, so column first[p] is sqrt 2 Re(c v) = (alpha Re v + beta
+    Im v)/sqrt 2 and column later[p] sqrt 2 Im(c v) = (alpha Im v - beta
+    Re v)/sqrt 2."""
     nr, m = len(real), len(real) + len(first)
     root_half = dd.sqrt(dd.asdd(0.5)) if dd.is_extended(y) \
         else math.sqrt(0.5)
     alpha, beta = y[nr:m] * root_half, y[m:] * root_half
-    u, w = re[:, first], im[:, first]
-    frame = dd.zeros_like(re)
-    frame[:, real] = re[:, real] * y[:nr]
+    u, w = v[:, first], v[:, later]
+    frame = dd.zeros_like(v)
+    frame[:, real] = v[:, real] * y[:nr]
     frame[:, first] = u * alpha + w * beta
     frame[:, later] = w * alpha - u * beta
     return frame
@@ -233,6 +221,11 @@ def vandermonde_min(lambdas, k_max):
     if k_max < 1:
         raise InapplicableError(f"k_max must be >= 1, got {k_max}")
     alpha, beta, partner, start, degree = _real_diagonal(lambdas)
+    # the minima do not depend on the points' scale: scale them exactly,
+    # as eig_nonsymmetric scales its input, so no square overflows
+    e = int(np.frexp(max(np.abs(alpha.hi).max(),
+                         np.abs(beta.hi).max()))[1]) - 1
+    alpha, beta = dd.ldexp(alpha, -e), dd.ldexp(beta, -e)
     # Rounding margin for ||s - A x||, to first order in EPS.  Each DD
     # product and sum lies within 2 EPS of its exact value, so entry i
     # of the computed s - A x is off by at most 6 EPS (|s_i| + |alpha_i

@@ -853,11 +853,11 @@ def eps_of(x):
     return EPS if is_extended(x) else EPS64
 
 
-def zeros_like(x, shape=None, field=None):
-    """Zeros with x's precision; field overrides real/complex."""
+def zeros_like(x, shape=None):
+    """Zeros with x's precision and field."""
     if shape is None:
         shape = x.shape
-    cplx = is_complexkind(x) if field is None else (field == "complex")
+    cplx = is_complexkind(x)
     if is_extended(x):
         return czeros(shape) if cplx else zeros(shape)
     return np.zeros(shape, dtype=np.complex128 if cplx else np.float64)
@@ -897,6 +897,15 @@ def sqrt(x):
     if np.any(x < 0):
         raise ValueError("sqrt of negative value")
     return np.sqrt(x)
+
+
+def ldexp(x, e):
+    """x * 2**e for a real x in either precision: exact unless it
+    overflows or underflows, and a DD's parts keep their signs of zero,
+    which multiplying by a float would not."""
+    if isinstance(x, DD):
+        return DD._raw(np.ldexp(x.hi, e), np.ldexp(x.lo, e))
+    return np.ldexp(x, e)
 
 
 def norm2(v):

@@ -2,8 +2,9 @@
 
 The kernels are real-only and raise DimensionMismatchError on complex
 input, except the LU and triangular solves, which the eigensolver's
-back-substitution runs for each non-real pair; the eigensolver's
-outputs are complex.
+back-substitution runs for each non-real pair.  Of the eigensolver's
+outputs only the values are complex: the vectors come back real, in
+LAPACK xGEEV's packed layout.
 
 Everything here is written against the small shared dialect of numpy
 ndarrays and the double-double array classes: elementwise operators,
@@ -50,14 +51,6 @@ def _f(x):
 
 def _outer(u, v):
     return u[:, None] * v[None, :]
-
-
-def _re_part(x):
-    if isinstance(x, CDD):
-        return x.re
-    if isinstance(x, DD):
-        return x
-    return x.real if isinstance(x, (complex, np.complexfloating)) else x
 
 
 def _copy_scalar(s):
@@ -364,11 +357,14 @@ def solve_triangular(t, b):
 @dataclass
 class EigenResult:
     """Each non-real value has one partner, its exact conjugate, found
-    by _conjugate_partners; their columns of ``vectors`` are exact
-    conjugates too.  Every vector comes from the real Schur form by one
-    back-substitution."""
+    by _conjugate_partners.  ``vectors`` is real, in LAPACK xGEEV's
+    packed layout: column i is v_i for a real value; for a pair (earlier
+    member i, later member j) column i is Re v and column j is Im v, for
+    the earlier member's v, and conj v is the later member's.  Every v
+    comes from the real Schur form by one back-substitution, at unit
+    norm with its first significant component real and positive."""
     values: object    # complex 1-d (complex128 or CDD), canonically sorted
-    vectors: object   # unit columns; first significant component real > 0
+    vectors: object   # real n x n (float64 or DD), packed as above
 
 
 def eig_nonsymmetric(a):
@@ -386,14 +382,19 @@ def eig_nonsymmetric(a):
     point of hand-rolling it.
 
     The later member of each conjugate pair (_conjugate_partners: exact,
-    no tolerance) gets the exact conjugate of the earlier one's vector,
-    so a repeated pair keeps independent vectors.
+    no tolerance) has the conjugate of the earlier one's vector, whose
+    Re and Im fill the pair's two columns (EigenResult), so a repeated
+    pair keeps independent vectors.
+
+    The work runs on a 2**-e with max |a_ij| in [1, 2), as xGEEV
+    scales: no square in a sweep overflows or underflows, and the values
+    scale back exactly.  Errors speak in the input's units.
 
     The back-substitutions run as stacked lu_factor/lu_solve calls, real
     and complex values apart, in chunks of ``_STACK_ELEMS`` elements;
-    vectors copied from a conjugate partner skip them.  A stacked LU
-    factors and solves each member bit for bit as if alone, so every
-    vector is the same however the values are chunked.
+    the later member of a pair skips them.  A stacked LU factors and
+    solves each member bit for bit as if alone, so every vector is the
+    same however the values are chunked.
     """
     n, n2 = a.shape
     if n != n2 or n == 0:
@@ -404,6 +405,8 @@ def eig_nonsymmetric(a):
     _require_real("eig_nonsymmetric", a)
     if not dd.isfinite_all(a):
         raise NumericalFailureError("non-finite entries in eigensolver input")
+    e = int(np.frexp(np.abs(dd.approx(a)).max())[1]) - 1
+    a = dd.ldexp(a, -e)
     h, reflectors = _hessenberg(a)
     # the rows of [Z; H], Z = I: QR takes H to T and Z to the Schur vectors
     w = dd.zeros_like(a, (2 * n, n))
@@ -411,9 +414,10 @@ def eig_nonsymmetric(a):
     w[d, d] = 1.0
     w[n:] = h
     vals = _sort_eigvals(_francis_qr(w))
-    values = dd.stack([_make_scalar_complex(a, re, im) for re, im, _ in vals])
-    vectors = _eig_vectors(a, w[n:], w[:n], reflectors, vals, values,
-                           _conjugate_partners(values))
+    values = dd.stack([_make_scalar_complex(a, dd.ldexp(re, e),
+                                            dd.ldexp(im, e))
+                       for re, im, _ in vals])
+    vectors = _eig_vectors(a, w[n:], w[:n], reflectors, vals, values, e)
     return EigenResult(values, vectors)
 
 
@@ -437,16 +441,11 @@ def _hessenberg(a):
 
 
 def _apply_q(reflectors, y):
-    """y <- Q y in place, for _hessenberg's Q: one rank-1 update per
-    reflector, the last first.  Q is real, so the real and imaginary
-    parts of a complex y go apart, and an exactly zero part (the
-    imaginary one when every eigenvalue is real) stays zero."""
-    for part in (y.re, y.im) if isinstance(y, CDD) else (y.real, y.imag):
-        if not dd.approx(part).any():
-            continue
-        for k, v, vn in reversed(reflectors):
-            w = v @ part[k + 1:]
-            part[k + 1:] = part[k + 1:] - _outer(v, w) * (2.0 / vn)
+    """y <- Q y in place, for _hessenberg's Q and the real y: one rank-1
+    update per reflector, the last first."""
+    for k, v, vn in reversed(reflectors):
+        w = v @ y[k + 1:]
+        y[k + 1:] = y[k + 1:] - _outer(v, w) * (2.0 / vn)
 
 
 def _zero_of(x):
@@ -828,28 +827,29 @@ def _sort_eigvals(vals):
     return sorted(vals, key=key)
 
 
-def _eig_vectors(a, t, z, reflectors, vals, values, partners):
-    """Unit eigenvectors of a for vals, by back-substitution on its real
-    Schur form T (_schur_solves), mapped back by Z and Q, given the
-    canonical phase and checked against a itself; the column of an
-    eigenvalue with a partner is the exact conjugate of the partner's.
-    ``values`` holds vals as one complex array, and ``partners`` its
-    _conjugate_partners."""
+def _eig_vectors(a, t, z, reflectors, vals, values, e):
+    """Unit eigenvectors of a for vals, in EigenResult's packed layout,
+    by back-substitution on its real Schur form T (_schur_solves),
+    mapped back by Z and Q, given the canonical phase and checked
+    against a itself.  ``values`` holds vals times 2**e, the input's
+    units, as one complex array.  A complex solution x splits into Re x
+    and Im x at once, so all after the back-substitution is real."""
     n = a.shape[0]
-    eps = dd.eps_of(a)
-    norm_a = float(np.linalg.norm(dd.approx(a)))
-    tol = 1e3 * eps * norm_a
-    sep = max(tol, 4.0 * eps * max(norm_a, 1.0))
-    near = np.abs(dd.approx(values[:, None] - values[None, :])) <= sep
-    own = [idx for idx in range(n) if partners[idx] is None]
-    kinds = {real: [j for j, idx in enumerate(own)
-                    if (_f(vals[idx][1]) == 0.0) == real]
-             for real in (True, False)}
-    rows = dd.zeros_like(a, (len(own), n), field="complex")
+    tol = 1e3 * dd.eps_of(a) * float(np.linalg.norm(dd.approx(a)))
+    near = np.abs(dd.approx(values[:, None] - values[None, :])) \
+        <= math.ldexp(tol, e)
+    # the other row of a pair's vector; a real value's row is its own
+    ind = np.arange(n)
+    mate = ind.copy()
+    for j, i in enumerate(_conjugate_partners(values)):
+        if i is not None:
+            mate[i], mate[j] = j, i
+    rows = dd.zeros_like(a, (n, n))
     chunk = max(1, _STACK_ELEMS // (n * n))
-    for sel in kinds.values():
+    for real in (True, False):
+        sel = np.flatnonzero(mate == ind if real else mate > ind)
         for c in range(0, len(sel), chunk):
-            members = [own[j] for j in sel[c:c + chunk]]
+            members = sel[c:c + chunk]
             try:
                 x = _schur_solves(t, vals, members, near)
             except SingularMatrixError as err:
@@ -857,31 +857,32 @@ def _eig_vectors(a, t, z, reflectors, vals, values, partners):
                 raise NumericalFailureError(
                     "back-substitution on the Schur form for the "
                     f"eigenvalues {named}: {err}") from err
-            # Z is real: a real value's solve and its product stay real
-            rows[sel[c:c + chunk]] = _row_products(z, x)
+            if real:
+                rows[members] = x
+            else:
+                rows[members], rows[mate[members]] = \
+                    (x.re, x.im) if isinstance(x, CDD) else (x.real, x.imag)
+    rows = _row_products(z, rows)
     _apply_q(reflectors, rows.T)
-    rows = _phase_fix(rows)
-    failed = []
-    for real, sel in kinds.items():
-        if not sel:
-            continue
-        # a real eigenvalue's vector, Z, Q and phase are real: the
-        # imaginary part is exactly zero and needs no product
-        res = _residual_rows(a, _re_part(rows[sel]) if real else rows[sel],
-                             [vals[own[j]][:2] for j in sel])
-        failed += [(own[j], r) for j, r in zip(sel, res) if not r <= tol]
-    if failed:
-        idx, res = min(failed)
+    rows = _phase_fix(rows, mate)
+    # a v = lambda v for a pair's v = x + iy and lambda = alpha + i beta
+    # reads a x = alpha x - beta y and a y = beta x + alpha y, and
+    # x's mate is y, whose beta is x's negated
+    alpha = dd.stack([re for re, _, _ in vals])
+    beta = dd.stack([im for _, im, _ in vals])
+    r = dd.approx(_row_products(a, rows) - (rows * alpha[:, None]
+                                            - rows[mate] * beta[:, None]))
+    sq = (r * r).sum(axis=1)
+    res = np.sqrt(np.where(mate != ind, sq + sq[mate], sq))
+    failed = np.flatnonzero(~(res <= tol))
+    if len(failed):
+        idx = failed[0]
         raise NumericalFailureError(
             f"eigenvector for {complex(dd.approx(values[idx]))} mapped "
-            f"back from the Schur form: residual {res:.3e}, tolerance "
-            f"{tol:.3e}")
-    vectors = dd.zeros_like(a, (n, n), field="complex")
-    vectors[:, own] = rows.T
-    for idx in range(n):
-        if partners[idx] is not None:
-            vectors[:, idx] = dd.conj(vectors[:, partners[idx]])
-    return vectors
+            f"back from the Schur form: residual "
+            f"{math.ldexp(res[idx], e):.3e}, tolerance "
+            f"{math.ldexp(tol, e):.3e}")
+    return rows.T
 
 
 # elements (values x n x n) of one stacked back-substitution: 19 values
@@ -910,11 +911,11 @@ def _schur_solves(t, vals, members, near):
     lu_factor and lu_solve.
 
     The one rule for equal eigenvalues: a diagonal block above p with a
-    value mu where ``near[i]`` holds (|mu - lambda| <= sep) becomes
-    identity rows too, with right-hand side zero.  That drops x's
-    component along the block, and the vectors of a repeated eigenvalue
-    come out independent.  It also keeps every pivot of a 1 x 1 block,
-    mu - lambda, nonzero.  Inside a 2 x 2 block the second pivot is the
+    value mu where ``near[i]`` holds (|mu - lambda| within the residual
+    tolerance) becomes identity rows too, with right-hand side zero.
+    That drops x's component along the block, and the vectors of a
+    repeated eigenvalue come out independent.  It also keeps every pivot
+    of a 1 x 1 block, mu - lambda, nonzero.  Inside a 2 x 2 block the second pivot is the
     block's determinant over the first: nonzero in exact arithmetic,
     but not certified in floating point, and an exact zero there raises
     SingularMatrixError.
@@ -977,17 +978,6 @@ def _make_scalar_complex(a, re, im):
     return complex(_f(re), _f(im))
 
 
-def _row_norms(x):
-    """dd.norm2 of each row of x, with the bytes of the call on that row
-    alone."""
-    if isinstance(x, CDD):
-        return dd.sqrt((x.re * x.re + x.im * x.im).sum(axis=-1))
-    if isinstance(x, DD):
-        return dd.sqrt((x * x).sum(axis=-1))
-    # BLAS sums one row in another order than a reduction over rows
-    return np.array([np.linalg.norm(r) for r in x])
-
-
 # DD products (rows x n x n) of one block of _row_products: every row at
 # once for n <= 16, 4 rows at n = 81.  The product's kernels hold about
 # a dozen float64 temporaries of the block's size, 0.2 MiB each at
@@ -996,12 +986,9 @@ _BLOCK_ELEMS = 1 << 15
 
 
 def _row_products(a, x):
-    """a @ x_j for each row x_j of x, with the bytes of that product
-    alone: DD rows go in blocks of _BLOCK_ELEMS products, binary64 rows
-    one BLAS product each."""
-    if isinstance(x, CDD):
-        # a is real: each part takes its own real products
-        return CDD(_row_products(a, x.re), _row_products(a, x.im))
+    """a @ x_j for each row x_j of the real x, with the bytes of that
+    product alone: DD rows go in blocks of _BLOCK_ELEMS products,
+    binary64 rows one BLAS product each."""
     if not isinstance(x, DD):
         return np.array([a @ r for r in x])
     step = max(1, _BLOCK_ELEMS // a.size)
@@ -1014,37 +1001,33 @@ def _row_products(a, x):
     return out
 
 
-def _residual_rows(a, v, vals):
-    """||a v_j - lambda_j v_j|| as a float for each row v_j of v, with
-    (re, im) of lambda_j in ``vals``: v is real for real eigenvalues and
-    complex for complex ones."""
-    if dd.is_complexkind(v):
-        lam = dd.stack([_make_scalar_complex(a, re, im) for re, im in vals])
-    else:
-        lam = dd.stack([re for re, _ in vals])
-    return dd.approx(_row_norms(_row_products(a, v) - v * lam[:, None]))
-
-
-def _phase_fix(w):
-    """Each row of w at unit norm, with its first significant component
-    made real positive; a zero row stays as it is."""
-    nv = _row_norms(w)
-    live = np.flatnonzero(dd.approx(nv) != 0.0)
-    v = w[live] * (1.0 / nv[live])[:, None]
+def _phase_fix(w, mate):
+    """Each row of w at unit norm, turned so that the first significant
+    component of its vector is real and positive.  Row i with mate[i] ==
+    i is a real vector and turns by its sign; rows i < j = mate[i] hold
+    Re v and Im v of one complex v, share its norm and turn by the phase
+    of its first significant component alpha, rounded as complex DD
+    rounds v * conj(alpha / |alpha|)."""
+    n = len(w)
+    first = np.flatnonzero(mate > np.arange(n))
+    later = mate[first]
+    sq = w * w
+    sq[first] = sq[later] = sq[first] + sq[later]
+    v = w * (1.0 / dd.sqrt(sq.sum(axis=-1)))[:, None]
     mags = np.abs(dd.approx(v))
+    mags[first] = mags[later] = np.hypot(mags[first], mags[later])
     big = mags > math.sqrt(dd.eps_of(v)) * mags.max(axis=-1)[:, None]
-    first = np.where(big.any(axis=-1), big.argmax(axis=-1),
-                     mags.argmax(axis=-1))
-    alpha = v[np.arange(len(live)), first]
-    # abs of a binary64 complex array rounds otherwise than abs of each
-    # entry; hypot rounds as the latter
-    mod = abs(alpha) if dd.is_extended(alpha) else \
-        np.hypot(alpha.real, alpha.imag)
-    turn = np.flatnonzero(dd.approx(mod) != 0.0)
-    ph = alpha[turn] / mod[turn]
-    v[turn] = v[turn] * dd.conj(ph)[:, None]
-    w[live] = v
-    return w
+    alpha = v[np.arange(n), big.argmax(axis=-1)]
+    neg = (mate == np.arange(n)) & (dd.approx(alpha) < 0.0)
+    v[neg] = -v[neg]
+    re, im = alpha[first], alpha[later]
+    mod = dd.sqrt(re * re + im * im)
+    # complex DD divides alpha by mod as alpha mod / mod^2
+    c, s = re * mod / (mod * mod), -(im * mod) / (mod * mod)
+    x, y = v[first], v[later]
+    v[first] = x * c[:, None] - y * s[:, None]
+    v[later] = x * s[:, None] + y * c[:, None]
+    return v
 
 
 # ----------------------------------------------------------------- norms

@@ -463,7 +463,6 @@ def test_zeros_like_dispatch():
     assert dd.zeros_like(np.zeros(3), (2,)).dtype == np.float64
     z = dd.zeros_like(np.zeros(3, dtype=complex), (2,))
     assert z.dtype == np.complex128
-    assert isinstance(dd.zeros_like(dd.zeros(3), (2,), field="complex"), CDD)
 
 
 def test_norm_and_vdot_dispatch():

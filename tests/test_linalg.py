@@ -26,6 +26,7 @@ from krybound.linalg import (condition_number_2, eig_nonsymmetric, form_q,
                              lu_solve, random_orthogonal, seeded_rng,
                              solve_triangular, spectral_norm)
 from krybound.nrsor import nrsor_config, preconditioned_matrix
+from packed import complex_vectors
 
 RNG = seeded_rng(20260816)
 
@@ -655,8 +656,9 @@ def test_eig_vectors_mapped_back_meet_tolerance_and_phase(kind):
     out = eig_nonsymmetric(a)
     eps = dd.eps_of(a)
     tol = 1e3 * eps * float(np.linalg.norm(_img(a)))
+    vectors = complex_vectors(out)
     for j in range(12):
-        v, lam = out.vectors[:, j], out.values[j]
+        v, lam = vectors[:, j], out.values[j]
         assert float(dd.approx(dd.norm2(a @ v - v * lam))) <= tol
         img = _img(v)
         mags = np.abs(img)
@@ -950,12 +952,38 @@ def test_eig_matches_numpy_random(n):
     assert np.allclose(mine, ref, atol=1e-10 * max(scale, 1.0))
 
 
+@pytest.mark.parametrize("kind", ["f64", "dd"])
+def test_eig_packed_vectors_meet_the_real_block_form(kind):
+    # A V = V B for the real packed V, where B holds a real value on its
+    # diagonal and [[a, b], [-b, a]] on the columns (i, j) of a pair whose
+    # earlier member is a + ib
+    a = _as_kind(_rand(12, 12, seed=90), kind)
+    out = eig_nonsymmetric(a)
+    v = out.vectors
+    assert not dd.is_complexkind(v) and v.shape == (12, 12)
+    re, im = (out.values.re, out.values.im) if kind == "dd" else \
+        (out.values.real, out.values.imag)
+    b = dd.zeros_like(v)
+    d = np.arange(12)
+    b[d, d] = re
+    pairs = [(i, j) for j, i in enumerate(
+        linalg._conjugate_partners(out.values)) if i is not None]
+    assert len(pairs) >= 2
+    for i, j in pairs:
+        b[i, j], b[j, i] = im[i], im[j]
+    tol = 1e3 * dd.eps_of(a) * float(np.linalg.norm(_img(a)))
+    r = a @ v - v @ b
+    for j in range(12):
+        assert float(dd.approx(dd.norm2(r[:, j]))) <= tol
+
+
 def test_eig_residual_invariant_and_phase():
     a = _rand(9, 9, seed=40)
     out = eig_nonsymmetric(a)
     scale = np.linalg.norm(a)
+    vectors = complex_vectors(out)
     for j in range(9):
-        v = out.vectors[:, j]
+        v = vectors[:, j]
         lam = out.values[j]
         res = np.linalg.norm(a @ v - lam * v)
         assert res <= 1e3 * np.finfo(float).eps * scale
@@ -993,8 +1021,9 @@ def test_eig_complex_pairs_are_exact_conjugates():
     # canonical order pairs conjugates adjacently: check multiset symmetry
     assert np.allclose(np.sort_complex(vals),
                        np.sort_complex(np.conj(vals)), atol=1e-12)
+    vectors = complex_vectors(out)
     for j, lam in enumerate(vals):
-        v = out.vectors[:, j]
+        v = vectors[:, j]
         assert np.linalg.norm(a @ v - lam * v) <= 1e-12
 
 
@@ -1039,8 +1068,9 @@ def test_eig_extended_precision_residual():
     vals = _img(out.values)
     ref = np.sort_complex(np.linalg.eigvals(_img(a)))
     assert np.allclose(np.sort_complex(vals), ref, atol=1e-9 * scale)
+    vectors = complex_vectors(out)
     for j in range(7):
-        v = out.vectors[:, j]
+        v = vectors[:, j]
         lam = out.values[j]
         res = dd.norm2(a @ v - v * lam)
         assert float(dd.approx(res)) <= 1e3 * dd.EPS * scale
@@ -1106,10 +1136,10 @@ def test_eig_exact_vectors_for_triangular_input(t, kind):
     assert all(float(v) == v for x in xs for v in x)
     a = _as_kind(np.array(t), kind)
     out = eig_nonsymmetric(a)
-    want = linalg._phase_fix(dd.complex_like(
-        _as_kind(np.array([[float(v) for v in x] for x in xs]), kind)))
-    parts = (lambda z: (z.re.hi, z.re.lo, z.im.hi, z.im.lo)) \
-        if kind == "dd" else (lambda z: (z.real, z.imag))
+    want = linalg._phase_fix(
+        _as_kind(np.array([[float(v) for v in x] for x in xs]), kind),
+        np.arange(len(t)))
+    parts = (lambda z: (z.hi, z.lo)) if kind == "dd" else (lambda z: (z,))
     left = list(range(len(t)))
     for j in range(len(t)):
         got = parts(out.vectors[:, j])
@@ -1328,8 +1358,9 @@ def test_eig_extended_matches_mpmath_on_clustered_spectra(build):
         gap = max(max(min(abs(x - y) for y in oracle) for x in lam),
                   max(min(abs(x - y) for x in lam) for y in oracle))
         assert gap <= 10.0 * dd.EPS * scale
+        vectors = complex_vectors(out)
         for j in range(n):
-            v = mp.matrix([_mp_complex(out.vectors, (i, j))
+            v = mp.matrix([_mp_complex(vectors, (i, j))
                            for i in range(n)])
             assert mp.norm(am * v - lam[j] * v) <= 1e3 * dd.EPS * scale
 

@@ -7,9 +7,12 @@ as a prefactor, and multiply by a minimized Vandermonde residual (the
 sharp route), by a cluster-polynomial evaluation (the structural
 route), or by its first-order expansion in the cluster radius (the
 cheap route).  The Vandermonde minima for every k come from one GMRES
-run on diag(lambda), which never forms the power basis; it and the
-polynomial products run in extended precision regardless of the solver
-precision, so the curve keeps falling below binary64 resolution.
+run on diag(lambda), which never forms the power basis.  It and the
+cluster polynomials run in extended precision regardless of the solver
+precision, so the curve keeps falling below binary64 resolution, and in
+real arithmetic: complex points are (re, im) pairs of DD arrays, a
+conjugate pair is a real 2 x 2 block, and a cluster polynomial's value
+is a product of moduli.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from . import dd
-from .dd import CDD, DD
 from .errors import InapplicableError, NumericalFailureError, RangeError
 from .gmres import GmresOptions, TraceRow, _engine
 from .linalg import (_conjugate_partners, _exact_keys, _require_real,
@@ -38,19 +40,6 @@ __all__ = [
 
 def _f(x):
     return float(dd.approx(x))
-
-
-def _cplx(x):
-    v = dd.approx(x)
-    return complex(v)
-
-
-def _to_cdd_vector(lam):
-    if isinstance(lam, CDD):
-        return lam
-    if isinstance(lam, DD):
-        return CDD(lam, dd.zeros(lam.shape))
-    return dd.ascdd(np.asarray(lam, dtype=complex))
 
 
 # ------------------------------------------------------------ eigen data
@@ -280,13 +269,12 @@ def _real_diagonal(lambdas):
     diag(lambda) v = alpha * v + beta * v[partner], and the number of
     distinct points.
     """
-    lam = _to_cdd_vector(lambdas)
-    re, im = lam.re, lam.im
+    re, im = dd.parts(lambdas)
     if np.any((re.hi == 0.0) & (im.hi == 0.0)):
         # p(0) = 1 there at every k: no minimum falls below its weight
         raise InapplicableError("a point at zero bounds nothing")
     src, first = [], []
-    for i, mate in enumerate(_conjugate_partners(lam)):
+    for i, mate in enumerate(_conjugate_partners(lambdas)):
         if im.hi[i] == 0.0:
             src.append(i)
         elif mate is None:            # a block's first point
@@ -300,7 +288,7 @@ def _real_diagonal(lambdas):
     start = dd.ones((len(src),))
     start[first] = dd.sqrt(dd.asdd(2.0))
     start[first + 1] = 0.0
-    points = set(_exact_keys(lam))
+    points = set(_exact_keys(lambdas))
     degree = len(points | {(rh, rl, -ih, -il) for rh, rl, ih, il in points})
     return re[src], abs(im[src]) * sign, partner, start, degree
 
@@ -341,10 +329,30 @@ def bound_curve(e, k_max):
 
 @dataclass
 class ClusterAssignment:
-    centers: object          # distinct complex centers, working precision
-    offsets: object          # lambda_i - center_of(i), aligned with input
+    """Centers and offsets as real (re, im) pairs of DD arrays."""
+    centers: tuple           # distinct centers
+    offsets: tuple           # lambda_i - center_of(i), aligned with input
     center_of: np.ndarray    # eigenvalue index -> center index
     epsilon: float           # max |offset|
+
+    @property
+    def s(self):
+        """The number of centers."""
+        return len(self.centers[0])
+
+
+def _image(x, y):
+    """Binary64 image of the complex points with DD parts x and y."""
+    return x.to_float() + 1j * y.to_float()
+
+
+def _modulus(x, y):
+    """|x + iy| in DD, elementwise.  The parts are scaled by a power of
+    two first, exactly, so no square overflows or underflows."""
+    m = np.maximum(np.abs(x.hi), np.abs(y.hi))
+    e = np.frexp(np.where(m == 0.0, 1.0, m))[1]
+    x, y = dd.ldexp(x, -e), dd.ldexp(y, -e)
+    return dd.ldexp(dd.sqrt(x * x + y * y), e)
 
 
 def cluster_assign(lambdas, radius=None, s=None, centers=None):
@@ -354,16 +362,17 @@ def cluster_assign(lambdas, radius=None, s=None, centers=None):
     at member means.  s: greedy farthest-point seeding of s centers,
     then nearest assignment and recentering at means.  centers: taken
     verbatim, nearest assignment, never recentered.  A radius must be
-    >= 0; radius 0 joins exact ties only.
+    >= 0; radius 0 joins exact ties only.  Grouping decisions read the
+    binary64 image; centers and offsets are DD.
     """
     modes = sum(x is not None for x in (radius, s, centers))
     if modes != 1:
         raise ValueError("specify exactly one of radius, s, centers")
     if radius is not None and not float(radius) >= 0.0:
         raise ValueError(f"cluster radius must be >= 0, got {radius}")
-    lam = _to_cdd_vector(lambdas)
-    d = lam.shape[0]
-    img = dd.approx(lam)
+    x, y = dd.parts(lambdas)
+    d = len(x)
+    img = _image(x, y)
     if np.any(np.abs(img) == 0.0):
         raise InapplicableError("zero eigenvalue cannot join any cluster")
     order = sorted(range(d), key=lambda i: (abs(img[i]),
@@ -375,7 +384,7 @@ def cluster_assign(lambdas, radius=None, s=None, centers=None):
             raise ValueError("explicit centers must be pairwise distinct")
         if np.any(np.abs(cimg) == 0.0):
             raise InapplicableError("a cluster center at zero is invalid")
-        cen = dd.ascdd(cimg)
+        cx, cy = dd.parts(cimg)
         center_of = _nearest(img, cimg)
     else:
         if radius is not None:
@@ -388,24 +397,18 @@ def cluster_assign(lambdas, radius=None, s=None, centers=None):
                     f"requested {s} centers but only {distinct} distinct "
                     f"eigenvalues are available")
             nearest = _nearest(img, img[_greedy_seeds(img, order, s)])
-            groups = [[i for i in range(d) if nearest[i] == g]
+            groups = [np.flatnonzero(nearest == g).tolist()
                       for g in range(s)]
         center_of = np.empty(d, dtype=int)
-        cen = dd.czeros((len(groups),))
         for g, members in enumerate(groups):
-            acc = lam[members[0]]
-            for i in members[1:]:
-                acc = acc + lam[i]
-            cen[g] = acc * (1.0 / len(members))
             center_of[members] = g
-    cen_img = dd.approx(cen)
-    if np.any(np.abs(cen_img) == 0.0):
+        cx, cy = (dd.stack([p[m].sum() * (1.0 / len(m)) for m in groups])
+                  for p in (x, y))
+    if np.any(np.abs(_image(cx, cy)) == 0.0):
         raise InapplicableError("a cluster center collapsed to zero")
-    offsets = dd.czeros((d,))
-    for i in range(d):
-        offsets[i] = lam[i] - cen[int(center_of[i])]
-    eps = float(np.abs(dd.approx(offsets)).max(initial=0.0))
-    return ClusterAssignment(cen, offsets, center_of, eps)
+    offsets = (x - cx[center_of], y - cy[center_of])
+    eps = float(np.abs(_image(*offsets)).max(initial=0.0))
+    return ClusterAssignment((cx, cy), offsets, center_of, eps)
 
 
 def _linkage_groups(img, order, tol):
@@ -449,125 +452,94 @@ def _greedy_seeds(img, order, s):
 
 
 def _nearest(img, cimg):
-    out = np.empty(len(img), dtype=int)
-    for i, z in enumerate(img):
-        dist = np.abs(cimg - z)
-        out[i] = int(np.argmin(dist))
-    return out
+    return np.abs(img[:, None] - cimg[None, :]).argmin(axis=1)
 
 
 # -------------------------------------------------- cluster polynomial
 
-def _root_set(e, ca, k):
-    """Roots for the degree-k annihilating polynomial at iteration k.
+def _root_set(ca, k):
+    """Roots of the degree-k annihilating polynomial at iteration k, as
+    indices: of centers, and of eigenvalues treated as exact roots.
 
     k <= s: the k centers covering the most eigenvalues; beyond that,
-    every center plus the k - s eigenvalues farthest from theirs,
-    treated as exact roots.
+    every center plus the k - s eigenvalues farthest from theirs.
     """
-    img = dd.approx(ca.centers)
-    s = len(img)
-    counts = np.bincount(ca.center_of, minlength=s)
-    lam = _to_cdd_vector(e.lambdas)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    s = ca.s
     if k <= s:
+        img = _image(*ca.centers)
+        counts = np.bincount(ca.center_of, minlength=s)
         sel = sorted(range(s), key=lambda g: (-counts[g], -abs(img[g]),
                                               math.atan2(img[g].imag,
                                                          img[g].real), g))
-        return [ca.centers[g] for g in sel[:k]], []
+        return sel[:k], []
     extra = k - s
-    off = np.abs(dd.approx(ca.offsets))
-    if extra > len(off):
+    d = len(ca.center_of)
+    if extra > d:
         raise ValueError(
-            f"k={k} needs {extra} eigenvalue roots but only {len(off)} exist")
-    by_offset = _descending_offset_order(ca)
-    idx = by_offset[:extra]
-    return [ca.centers[g] for g in range(s)], [lam[i] for i in idx]
+            f"k={k} needs {extra} eigenvalue roots but only {d} exist")
+    return list(range(s)), _descending_offset_order(ca)[:extra]
 
 
 def _descending_offset_order(ca):
-    off = dd.approx(ca.offsets)
+    off = _image(*ca.offsets)
     mags = np.abs(off)
     return sorted(range(len(mags)),
                   key=lambda i: (-mags[i], math.atan2(off[i].imag,
                                                       off[i].real), i))
 
 
+def _roots(e, ca, k):
+    """_root_set's roots, centers first, as (g, re, im): g the index of
+    a center root, else None, and its parts as 0-d DD."""
+    centers, eigen = _root_set(ca, k)
+    (cx, cy), (x, y) = ca.centers, dd.parts(e.lambdas)
+    return [(g, cx[g], cy[g]) for g in centers] + \
+        [(None, x[i], y[i]) for i in eigen]
+
+
 def cluster_poly_bound(e, ca, k):
-    """Bound from the polynomial vanishing on centers (and, past s,
-    on the worst offenders): prefactor times the norm of f over the
-    spectrum, with f kept in product form throughout."""
-    center_roots, eigen_roots = _root_set(e, ca, k)
-    roots = list(center_roots) + list(eigen_roots)
-    for r in roots:
-        if abs(_cplx(r)) == 0.0:
+    """Bound from the polynomial f(z) = -prod(1 - z/r) vanishing on
+    centers (and, past s, on the worst offenders): prefactor times the
+    norm of f over the spectrum.  Each |f(lambda)| is the product over
+    the roots of |r - lambda| / |r|, moduli taken in DD from the parts'
+    differences."""
+    x, y = dd.parts(e.lambdas)
+    f = dd.ones(x.shape)
+    for _, rx, ry in _roots(e, ca, k):
+        if rx.hi == 0.0 and ry.hi == 0.0:
             raise InapplicableError("polynomial root at zero is invalid")
-    lam = _to_cdd_vector(e.lambdas)
-    d = lam.shape[0]
-    vals = dd.czeros((d,))
-    for i in range(d):
-        acc = CDD(dd.ones(()) * -1.0, dd.zeros(()))
-        li = lam[i]
-        for r in roots:
-            acc = acc * (1.0 - li / r)
-        vals[i] = acc
-    fnorm = dd.norm2(vals)
-    return e.frame_norm * fnorm
+        f = f * (_modulus(x - rx, y - ry) / _modulus(rx, ry))
+    return e.frame_norm * dd.norm2(f)
 
 
 def first_order_estimate(e, ca, k):
     """First-order size of the cluster bound in the offsets, in
-    residual-norm units: the weighted-frame norm times one of two forms.
-
-    Single center at one: the closed form eps_k sqrt(d-k+1) prod
-    |1-lambda_i|/|lambda_i| over the k-1 largest offsets.  Otherwise
-    (k >= s): max remaining offset times the norm of f' at each
-    remaining eigenvalue's center, skipping eigenvalues that sit
-    exactly on their center.
+    residual-norm units, for k >= s: the weighted-frame norm times the
+    largest remaining offset times the norm of f' at each remaining
+    eigenvalue's center, skipping eigenvalues that sit exactly on their
+    center.  At a center g, which is a root of f, |f'(g)| is the product
+    over the other roots of |r - g| / |r|, over |g|.
     """
-    s = ca.centers.shape[0]
-    lam = _to_cdd_vector(e.lambdas)
-    order = _descending_offset_order(ca)
-    off_mags = np.abs(dd.approx(ca.offsets))
-    d = lam.shape[0]
-    single_at_one = s == 1 and abs(_cplx(ca.centers[0]) - 1.0) <= 1e-8
-    if single_at_one:
-        if not (1 <= k <= d):
-            raise ValueError(f"k must lie in 1..{d}, got {k}")
-        eps_k = float(off_mags[order[k - 1]])
-        prod = dd.ones(())
-        for t in range(k - 1):
-            li = lam[order[t]]
-            prod = prod * (abs(1.0 - li) / abs(li))
-        return e.frame_norm * (prod * (eps_k * math.sqrt(d - k + 1)))
+    s = ca.s
     if k < s:
         raise InapplicableError(
             f"multi-center estimate needs k >= {s} centers, got k={k}")
-    center_roots, eigen_roots = _root_set(e, ca, k)
-    roots = list(center_roots) + list(eigen_roots)
-    remaining = order[k - s:]
-    keep = [i for i in remaining if off_mags[i] > 0.0]
+    roots = _roots(e, ca, k)
+    off = _modulus(*ca.offsets)
+    keep = [i for i in _descending_offset_order(ca)[k - s:]
+            if off.hi[i] > 0.0]
     if not keep:
         return dd.zeros(())
-    eps_eff = float(max(off_mags[i] for i in keep))
-    fp = dd.czeros((len(keep),))
-    for t, i in enumerate(keep):
-        g = ca.centers[int(ca.center_of[i])]
-        fp[t] = _poly_derivative_at_root(g, roots)
-    return e.frame_norm * (dd.norm2(fp) * eps_eff)
-
-
-def _poly_derivative_at_root(g, roots):
-    """d/dgamma of -prod(1 - gamma/rho) at gamma = g, g among the roots."""
-    acc = CDD(dd.ones(()), dd.zeros(()))
-    acc = acc * (1.0 / g)
-    seen_self = False
-    for r in roots:
-        if not seen_self and _cplx(r) == _cplx(g):
-            seen_self = True
-            continue
-        acc = acc * (1.0 - g / r)
-    if not seen_self:
-        raise InapplicableError("center is not among the polynomial roots")
-    return acc
+    cx, cy = ca.centers
+    fp = 1.0 / _modulus(cx, cy)
+    for g, rx, ry in roots:
+        q = _modulus(rx - cx, ry - cy) / _modulus(rx, ry)
+        if g is not None:
+            q[g] = 1.0          # center g's own root, which f'(g) drops
+        fp = fp * q
+    # the largest offset, exactly: DD values order as their (hi, lo)
+    off = off[keep]
+    eps_eff = off[np.lexsort((off.lo, off.hi))[-1]]
+    return e.frame_norm * (dd.norm2(fp[ca.center_of[keep]]) * eps_eff)

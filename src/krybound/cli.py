@@ -295,14 +295,14 @@ def cmd_bound(cfg):
         else:
             # the multi-center expansion needs a root at every center
             fn, column, k0 = first_order_estimate, "estimate_first_order", \
-                ca.centers.shape[0]
+                ca.s
         by_k = {}
         for k in range(k0, k_max + 1):
             try:
                 by_k[k] = fn(e, ca, k)
             except InapplicableError:
                 break               # root budget exhausted past this k
-        note = f"centers {ca.centers.shape[0]}, epsilon {ca.epsilon:.3e}"
+        note = f"centers {ca.s}, epsilon {ca.epsilon:.3e}"
     traceio.attach_column(records, column, by_k)
     meta = _trace_metadata(cfg, label, {
         "reason": trace.reason,

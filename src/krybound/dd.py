@@ -5,7 +5,9 @@ values with |lo| <= ulp(hi)/2, giving roughly 31 significant decimal
 digits (unit roundoff EPS = 2^-104).  ``DD`` holds arrays of such pairs
 (any shape, including 0-d scalars) as two parallel float64 arrays, so
 every operation is a short fixed sequence of vectorized numpy kernels.
-``CDD`` layers complex on top as a re/im pair of ``DD``.
+``CDD`` layers complex on top as a re/im pair of ``DD``, with only the
+operations the eigensolver's complex back-substitution uses; ``parts``
+takes a complex array of either precision apart into real ``DD``.
 
 All error-free transforms are branch-free IEEE-754 identities; products
 use Dekker splitting (no fma on this platform).  Results are normalized
@@ -23,9 +25,9 @@ from .errors import DimensionMismatchError, InvalidMatrixError
 
 __all__ = [
     "DD", "CDD", "SparseDD", "Triples", "EPS", "EPS64",
-    "asdd", "ascdd", "asmatrix", "dense", "zeros", "czeros", "ones",
+    "asdd", "ascdd", "asmatrix", "dense", "zeros", "ones",
     "from_str", "to_str", "format_float",
-    "norm2", "vdot", "approx", "conj", "zeros_like",
+    "norm2", "vdot", "approx", "parts", "zeros_like",
     "is_extended", "is_complexkind", "eps_of", "complex_like",
 ]
 
@@ -202,9 +204,7 @@ class DD:
     # -- arithmetic
     def __add__(self, other):
         o = _coerce(other)
-        if isinstance(o, CDD):
-            return ascdd(self) + o
-        if o is NotImplemented:
+        if o is NotImplemented or isinstance(o, CDD):
             return NotImplemented
         return _apply(_add2, self.hi, self.lo, o.hi, o.lo)
 
@@ -380,9 +380,6 @@ class CDD:
     def copy(self):
         return CDD(self.re.copy(), self.im.copy())
 
-    def reshape(self, *shape):
-        return CDD(self.re.reshape(*shape), self.im.reshape(*shape))
-
     def __len__(self):
         return len(self.re)
 
@@ -397,22 +394,11 @@ class CDD:
     def conj(self):
         return CDD(self.re, -self.im)
 
-    def __add__(self, other):
-        o = _coerce_c(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CDD(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = _coerce_c(other)
         if o is NotImplemented:
             return NotImplemented
         return CDD(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = _coerce_c(other)
@@ -420,8 +406,6 @@ class CDD:
             return NotImplemented
         return CDD(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = _coerce_c(other)
@@ -432,29 +416,6 @@ class CDD:
             raise ZeroDivisionError("complex double-double division by zero")
         n = self * o.conj()
         return CDD(n.re / d, n.im / d)
-
-    def __rtruediv__(self, other):
-        o = _coerce_c(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return CDD(-self.re, -self.im)
-
-    def __abs__(self):
-        # scaled hypot: exact power-of-two scaling avoids overflow
-        m = np.maximum(np.abs(self.re.hi), np.abs(self.im.hi))
-        e = np.frexp(np.where(m == 0.0, 1.0, m))[1]
-        s = np.ldexp(1.0, -e)
-        re = DD._raw(self.re.hi * s, self.re.lo * s)
-        im = DD._raw(self.im.hi * s, self.im.lo * s)
-        r = _sqrt_dd(re * re + im * im)
-        inv = np.ldexp(1.0, e)
-        return DD._raw(r.hi * inv, r.lo * inv)
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
 
     def __matmul__(self, other):
         o = _coerce_c(other)
@@ -470,26 +431,11 @@ class CDD:
             return NotImplemented
         return o @ self
 
-    def __eq__(self, other):
-        o = _coerce_c(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self.re == o.re) & (self.im == o.im)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else ~eq
-
     def sum(self, axis=None):
         return CDD(self.re.sum(axis), self.im.sum(axis))
 
     def to_complex(self):
         return self.re.to_float() + 1j * self.im.to_float()
-
-    def __complex__(self):
-        if self.ndim != 0:
-            raise TypeError("only 0-d CDD converts to complex")
-        return complex(self.to_complex())
 
     def __repr__(self):
         if self.ndim == 0:
@@ -777,10 +723,6 @@ def zeros(shape):
     return DD._raw(np.zeros(shape), np.zeros(shape))
 
 
-def czeros(shape):
-    return CDD(zeros(shape), zeros(shape))
-
-
 def ones(shape):
     return DD._raw(np.ones(shape), np.zeros(shape))
 
@@ -859,7 +801,7 @@ def zeros_like(x, shape=None):
         shape = x.shape
     cplx = is_complexkind(x)
     if is_extended(x):
-        return czeros(shape) if cplx else zeros(shape)
+        return CDD(zeros(shape)) if cplx else zeros(shape)
     return np.zeros(shape, dtype=np.complex128 if cplx else np.float64)
 
 
@@ -872,10 +814,11 @@ def complex_like(x):
     return np.asarray(x, dtype=np.complex128)
 
 
-def conj(x):
-    if isinstance(x, (DD, CDD)):
-        return x.conj()
-    return np.conj(x)
+def parts(x):
+    """Re x and Im x as DD arrays, for a real or complex array (or a
+    list) of either precision."""
+    z = _coerce_c(x if isinstance(x, (DD, CDD)) else np.asarray(x))
+    return z.re, z.im
 
 
 def approx(x):
@@ -912,8 +855,6 @@ def norm2(v):
     """Euclidean norm of a vector or Frobenius norm of a matrix."""
     if isinstance(v, DD):
         return _sqrt_dd((v * v).sum())
-    if isinstance(v, CDD):
-        return _sqrt_dd((v.re * v.re + v.im * v.im).sum())
     return np.linalg.norm(v)
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dd
-from .dd import CDD
 from .errors import ConstructionError, ParseError, SingularMatrixError
 from .linalg import lu_factor, lu_solve, random_orthogonal, seeded_rng
 
@@ -116,10 +115,10 @@ def exp_decay_matrix(n, seed=0):
 def greenbaum_construct(pc):
     """Matrix and right-hand side on which GMRES walks the given curve.
 
-    Characteristic coefficients come from incremental root
-    multiplication in extended precision (clustered roots cancel badly
-    in binary64), the companion matrix carries them in its last column,
-    and the similarity by B = [g, e_1, ..., e_{n-1}] plants the curve:
+    Characteristic coefficients come from multiplying out real linear
+    and quadratic factors in extended precision (clustered roots cancel
+    badly in binary64), the companion matrix carries them in its last
+    column, and the similarity by B = [g, e_1, ..., e_{n-1}] plants the curve:
     the k-th residual norm squared is the tail sum of g^2.
     """
     norms = [float(x) for x in pc.residual_norms]
@@ -191,30 +190,24 @@ def _check_conjugate_closed(eigs):
 
 
 def _char_poly_coefficients(eigs):
-    """Monic polynomial with the given roots; constant term first."""
-    n = len(eigs)
-    re = dd.zeros((n + 1,))
-    im = dd.zeros((n + 1,))
-    c = CDD(re, im)
-    c[0] = 1.0                    # degree-0 polynomial "1"
-    deg = 0
+    """Monic real polynomial with the given conjugate-closed roots,
+    constant term first, multiplied out in extended precision: one
+    factor x - z per real root and x^2 - 2a x + (a^2 + b^2) per pair
+    a +- ib, taken at its member with b > 0."""
+    c = dd.ones((1,))                 # degree-0 polynomial "1"
     for z in eigs:
-        # multiply by (x - z): shift up one degree, subtract z times c
-        for i in range(deg, -1, -1):
-            c[i + 1] = c[i]
-        c[0] = 0.0
-        zc = dd.ascdd(np.asarray(z))
-        for i in range(deg + 1):
-            c[i] = c[i] - c[i + 1] * zc
-        deg += 1
-    img = dd.approx(c)
-    worst = float(np.abs(img.imag).max())
-    scale = float(np.abs(img.real).max())
-    if worst > 1e-20 * max(scale, 1.0):
-        raise ConstructionError(
-            f"characteristic coefficients came out complex "
-            f"(imaginary magnitude {worst:.3e})")
-    return img.real[:n]
+        if z.imag < 0.0:
+            continue
+        a, b = dd.asdd(z.real), dd.asdd(z.imag)
+        low = [-a] if z.imag == 0.0 else [a * a + b * b, a * -2.0]
+        # c times x^m + low[m-1] x^(m-1) + ... + low[0], top term first
+        m, deg = len(low), len(c)
+        prod = dd.zeros((deg + m,))
+        prod[m:] = c
+        for j in reversed(range(m)):
+            prod[j:j + deg] = prod[j:j + deg] + c * low[j]
+        c = prod
+    return c.to_float()[:len(eigs)]
 
 
 # --------------------------------------------------------- Matrix Market

@@ -4,7 +4,9 @@ The kernels are real-only and raise DimensionMismatchError on complex
 input, except the LU and triangular solves, which the eigensolver's
 back-substitution runs for each non-real pair.  Of the eigensolver's
 outputs only the values are complex: the vectors come back real, in
-LAPACK xGEEV's packed layout.
+LAPACK xGEEV's packed layout.  This module and dd are the only ones
+that hold complex DD; the rest read complex values as real parts
+(dd.parts).
 
 Everything here is written against the small shared dialect of numpy
 ndarrays and the double-double array classes: elementwise operators,
@@ -951,9 +953,8 @@ def _schur_solves(t, vals, members, near):
 def _exact_keys(values):
     """Each entry of a complex 1-d array as (re.hi, re.lo, im.hi, im.lo),
     lo = 0 in binary64: equal keys are exactly equal values."""
-    z = values if isinstance(values, CDD) else dd.ascdd(values)
-    return list(zip(*(p.tolist() for p in (z.re.hi, z.re.lo, z.im.hi,
-                                           z.im.lo))))
+    re, im = dd.parts(values)
+    return list(zip(*(p.tolist() for p in (re.hi, re.lo, im.hi, im.lo))))
 
 
 def _conjugate_partners(values):

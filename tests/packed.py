@@ -1,4 +1,5 @@
-"""Test-side reading of eig_nonsymmetric's real packed eigenvectors."""
+"""Test-side reading of eig_nonsymmetric's real packed eigenvectors,
+and the norm of a complex residual built from them."""
 
 from krybound import dd, linalg
 
@@ -15,3 +16,10 @@ def complex_vectors(eo):
             re[:, j] = v[:, i]
             im[:, i], im[:, j] = v[:, j], -v[:, j]
     return dd.CDD(re, im) if dd.is_extended(v) else re + 1j * im
+
+
+def complex_norm(x):
+    """The 2-norm of a real or complex vector of either precision, in
+    DD from its parts."""
+    re, im = dd.parts(x)
+    return dd.sqrt((re * re + im * im).sum())

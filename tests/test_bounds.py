@@ -23,7 +23,7 @@ from krybound.generators import (GREENBAUM_CURVE, exp_decay_matrix,
                                  greenbaum_construct, stair_matrix)
 from krybound.linalg import eig_nonsymmetric, lstsq, random_orthogonal
 from krybound.nrsor import nrsor_apply, nrsor_config, preconditioned_matrix
-from packed import complex_vectors
+from packed import complex_norm, complex_vectors
 
 
 def _fl(x):
@@ -332,13 +332,13 @@ def test_repeated_conjugate_pairs_keep_independent_vectors(make):
     tol = 1e3 * dd.eps_of(a) * float(np.linalg.norm(dd.approx(a)))
     ac = dd.complex_like(a)
     for j in range(n):
-        res = dd.norm2(ac @ v[:, j] - v[:, j] * lam[j])
+        res = complex_norm(ac @ v[:, j] - v[:, j] * lam[j])
         assert _fl(res) <= tol
     partners = linalg._conjugate_partners(lam)
     paired = [(j, p) for j, p in enumerate(partners) if p is not None]
     assert 2 * len(paired) == int(np.count_nonzero(dd.approx(lam).imag))
     for j, p in paired:
-        assert _bytes(lam[j]) == _bytes(dd.conj(lam[p]))
+        assert _bytes(lam[j]) == _bytes(lam[p].conj())
     b = np.arange(1.0, n + 1.0)
     if dd.is_extended(a):
         b, rtol = dd.asdd(b), 1e-27
@@ -618,7 +618,7 @@ def test_cluster_assign_two_clouds_by_count():
     lam = np.array([1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 2e-6,
                     5.0 + 1e-6, 5.0 - 1e-6], dtype=complex)
     ca = cluster_assign(lam, s=2)
-    centers = sorted(dd.approx(ca.centers).real)
+    centers = sorted(bounds._image(*ca.centers).real)
     assert abs(centers[0] - (1.0 + 2e-6 / 3)) < 1e-12
     assert abs(centers[1] - 5.0) < 1e-12
     assert ca.epsilon < 3e-6
@@ -634,17 +634,17 @@ def test_cluster_assign_radius_matches_s_mode():
     lam = np.array([1.0, 1.001, 0.999, 3.0, 3.002], dtype=complex)
     by_radius = cluster_assign(lam, radius=0.01)
     by_count = cluster_assign(lam, s=2)
-    cr = sorted(dd.approx(by_radius.centers).real)
-    cs = sorted(dd.approx(by_count.centers).real)
+    cr = sorted(bounds._image(*by_radius.centers).real)
+    cs = sorted(bounds._image(*by_count.centers).real)
     assert np.allclose(cr, cs, atol=1e-14)
 
 
 def test_cluster_assign_explicit_centers_verbatim():
     lam = np.array([1.1, 0.9, 5.3], dtype=complex)
     ca = cluster_assign(lam, centers=[1.0, 5.0])
-    cen = dd.approx(ca.centers)
+    cen = bounds._image(*ca.centers)
     assert cen[0] == 1.0 and cen[1] == 5.0   # never recentered
-    off = dd.approx(ca.offsets)
+    off = bounds._image(*ca.offsets)
     assert np.allclose(off, [0.1, -0.1, 0.3], atol=1e-15)
     assert abs(ca.epsilon - 0.3) < 1e-15
 
@@ -652,7 +652,7 @@ def test_cluster_assign_explicit_centers_verbatim():
 def test_cluster_assign_identical_values_single_center():
     lam = np.ones(4, dtype=complex)
     ca = cluster_assign(lam, radius=1e-8)
-    assert ca.centers.shape[0] == 1
+    assert ca.s == 1
     assert ca.epsilon == 0.0
 
 
@@ -674,7 +674,7 @@ def test_cluster_assign_validates_requests():
 def test_cluster_assign_radius_zero_joins_exact_ties_only():
     lam = np.array([1.0, 1.0, 1.0 + 1e-15, 2.0], dtype=complex)
     ca = cluster_assign(lam, radius=0.0)
-    assert ca.centers.shape[0] == 3
+    assert ca.s == 3
     assert ca.center_of[0] == ca.center_of[1] != ca.center_of[2]
     assert ca.epsilon == 0.0
 
@@ -829,6 +829,97 @@ def test_first_order_skips_exact_center_members():
     eps_eff = float(np.abs(lam[:2] - 1.0).max())
     want = eps_eff * math.sqrt(2.0) * fp
     assert est == pytest.approx(want, rel=1e-10)
+
+
+def test_modulus_scales_to_avoid_overflow():
+    # |x + iy| at 2**600 and 2**-600, where the parts' squares overflow
+    # or underflow, is the unscaled value times the scale, bit for bit
+    def mod(e):
+        x = dd.asdd(np.ldexp([3.0, 0.0, 1.0], e))
+        y = dd.asdd(np.ldexp([4.0, 0.0, 1.0], e))
+        return bounds._modulus(x, y)
+
+    ref = mod(0)
+    assert ref.hi[:2].tolist() == [5.0, 0.0]
+    assert ref.lo[:2].tolist() == [0.0, 0.0]
+    root2 = dd.sqrt(dd.asdd(2.0))
+    assert (ref.hi[2], ref.lo[2]) == (root2.hi, root2.lo)
+    for e in (600, -600):
+        got = mod(e)
+        assert np.array_equal(got.hi, np.ldexp(ref.hi, e))
+        assert np.array_equal(got.lo, np.ldexp(ref.lo, e))
+
+
+# ----------------------------------------- cluster bounds against mpmath
+
+def _mp_cluster_values(mp, lam, centers, center_of, k):
+    """The cluster bound's norm of f and the first-order estimate's
+    eps_eff ||f'||, both without the prefactor, at 60 digits: f(z) =
+    -prod(1 - z/r) over the centers and the k - s eigenvalues farthest
+    from theirs, as exact roots."""
+    z = [mp.mpc(x) for x in lam]
+    c = [mp.mpc(x) for x in centers]
+    w = [z[i] - c[g] for i, g in enumerate(center_of)]
+    off = [abs(x) for x in w]
+    # farthest first, ties by argument, as _descending_offset_order
+    far = sorted(range(len(z)), key=lambda i: (-off[i], mp.arg(w[i]), i))
+    s = len(c)
+    roots = c + [z[i] for i in far[:k - s]]
+
+    def f(x):
+        return -mp.fprod(1 - x / r for r in roots)
+
+    def fprime(g):
+        return mp.fprod(1 - c[g] / r for j, r in enumerate(roots)
+                        if j != g) / c[g]
+
+    norm = mp.sqrt(mp.fsum(abs(f(x)) ** 2 for x in z))
+    rest = [i for i in far[k - s:] if off[i] != 0]
+    first = max(off[i] for i in rest) * mp.sqrt(
+        mp.fsum(abs(fprime(center_of[i])) ** 2 for i in rest))
+    return norm, first
+
+
+def _rel_to(mp, got, want):
+    got = mp.mpf(float(got.hi)) + mp.mpf(float(got.lo))
+    return abs(got - want) / want
+
+
+def test_cluster_bounds_match_mpmath_on_conjugate_centers():
+    # three points around 1 and two conjugate pairs around 3 +- 0.5i;
+    # at k = s..s+2 both values are DD-accurate products of moduli
+    mp = pytest.importorskip("mpmath").mp
+    p = 3.0 + 0.5j
+    lam = np.array([1.0 + 1e-7, 1.0 - 2e-7, 1.0 + 3e-8,
+                    p + (2e-7 + 1e-7j), np.conj(p + (2e-7 + 1e-7j)),
+                    p - (5e-8 - 3e-7j), np.conj(p - (5e-8 - 3e-7j))])
+    centers = [1.0, p, np.conj(p)]
+    e = _eigendata_from(np.eye(7), lam, np.ones(7))
+    ca = cluster_assign(lam, centers=centers)
+    assert ca.center_of.tolist() == [0, 0, 0, 1, 2, 1, 2]
+    with mp.workdps(60):
+        for k in (3, 4, 5):
+            norm, first = _mp_cluster_values(mp, lam, centers,
+                                             ca.center_of, k)
+            got = cluster_poly_bound(e, ca, k) / e.frame_norm
+            assert _rel_to(mp, got, norm) < 1e-27, k
+            got = first_order_estimate(e, ca, k) / e.frame_norm
+            assert _rel_to(mp, got, first) < 1e-27, k
+
+
+def test_first_order_center_near_one_is_not_taken_as_one():
+    # a center near 1 is taken as given: rounding 1 + 2**-30 to 1 moves
+    # the estimate by 2.3e-4 relative at k = 2 and 7.8e-5 at k = 3
+    mp = pytest.importorskip("mpmath").mp
+    c = 1.0 + 2.0 ** -30
+    lam = c + 1e-6 * np.array([3.0, -2.0, 1.0, 0.5, -4.0])
+    e = _eigendata_from(np.eye(5), lam, np.ones(5))
+    ca = cluster_assign(lam, centers=[c])
+    with mp.workdps(60):
+        for k in (2, 3):
+            _, first = _mp_cluster_values(mp, lam, [c], ca.center_of, k)
+            got = first_order_estimate(e, ca, k) / e.frame_norm
+            assert _rel_to(mp, got, first) < 1e-27, k
 
 
 # ---------------------------------------------------------- determinism

@@ -204,7 +204,6 @@ def test_complex_basics():
     m = i * i
     assert float(m.re) == -1.0 and float(m.im) == 0.0
     z = CDD(DD(3.0), DD(4.0))
-    assert abs(float(abs(z) - 5.0)) < 1e-30
     w = z.conj() * z
     assert abs(float(w.re - 25.0)) < 1e-29 and float(w.im) == 0.0
 
@@ -213,14 +212,8 @@ def test_complex_conj_product_is_abs_squared():
     rng = np.random.Generator(np.random.Philox(key=29))
     z = CDD(_rand_dd(rng, 200), _rand_dd(rng, 200))
     lhs = (z.conj() * z).re.to_float()
-    rhs = z.abs2().to_float()
+    rhs = (z.re * z.re + z.im * z.im).to_float()
     assert np.all(np.abs(lhs - rhs) <= 1e-30 * np.abs(rhs) + 1e-300)
-
-
-def test_scaled_abs_avoids_overflow():
-    z = CDD(DD(3e150), DD(4e150))
-    assert np.isfinite(float(abs(z)))
-    assert abs(float(abs(z)) - 5e150) < 1e136
 
 
 def test_complex_division():
@@ -459,7 +452,7 @@ def test_setitem_and_views():
 
 def test_zeros_like_dispatch():
     assert isinstance(dd.zeros_like(dd.zeros(3), (2,)), DD)
-    assert isinstance(dd.zeros_like(dd.czeros(3), (2,)), CDD)
+    assert isinstance(dd.zeros_like(CDD(dd.zeros(3)), (2,)), CDD)
     assert dd.zeros_like(np.zeros(3), (2,)).dtype == np.float64
     z = dd.zeros_like(np.zeros(3, dtype=complex), (2,))
     assert z.dtype == np.complex128

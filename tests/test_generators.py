@@ -133,6 +133,34 @@ def test_prescribed_curve_property_random_curves():
             f"trial {trial}"
 
 
+def test_prescribed_curve_coefficients_match_exact_expansion():
+    # random conjugate-closed root sets: each coefficient is the exact
+    # expansion rounded to binary64, or within 1 ulp of it
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(20261022)
+    for trial in range(100):
+        n = int(rng.integers(1, 9))
+        eigs = []
+        while len(eigs) < n:
+            if n - len(eigs) >= 2 and rng.random() < 0.5:
+                z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 1.5))
+                eigs += [z, z.conjugate()]
+            else:
+                eigs.append(complex(rng.uniform(-2.0, 2.0)))
+        rng.shuffle(eigs)
+        got = generators._char_poly_coefficients(eigs)
+        with mp.workprec(2000):       # exact for these products
+            c = [mp.mpc(1)]
+            for z in eigs:
+                c = [mp.mpc(0)] + c
+                for i in range(len(c) - 1):
+                    c[i] -= z * c[i + 1]
+            want = [float(x.real) for x in c[:n]]
+            assert all(x.imag == 0 for x in c)
+        for g, w in zip(got, want):
+            assert g == w or abs(g - w) <= np.spacing(abs(w)), trial
+
+
 def test_prescribed_curve_stagnation_step_allowed():
     # equal consecutive norms zero one g entry but keep B invertible
     inst = greenbaum_construct(_curve([1.0, 0.5, 0.5, 0.2],

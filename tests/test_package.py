@@ -160,3 +160,18 @@ def test_every_traced_span_resolves():
                if not callable(getattr(importlib.import_module(
                    f"krybound.{m}"), f, None))]
     assert tracer.SPANS and not missing
+
+
+# the complex double-double class and its helpers; dd.parts, which
+# splits a complex array into real DD parts, is the way out of them
+COMPLEX_DD = {"CDD", "ascdd", "complex_like", "_coerce_c", "to_complex"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES
+                                  if m not in ("dd", "linalg")])
+def test_complex_dd_stays_in_dd_and_linalg(name):
+    # the eigensolver's complex back-substitution and its values are
+    # the last complex DD; the bounds, the generators and the CLI work
+    # on real parts
+    tree = ast.parse((ROOT / "src" / "krybound" / f"{name}.py").read_text())
+    assert not _references(tree) & COMPLEX_DD

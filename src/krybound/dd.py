@@ -5,9 +5,11 @@ values with |lo| <= ulp(hi)/2, giving roughly 31 significant decimal
 digits (unit roundoff EPS = 2^-104).  ``DD`` holds arrays of such pairs
 (any shape, including 0-d scalars) as two parallel float64 arrays, so
 every operation is a short fixed sequence of vectorized numpy kernels.
-``CDD`` layers complex on top as a re/im pair of ``DD``, with only the
-operations the eigensolver's complex back-substitution uses; ``parts``
-takes a complex array of either precision apart into real ``DD``.
+``CDD`` pairs two ``DD`` as re/im to hold the extended eigenvalues:
+it is built, indexed and read back, and ``parts`` takes a complex array
+of either precision apart into real ``DD``.  Its only arithmetic is the
+product the benchmark tracer wraps and the difference gmres forms
+before it rejects complex input.
 
 All error-free transforms are branch-free IEEE-754 identities; products
 use Dekker splitting (no fma on this platform).  Results are normalized
@@ -28,7 +30,7 @@ __all__ = [
     "asdd", "ascdd", "asmatrix", "dense", "zeros", "ones",
     "from_str", "to_str", "format_float",
     "norm2", "vdot", "approx", "parts", "zeros_like",
-    "is_extended", "is_complexkind", "eps_of", "complex_like",
+    "is_extended", "is_complexkind", "eps_of",
 ]
 
 EPS = 2.0 ** -104          # double-double unit roundoff
@@ -223,9 +225,7 @@ class DD:
 
     def __mul__(self, other):
         o = _coerce(other)
-        if isinstance(o, CDD):
-            return ascdd(self) * o
-        if o is NotImplemented:
+        if o is NotImplemented or isinstance(o, CDD):
             return NotImplemented
         return _apply(_mul2, self.hi, self.lo, o.hi, o.lo)
 
@@ -233,9 +233,7 @@ class DD:
 
     def __truediv__(self, other):
         o = _coerce(other)
-        if isinstance(o, CDD):
-            return ascdd(self) / o
-        if o is NotImplemented:
+        if o is NotImplemented or isinstance(o, CDD):
             return NotImplemented
         if _any_zero(o.hi):
             raise ZeroDivisionError("double-double division by zero")
@@ -243,9 +241,7 @@ class DD:
 
     def __rtruediv__(self, other):
         o = _coerce(other)
-        if isinstance(o, CDD):
-            return o / ascdd(self)
-        if o is NotImplemented:
+        if o is NotImplemented or isinstance(o, CDD):
             return NotImplemented
         return o / self
 
@@ -257,19 +253,16 @@ class DD:
         return DD._raw(np.where(neg, -self.hi, self.hi),
                        np.where(neg, -self.lo, self.lo))
 
+    # a CDD operand goes to CDD's reflected product
     def __matmul__(self, other):
         o = _coerce(other)
-        if isinstance(o, CDD):
-            return ascdd(self) @ o
-        if o is NotImplemented:
+        if o is NotImplemented or isinstance(o, CDD):
             return NotImplemented
         return _matmul(self, o)
 
     def __rmatmul__(self, other):
         o = _coerce(other)
-        if isinstance(o, CDD):
-            return o @ ascdd(self)
-        if o is NotImplemented:
+        if o is NotImplemented or isinstance(o, CDD):
             return NotImplemented
         return _matmul(o, self)
 
@@ -349,7 +342,9 @@ def asdd(x):
 # ---------------------------------------------------------------- complex
 
 class CDD:
-    """Array of double-double complex numbers (re/im pair of DD)."""
+    """Array of double-double complex numbers (re/im pair of DD): the
+    extended eigenvalues, indexed and read back as complex or as real
+    parts, and the operands gmres rejects after its first product."""
 
     __slots__ = ("re", "im")
     __array_ufunc__ = None
@@ -369,53 +364,17 @@ class CDD:
     def ndim(self):
         return self.re.ndim
 
-    @property
-    def size(self):
-        return self.re.size
-
-    @property
-    def T(self):
-        return CDD(self.re.T, self.im.T)
-
-    def copy(self):
-        return CDD(self.re.copy(), self.im.copy())
-
     def __len__(self):
         return len(self.re)
 
     def __getitem__(self, idx):
         return CDD(self.re[idx], self.im[idx])
 
-    def __setitem__(self, idx, value):
-        v = ascdd(value)
-        self.re[idx] = v.re
-        self.im[idx] = v.im
-
-    def conj(self):
-        return CDD(self.re, -self.im)
-
     def __sub__(self, other):
         o = _coerce_c(other)
         if o is NotImplemented:
             return NotImplemented
         return CDD(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other):
-        o = _coerce_c(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CDD(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, other):
-        o = _coerce_c(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if _any_zero(d.hi):
-            raise ZeroDivisionError("complex double-double division by zero")
-        n = self * o.conj()
-        return CDD(n.re / d, n.im / d)
 
     def __matmul__(self, other):
         o = _coerce_c(other)
@@ -430,9 +389,6 @@ class CDD:
         if o is NotImplemented:
             return NotImplemented
         return o @ self
-
-    def sum(self, axis=None):
-        return CDD(self.re.sum(axis), self.im.sum(axis))
 
     def to_complex(self):
         return self.re.to_float() + 1j * self.im.to_float()
@@ -796,22 +752,14 @@ def eps_of(x):
 
 
 def zeros_like(x, shape=None):
-    """Zeros with x's precision and field."""
+    """Real zeros with x's precision; complex128 zeros for a complex
+    binary64 x."""
     if shape is None:
         shape = x.shape
-    cplx = is_complexkind(x)
     if is_extended(x):
-        return CDD(zeros(shape)) if cplx else zeros(shape)
-    return np.zeros(shape, dtype=np.complex128 if cplx else np.float64)
-
-
-def complex_like(x):
-    """Promote an array to the complex field of the same precision."""
-    if isinstance(x, CDD):
-        return x
-    if isinstance(x, DD):
-        return CDD(x.copy(), zeros(x.shape))
-    return np.asarray(x, dtype=np.complex128)
+        return zeros(shape)
+    return np.zeros(shape, dtype=np.complex128 if is_complexkind(x)
+                    else np.float64)
 
 
 def parts(x):
@@ -859,32 +807,30 @@ def norm2(v):
 
 
 def vdot(u, v):
-    """Inner product conj(u).v (first argument conjugated).
+    """Inner product u.v of real vectors in either precision; complex
+    input raises DimensionMismatchError.
 
     A 2-d u gives one product per row, each with the bytes of the 1-d
     call on that row as a contiguous vector.
     """
-    if isinstance(u, (DD, CDD)) or isinstance(v, (DD, CDD)):
-        if isinstance(u, CDD) or isinstance(v, CDD):
-            return (ascdd(u).conj() * ascdd(v)).sum(axis=-1)
+    if is_complexkind(u) or is_complexkind(v):
+        raise DimensionMismatchError("vdot takes real input; got complex "
+                                     "input")
+    if isinstance(u, DD) or isinstance(v, DD):
         return (asdd(u) * asdd(v)).sum(axis=-1)
     u = np.asarray(u)
     v = np.asarray(v)
     if u.ndim == 2:
         # a stack of (1, n) @ (n, 1) products: numpy's matmul runs each
-        # on the BLAS dot that np.dot and np.vdot call, where the
-        # matrix-vector product would change the summation order; BLAS
-        # sums a strided vector in another order than a contiguous one
+        # on the BLAS dot that np.dot calls, where the matrix-vector
+        # product would change the summation order; BLAS sums a strided
+        # vector in another order than a contiguous one
         u = np.ascontiguousarray(u)
-        return (u.conj()[:, None, :] @ v[:, None])[:, 0, 0]
-    if np.iscomplexobj(u) or np.iscomplexobj(v):
-        return np.vdot(u, v)
+        return (u[:, None, :] @ v[:, None])[:, 0, 0]
     return float(np.dot(u, v))
 
 
 def isfinite_all(x):
     if isinstance(x, DD):
         return bool(np.all(np.isfinite(x.hi)))
-    if isinstance(x, CDD):
-        return bool(np.all(np.isfinite(x.re.hi)) and np.all(np.isfinite(x.im.hi)))
     return bool(np.all(np.isfinite(x)))

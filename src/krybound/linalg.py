@@ -1,12 +1,10 @@
-"""Dense kernels generic over precision (binary64 arrays or DD/CDD).
+"""Dense kernels generic over precision (binary64 arrays or DD).
 
 The kernels are real-only and raise DimensionMismatchError on complex
-input, except the LU and triangular solves, which the eigensolver's
-back-substitution runs for each non-real pair.  Of the eigensolver's
-outputs only the values are complex: the vectors come back real, in
-LAPACK xGEEV's packed layout.  This module and dd are the only ones
-that hold complex DD; the rest read complex values as real parts
-(dd.parts).
+input.  Of the eigensolver's outputs only the values are complex (CDD
+in extended precision); the vectors come back real, in LAPACK xGEEV's
+packed layout.  This module and dd are the only ones that hold complex
+DD; the rest read complex values as real parts (dd.parts).
 
 Everything here is written against the small shared dialect of numpy
 ndarrays and the double-double array classes: elementwise operators,
@@ -56,7 +54,7 @@ def _outer(u, v):
 
 
 def _copy_scalar(s):
-    return s.copy() if isinstance(s, (DD, CDD)) else s
+    return s.copy() if isinstance(s, DD) else s
 
 
 def _require_real(name, *arrays):
@@ -251,36 +249,30 @@ def jacobi_svd(a):
 # ----------------------------------------------------------------- LU
 
 def lu_factor(a):
-    """LU of an upper Hessenberg matrix (n, n) or of a stack of them
-    (s, n, n), pivoting between adjacent rows (LAPACK xLAEIN's LU of
-    H - lambda I; Golub and Van Loan, section 3.4).
+    """LU of a real square matrix (n, n) or of a stack of them (s, n, n)
+    by partial pivoting over the whole column (LINPACK xGEFA; Golub and
+    Van Loan, section 3.4).
 
-    Step k takes as pivot row the larger of rows k and k+1 in column k
-    (row k on a tie), swaps the two rows' columns k: if that is row k+1,
-    and subtracts a multiple of row k from row k+1 alone.  Returns
+    Step k takes as pivot row the first row at or below k with the
+    largest entry of column k, swaps that row's columns k: with row k's,
+    and subtracts multiples of row k from every row below it.  Returns
     ``(lu, piv)``: U in the upper triangle of ``lu`` (the input's shape)
-    with step k's multiplier at ``lu[..., k+1, k]``, and the swap flags
-    ``piv`` ((n-1,) or (s, n-1)).  Every member of a stack is factored
-    bit for bit as if alone.  A nonzero of the binary64 image below the
-    subdiagonal raises DimensionMismatchError, and an exactly zero pivot
-    in any member SingularMatrixError.
+    with step k's multipliers below the diagonal in column k, and the
+    pivot rows ``piv`` ((n-1,) or (s, n-1) integers).  Every member of a
+    stack is factored bit for bit as if alone.  On upper Hessenberg
+    input the pivots come from rows k and k+1 and the rows below take
+    zero multipliers.  An exactly zero pivot in any member raises
+    SingularMatrixError; complex input DimensionMismatchError.
     """
+    _require_real("lu_factor", a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
             "lu_factor needs a square matrix or a stack of them")
     n = a.shape[-1]
-    # row by row: a binary64 image of the whole stack would be as large
-    # as the stack
-    if any(dd.approx(a[..., i, :i - 1]).any() for i in range(2, n)):
-        raise DimensionMismatchError(
-            "lu_factor needs upper Hessenberg matrices: a nonzero lies "
-            "below the subdiagonal")
     lu = a.copy()
-    piv = np.zeros(a.shape[:-2] + (max(n - 1, 0),), dtype=bool)
+    piv = np.zeros(a.shape[:-2] + (max(n - 1, 0),), dtype=np.intp)
     for k in range(n):
-        col = dd.approx(lu[..., k:k + 2, k])
-        mags = np.abs(col.real) + np.abs(col.imag) if np.iscomplexobj(col) \
-            else np.abs(col)
+        mags = np.abs(dd.approx(lu[..., k:, k]))
         live = mags.any(axis=-1)
         if not live.all():
             member = "" if live.ndim == 0 else \
@@ -289,48 +281,54 @@ def lu_factor(a):
                 f"zero pivot at elimination step {k}{member}")
         if k == n - 1:
             break
-        swap = np.argmax(mags, axis=-1) == 1
-        piv[..., k] = swap
-        if swap.any():
-            at = _swapping(swap)
-            lu[at, [k, k + 1], k:] = lu[at, [k + 1, k], k:]
-        low = lu[..., k + 1, k] / lu[..., k, k]
-        lu[..., k + 1, k] = low
-        lu[..., k + 1, k + 1:] = lu[..., k + 1, k + 1:] - \
-            low[..., None] * lu[..., k, k + 1:]
+        piv[..., k] = k + np.argmax(mags, axis=-1)
+        _swap_rows(lu, piv, k, slice(k, None))
+        low = lu[..., k + 1:, k] / lu[..., k, k, None]
+        lu[..., k + 1:, k] = low
+        lu[..., k + 1:, k + 1:] = lu[..., k + 1:, k + 1:] - \
+            low[..., :, None] * lu[..., k, None, k + 1:]
     return lu, piv
 
 
-def _swapping(swap):
-    """The index that, followed by two row indices, selects the members
-    whose flag in ``swap`` is set: their numbers as a column for a
-    stack, and ``...`` for one matrix, whose 0-d flag is set."""
-    return np.flatnonzero(swap)[:, None] if np.ndim(swap) else Ellipsis
+def _swap_rows(x, piv, k, *cols):
+    """In each member of x whose step k pivots on a row p != k, swap
+    rows k and p (over ``cols``): x is one matrix with ``piv`` (n-1,),
+    or rows of right-hand sides x[..., i] for it, or a stack with one
+    member per row of ``piv``."""
+    if piv.ndim == 1:
+        p = int(piv[k])
+        if p == k:
+            return
+        at = (Ellipsis,)
+    else:
+        which = np.flatnonzero(piv[:, k] != k)
+        if not len(which):
+            return
+        at, p = (which,), piv[which, k]
+    top = x[at + (k,) + cols].copy()
+    x[at + (k,) + cols] = x[at + (p,) + cols]
+    x[at + (p,) + cols] = top
 
 
 def lu_solve(lu, piv, b):
     """Solve with a prior lu_factor result: replay each step's swap and
-    its one multiply-subtract, then back-substitute with U.
+    its multiply-subtracts, then back-substitute with U.
 
     One factorization (n, n) takes a vector (n,) or a matrix (n, m); a
-    stack (s, n, n) takes one vector per member, (s, n).
+    stack (s, n, n) takes one vector per member, (s, n).  Complex input
+    raises DimensionMismatchError.
     """
+    _require_real("lu_solve", lu, b)
     if lu.ndim == 3 and b.shape != lu.shape[:2]:
         raise DimensionMismatchError(
             f"lu_solve: a stack {lu.shape} takes one vector per member, "
             f"not {b.shape}")
-    if lu.ndim == 3 and len(lu) == 1:
-        # one vector's 0-d entries run DD arithmetic on Python floats
-        return lu_solve(lu[0], piv[0], b[0])[None]
     # one matrix takes its right-hand sides as rows; a vector is its own
     # transpose
     x = b.T.copy() if lu.ndim == 2 else b.copy()
     for k in range(lu.shape[-1] - 1):
-        swap = piv[..., k]
-        if swap.any():
-            at = _swapping(swap)
-            x[at, [k, k + 1]] = x[at, [k + 1, k]]
-        x[..., k + 1] = x[..., k + 1] - lu[..., k + 1, k] * x[..., k]
+        _swap_rows(x, piv, k)
+        x[..., k + 1:] = x[..., k + 1:] - lu[..., k + 1:, k] * x[..., k, None]
     x = solve_triangular(lu, x)
     return x.T if lu.ndim == 2 else x
 
@@ -342,8 +340,9 @@ def solve_triangular(t, b):
     t is (n, n) or a stack (s, n, n), and "..." spans that stack: b is
     one vector (n,), one per member (s, n), or for one t several
     right-hand sides as the rows of (r, n).  Row sums are tree-summed
-    in extended precision.
+    in extended precision.  Complex input raises DimensionMismatchError.
     """
+    _require_real("solve_triangular", t, b)
     n = t.shape[-1]
     x = b.copy()
     for k in reversed(range(n)):
@@ -377,9 +376,9 @@ def eig_nonsymmetric(a):
     values: each sweep chases a chain of bulges, one bulge on an active
     window of fewer than 30 rows.  Each vector is x with (T - lambda I)
     x = 0, fixed on lambda's diagonal block and zero below it, found by
-    back-substitution (_schur_solves; LAPACK xTREVC, Golub and Van Loan,
-    sec. 7.6), then mapped back as Q Z x, given the canonical phase and
-    checked against a itself: a residual over tolerance raises
+    back-substitution (_back_substitution; LAPACK xTREVC, Golub and Van
+    Loan, sec. 7.6), then mapped back as Q Z x, given the canonical
+    phase and checked against a itself: a residual over tolerance raises
     NumericalFailureError.  Runs in the input's precision, which is the
     point of hand-rolling it.
 
@@ -392,11 +391,12 @@ def eig_nonsymmetric(a):
     scales: no square in a sweep overflows or underflows, and the values
     scale back exactly.  Errors speak in the input's units.
 
-    The back-substitutions run as stacked lu_factor/lu_solve calls, real
-    and complex values apart, in chunks of ``_STACK_ELEMS`` elements;
-    the later member of a pair skips them.  A stacked LU factors and
-    solves each member bit for bit as if alone, so every vector is the
-    same however the values are chunked.
+    The back-substitution is real: the real values walk T's diagonal
+    blocks together, then the earlier members of the pairs, each as the
+    two rows Re x and Im x, and the later member of a pair skips it.  At
+    each block one stacked lu_factor/lu_solve solves a 1 x 1, 2 x 2 or
+    4 x 4 real system per member, each bit for bit as if alone, so a
+    vector does not depend on which values walk with it.
     """
     n, n2 = a.shape
     if n != n2 or n == 0:
@@ -577,7 +577,7 @@ def _split_block(h, right, lo, l1, l2):
 
     The eigenvector is _block_null's, never zero.
     """
-    v, vn, _ = _bulge_reflector(*_block_null(h, lo, l1))
+    v, vn, _ = _bulge_reflector(*_block_null(h, lo, l1, _zero_of(h))[0])
     rows = slice(lo, lo + 2)
     _reflect(h, _pack(v, h), vn, rows, slice(lo, h.shape[1]), right)
     h[lo, lo] = l1
@@ -585,16 +585,19 @@ def _split_block(h, right, lo, l1, l2):
     h[lo + 1, lo] = _zero_of(h)
 
 
-def _block_null(t, p, lam):
-    """A null vector (x0, x1) of B - lam I, for B the 2 x 2 block of t at
-    rows p, p+1 and lam one of its values: orthogonal to the larger row
-    of B - lam I, which is never zero, since the QR leaves B's
-    subdiagonal entry nonzero."""
+def _block_null(t, p, re, im):
+    """A null vector x of B - lam I, for B the 2 x 2 block of t at rows
+    p, p+1 and lam = re + i im one of its values, as the pairs (Re x,
+    Im x): orthogonal to the larger row of B - lam I, which is never
+    zero, since the QR leaves B's subdiagonal entry nonzero."""
     a, b = t[p, p], t[p, p + 1]
     c, d = t[p + 1, p], t[p + 1, p + 1]
-    top = abs(complex(dd.approx(a - lam))) + abs(_f(b))
-    low = abs(_f(c)) + abs(complex(dd.approx(d - lam)))
-    return (b, lam - a) if top >= low else (lam - d, c)
+    zero = _zero_of(t)
+    top = abs(complex(_f(a - re), _f(im))) + abs(_f(b))
+    low = abs(_f(c)) + abs(complex(_f(d - re), _f(im)))
+    if top >= low:
+        return (b, re - a), (zero, im)
+    return (re - d, c), (im, zero)
 
 
 def _reflect(h, v, vn, rows, cols, right):
@@ -831,47 +834,47 @@ def _sort_eigvals(vals):
 
 def _eig_vectors(a, t, z, reflectors, vals, values, e):
     """Unit eigenvectors of a for vals, in EigenResult's packed layout,
-    by back-substitution on its real Schur form T (_schur_solves),
+    by back-substitution on its real Schur form T (_back_substitution),
     mapped back by Z and Q, given the canonical phase and checked
     against a itself.  ``values`` holds vals times 2**e, the input's
-    units, as one complex array.  A complex solution x splits into Re x
-    and Im x at once, so all after the back-substitution is real."""
+    units, as one complex array, which only names values in errors:
+    every step reads vals, in real arithmetic."""
     n = a.shape[0]
     tol = 1e3 * dd.eps_of(a) * float(np.linalg.norm(dd.approx(a)))
-    near = np.abs(dd.approx(values[:, None] - values[None, :])) \
-        <= math.ldexp(tol, e)
+    alpha = dd.stack([re for re, _, _ in vals])
+    beta = dd.stack([im for _, im, _ in vals])
+    # |mu - lambda| <= tol, both sides at vals' scale
+    near = np.hypot(*(dd.approx(x[:, None] - x[None, :])
+                      for x in (alpha, beta))) <= tol
     # the other row of a pair's vector; a real value's row is its own
     ind = np.arange(n)
     mate = ind.copy()
     for j, i in enumerate(_conjugate_partners(values)):
         if i is not None:
             mate[i], mate[j] = j, i
+    block = np.array([p for _, _, p in vals])
     rows = dd.zeros_like(a, (n, n))
-    chunk = max(1, _STACK_ELEMS // (n * n))
     for real in (True, False):
         sel = np.flatnonzero(mate == ind if real else mate > ind)
-        for c in range(0, len(sel), chunk):
-            members = sel[c:c + chunk]
-            try:
-                x = _schur_solves(t, vals, members, near)
-            except SingularMatrixError as err:
-                named = [complex(dd.approx(values[i])) for i in members]
-                raise NumericalFailureError(
-                    "back-substitution on the Schur form for the "
-                    f"eigenvalues {named}: {err}") from err
-            if real:
-                rows[members] = x
-            else:
-                rows[members], rows[mate[members]] = \
-                    (x.re, x.im) if isinstance(x, CDD) else (x.real, x.imag)
+        if not len(sel):
+            continue
+        sel = sel[np.argsort(-block[sel], kind="stable")]
+        try:
+            x = _back_substitution(t, vals, sel, near)
+        except SingularMatrixError as err:
+            named = [complex(dd.approx(values[i])) for i in np.sort(sel)]
+            raise NumericalFailureError(
+                "back-substitution on the Schur form for the "
+                f"eigenvalues {named}: {err}") from err
+        rows[sel] = x[:, 0]
+        if not real:
+            rows[mate[sel]] = x[:, 1]
     rows = _row_products(z, rows)
     _apply_q(reflectors, rows.T)
     rows = _phase_fix(rows, mate)
     # a v = lambda v for a pair's v = x + iy and lambda = alpha + i beta
     # reads a x = alpha x - beta y and a y = beta x + alpha y, and
     # x's mate is y, whose beta is x's negated
-    alpha = dd.stack([re for re, _, _ in vals])
-    beta = dd.stack([im for _, im, _ in vals])
     r = dd.approx(_row_products(a, rows) - (rows * alpha[:, None]
                                             - rows[mate] * beta[:, None]))
     sq = (r * r).sum(axis=1)
@@ -887,67 +890,80 @@ def _eig_vectors(a, t, z, reflectors, vals, values, e):
     return rows.T
 
 
-# elements (values x n x n) of one stacked back-substitution: 19 values
-# at n=81, 3 at n=201.  A Hessenberg LU step touches one row, so a step's
-# fixed numpy cost is most of its time and a stack shares it.  On
-# eig-bound's operator (n=81, seed 1) the eigenvector stage took, by
-# budget, then the process's peak RSS: 2**16 0.52 s, 41.3 MiB; 2**17
-# 0.34 s, 45.5 MiB; 2**18 0.25 s, 52.6 MiB, every vector bit-identical
-# (2-vCPU x86-64 host, numpy 2.4).  The larger budget would save 0.09 s
-# for 7 MiB of eig-bound's peak memory
-_STACK_ELEMS = 1 << 17
+def _back_substitution(t, vals, members, near):
+    """For lambda = vals[i] of each i in ``members``, the x with (T -
+    lambda I) x = 0 on the quasi upper triangular T, as rows (members,
+    w, n): x itself (w = 1) if every member's value is real, else Re x
+    and Im x (w = 2).  ``members`` is in descending order of the first
+    row p of each value's diagonal block.
 
+    x is zero below lambda's block and, on it, 1 or the block's null
+    vector (_block_null).  Above it, the walk visits T's diagonal blocks
+    B, at rows q..q+s-1, once from the bottom up, in real arithmetic
+    (LAPACK xTREVC; Golub and Van Loan, sec. 7.6): every member whose
+    block lies below q, a leading run of ``members``, takes the
+    right-hand side r = -T[q:q+s, q+s:] x[q+s:] and solves (B - a I) y =
+    r for lambda = a, or [[B - a I, b I], [-b I, B - a I]] on (Re y, Im
+    y) for lambda = a + ib.  One DD product and tree sum, and one
+    stacked lu_factor and lu_solve, serve every member at a block; each
+    member's arithmetic is its own, so its bits do not depend on which
+    others run with it.
 
-def _schur_solves(t, vals, members, near):
-    """Row j: the x with (T - lambda I) x = 0 for lambda = vals[i], i =
-    members[j], on the quasi upper triangular T; the members' values are
-    all real or all non-real.  x is zero below lambda's diagonal block
-    (first row p, from vals[i]) and, on it, the block's null vector
-    (_block_null).  Every row of x above p solves its row of T - lambda I.
-
-    So x solves one system: T - lambda I with each row from p down made
-    an identity row, and the right-hand side zero but for the null
-    vector on the block.  That system is upper Hessenberg, and lu_factor
-    pivots only inside a non-real 2 x 2 block, so it is exactly the
-    quasi-triangular back-substitution; the members go as one stacked
-    lu_factor and lu_solve.
-
-    The one rule for equal eigenvalues: a diagonal block above p with a
-    value mu where ``near[i]`` holds (|mu - lambda| within the residual
-    tolerance) becomes identity rows too, with right-hand side zero.
-    That drops x's component along the block, and the vectors of a
-    repeated eigenvalue come out independent.  It also keeps every pivot
-    of a 1 x 1 block, mu - lambda, nonzero.  Inside a 2 x 2 block the second pivot is the
-    block's determinant over the first: nonzero in exact arithmetic,
-    but not certified in floating point, and an exact zero there raises
-    SingularMatrixError.
+    The one rule for equal eigenvalues: a member with ``near[i]`` on one
+    of B's values (|mu - lambda| within the residual tolerance) keeps 0
+    on B and stays out of B's solve, whose system can be exactly
+    singular.  That drops x's component along B, and the vectors of a
+    repeated eigenvalue come out independent.  Any other system is
+    regular in exact arithmetic but not certified in floating point: an
+    exact zero pivot raises SingularMatrixError.
     """
     n = t.shape[0]
-    real = _f(vals[members[0]][1]) == 0.0
-    base = t if real else dd.complex_like(t)
-    lam = dd.stack([vals[i][0] if real else
-                    _make_scalar_complex(t, *vals[i][:2]) for i in members])
-    shifted = dd.stack([base] * len(members))
-    rhs = dd.zeros_like(base, (len(members), n))
-    ident = np.zeros((len(members), n), dtype=bool)
-    for j, i in enumerate(members):
-        p = vals[i][2]
-        ident[j, p:] = True
-        for k in np.flatnonzero(near[i]):
-            q = vals[k][2]
-            if q < p:
-                ident[j, q:q + (1 if _f(vals[k][1]) == 0.0 else 2)] = True
-        if real:
-            rhs[j, p] = 1.0
-        else:
-            rhs[j, p], rhs[j, p + 1] = _block_null(t, p, lam[j])
-    d = np.arange(n)
-    diag = shifted[:, d, d] - lam[:, None]
-    diag[ident] = 1.0
-    shifted[ident] = 0.0
-    shifted[:, d, d] = diag
-    lu, piv = lu_factor(shifted)
-    return lu_solve(lu, piv, rhs)
+    block = np.array([p for _, _, p in vals])
+    own = block[members]
+    w = 1 if _f(vals[members[0]][1]) == 0.0 else 2
+    re = dd.stack([vals[i][0] for i in members])
+    im = dd.stack([vals[i][1] for i in members])
+    x = dd.zeros_like(t, (len(members), w, n))
+    zero = _zero_of(t)
+    for q in np.unique(block)[::-1].tolist():
+        on_b = np.flatnonzero(block == q)
+        s = len(on_b)
+        below = int(np.count_nonzero(own > q))
+        if below < len(members) and own[below] == q:
+            if w == 1:
+                x[below, 0, q] = 1.0
+            else:
+                null = _block_null(t, q, re[below], im[below])
+                x[below, :, q:q + 2] = _pack(null[0] + null[1], t) \
+                    .reshape(2, 2)
+        live = np.flatnonzero(~near[members[:below]][:, on_b].any(axis=1))
+        if not len(live):
+            continue
+        tail = slice(q + s, n)
+        r = zero - (t[q:q + s, tail] * x[live, :, None, tail]).sum(axis=-1)
+        lu, piv = lu_factor(_shifted_blocks(t[q:q + s, q:q + s], re[live],
+                                            im[live], w))
+        y = lu_solve(lu, piv, r.reshape(len(live), w * s))
+        x[live, :, q:q + s] = y.reshape(len(live), w, s)
+    return x
+
+
+def _shifted_blocks(blk, re, im, w):
+    """The stack of real (w s, w s) systems for the s x s block blk and
+    lambda = re[j] + i im[j]: blk - re[j] I for w = 1, and for w = 2
+    [[blk - re[j] I, im[j] I], [-im[j] I, blk - re[j] I]] on (Re y, Im
+    y)."""
+    s = blk.shape[0]
+    out = dd.zeros_like(blk, (len(re), w * s, w * s))
+    for c in range(w):
+        out[:, c * s:(c + 1) * s, c * s:(c + 1) * s] = blk
+    d = np.arange(w * s)
+    out[:, d, d] = out[:, d, d] - re[:, None]
+    if w == 2:
+        d = np.arange(s)
+        out[:, d, s + d] = im[:, None]
+        out[:, s + d, d] = -im[:, None]
+    return out
 
 
 def _exact_keys(values):

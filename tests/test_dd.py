@@ -179,10 +179,6 @@ def test_division_by_zero_raises():
                  (DD([1.0, 2.0]), 0.0), (one, DD([3.0, -0.0]))):
         with pytest.raises(ZeroDivisionError, match="division by zero"):
             x / y
-    with pytest.raises(ZeroDivisionError):
-        CDD(DD(1.0)) / CDD(DD(0.0))
-    with pytest.raises(ZeroDivisionError):
-        CDD(DD([1.0, 2.0])) / CDD(DD([1.0, 0.0]))
     # only an exact zero raises: a NaN divisor gives NaN, as it always has
     assert np.isnan((one / DD(np.nan)).hi)
     assert np.isnan((DD([1.0, 2.0]) / DD([1.0, np.nan])).hi).tolist() == \
@@ -200,28 +196,20 @@ def test_comparisons_and_abs():
 
 
 def test_complex_basics():
-    i = CDD(DD(0.0), DD(1.0))
-    m = i * i
-    assert float(m.re) == -1.0 and float(m.im) == 0.0
-    z = CDD(DD(3.0), DD(4.0))
-    w = z.conj() * z
-    assert abs(float(w.re - 25.0)) < 1e-29 and float(w.im) == 0.0
-
-
-def test_complex_conj_product_is_abs_squared():
-    rng = np.random.Generator(np.random.Philox(key=29))
-    z = CDD(_rand_dd(rng, 200), _rand_dd(rng, 200))
-    lhs = (z.conj() * z).re.to_float()
-    rhs = (z.re * z.re + z.im * z.im).to_float()
-    assert np.all(np.abs(lhs - rhs) <= 1e-30 * np.abs(rhs) + 1e-300)
-
-
-def test_complex_division():
-    z = CDD(DD(1.0), DD(2.0))
-    w = CDD(DD(3.0), DD(-4.0))
-    q = (z * w) / w
-    assert abs(float(q.re - 1.0)) < 1e-30
-    assert abs(float(q.im - 2.0)) < 1e-30
+    # what holds the extended eigenvalues: built from parts, stacked,
+    # indexed and read back; no product but @
+    z = dd.stack([CDD(DD(3.0), DD(4.0)), CDD(DD(1.0, 1e-20), DD(-2.0))])
+    assert z.shape == (2,) and len(z) == 2
+    assert z.to_complex().tolist() == [3 + 4j, 1 - 2j]
+    re, im = dd.parts(z[[1]])
+    assert re.hi.tolist() == [1.0] and re.lo.tolist() == [1e-20]
+    assert im.hi.tolist() == [-2.0]
+    d = z - DD(1.0)
+    assert d.re.to_float().tolist() == [2.0, 1e-20]
+    assert d.im.to_float().tolist() == [4.0, -2.0]
+    for op in (lambda: z * z, lambda: z / z, lambda: DD(2.0) * z):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_matmul_against_float_triple_loop():
@@ -334,7 +322,7 @@ def test_zero_skipping_matvec_complex_operands():
         assert _bits(got.re) == _bits(d(x.re, y.re) - d(x.im, y.im))
         assert _bits(got.im) == _bits(d(x.re, y.im) + d(x.im, y.re))
     u = CDD(_rand_dd(rng, 30), _rand_dd(rng, 30))
-    got = a.T @ u
+    got = CDD(a.re.T, a.im.T) @ u
     assert _bits(got.re) == _bits(d(a.re.T, u.re) - d(a.im.T, u.im))
 
 
@@ -452,7 +440,6 @@ def test_setitem_and_views():
 
 def test_zeros_like_dispatch():
     assert isinstance(dd.zeros_like(dd.zeros(3), (2,)), DD)
-    assert isinstance(dd.zeros_like(CDD(dd.zeros(3)), (2,)), CDD)
     assert dd.zeros_like(np.zeros(3), (2,)).dtype == np.float64
     z = dd.zeros_like(np.zeros(3, dtype=complex), (2,))
     assert z.dtype == np.complex128
@@ -461,15 +448,17 @@ def test_zeros_like_dispatch():
 def test_norm_and_vdot_dispatch():
     v = DD(np.array([3.0, 4.0]))
     assert abs(float(dd.norm2(v)) - 5.0) < 1e-30
-    u = CDD(DD(np.array([0.0, 1.0])), DD(np.array([1.0, 0.0])))
-    ip = dd.vdot(u, u)
-    assert abs(float(ip.re) - 2.0) < 1e-30 and abs(float(ip.im)) < 1e-30
+    assert float(dd.vdot(v, v)) == 25.0
     assert dd.vdot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+    # real-only: complex input is rejected by name, either argument
+    u = CDD(DD(np.array([0.0, 1.0])), DD(np.array([1.0, 0.0])))
+    for x, y in ((u, v), (v, u), (np.array([1j, 0.0]), np.ones(2)),
+                 (np.ones((2, 2)), np.array([1j, 0.0]))):
+        with pytest.raises(DimensionMismatchError, match="vdot"):
+            dd.vdot(x, y)
 
 
 def _vdot_bits(x):
-    if isinstance(x, CDD):
-        return _vdot_bits(x.re) + _vdot_bits(x.im)
     if isinstance(x, DD):
         return np.asarray(x.hi).tobytes() + np.asarray(x.lo).tobytes()
     return np.asarray(x).tobytes()
@@ -480,8 +469,9 @@ def _vdot_bits(x):
                                  (13, 100), (5, 1682)])
 def test_vdot_rows_are_bitwise_the_1d_call(kind, k, n):
     # a 2-d first argument gives one inner product per row, each with
-    # the bytes of the 1-d call on that row (the row conjugated); the
-    # rows are the leading rows of a larger array, as a Krylov basis
+    # the bytes of the 1-d call on that row; the rows are the leading
+    # rows of a larger array, as a Krylov basis.  Complex input is
+    # rejected by name
     rng = np.random.default_rng(100 * k + n)
 
     def make(shape):
@@ -495,6 +485,10 @@ def test_vdot_rows_are_bitwise_the_1d_call(kind, k, n):
 
     q = make((k + 2, n))[:k]
     w = make(n)
+    if kind in ("cdd", "c128"):
+        with pytest.raises(DimensionMismatchError, match="vdot"):
+            dd.vdot(q, w)
+        return
     rows = dd.vdot(q, w)
     assert rows.shape == (k,)
     for i in range(k):

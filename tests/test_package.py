@@ -160,6 +160,10 @@ def test_every_traced_span_resolves():
                if not callable(getattr(importlib.import_module(
                    f"krybound.{m}"), f, None))]
     assert tracer.SPANS and not missing
+    # and these outside SPANS: the DD and CDD products by vars(cls), and
+    # dd._sqrt_dd and dd._matmul; installing every wrapper looks each up
+    with tracer.installed(tracer.Tracer()):
+        pass
 
 
 # the complex double-double class and its helpers; dd.parts, which
